@@ -16,13 +16,14 @@ Exit codes:
   5  run hit the cycle budget before converging
   6  a constraint demands mass where the distribution has none
   7  a constraint's subnet exceeds the size budget
-  8  a dense operation was asked for over the variable ceiling
+  8  a dense operation was asked for over the cell ceiling
 """
 
 from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -56,9 +57,10 @@ from .generate import generate_instance
 logger = logging.getLogger("bnrefit")
 
 DENSE_CEILING = 25
-"""Most variables a dense joint is allowed to span (2^25 cells puts a
-quarter-gigabyte table on the floor; past that only d-ipfp and check make
-sense)."""
+"""Base-2 logarithm of the most cells a dense joint may hold (2^25 cells
+puts a quarter-gigabyte table on the floor; past that only d-ipfp and check
+make sense).  The cell count is the product of the cardinalities, so a few
+many-state variables can exceed it."""
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -78,7 +80,7 @@ _TERMINATION_EXIT = {
 
 
 class DenseCeilingError(BnError):
-    """A dense joint was requested over more variables than the ceiling."""
+    """A dense joint was requested over more cells than the ceiling."""
 
 
 @dataclass(frozen=True)
@@ -201,11 +203,17 @@ def _read(path: str) -> bytes:
     return Path(path).read_bytes()
 
 
+def _dense_cells(net: NetworkSpec) -> int:
+    return math.prod(v.cardinality for v in net.variables)
+
+
 def _require_dense(net: NetworkSpec, what: str) -> None:
-    if len(net.variables) > DENSE_CEILING:
+    cells = _dense_cells(net)
+    if cells > 2 ** DENSE_CEILING:
         raise DenseCeilingError(
-            f"{what} needs the dense joint over {len(net.variables)} "
-            f"variables; the ceiling is {DENSE_CEILING}"
+            f"{what} needs the dense joint of {cells} cells over "
+            f"{len(net.variables)} variables; the ceiling is "
+            f"2^{DENSE_CEILING} cells"
         )
 
 
@@ -262,14 +270,15 @@ def cmd_check(cfg: CliConfig) -> int:
         scope = ", ".join(r.scope)
         print(f"constraint {i} over ({scope}): residual {residual:.3e} "
               f"{'ok' if ok else 'VIOLATED'}")
-    if len(net.variables) <= DENSE_CEILING:
+    cells = _dense_cells(net)
+    if cells <= 2 ** DENSE_CEILING:
         q = joint_from_network(net)
         gap = float(np.max(np.abs(q.probs - _reextracted_product(q, net))))
         print(f"structural residual: {gap:.3e}")
     else:
-        print(f"structural residual: skipped ({len(net.variables)} variables "
-              f"is over the dense ceiling of {DENSE_CEILING}); a network's "
-              f"own joint factors by construction")
+        print(f"structural residual: skipped ({cells} cells is over the "
+              f"dense ceiling of 2^{DENSE_CEILING}); a network's own joint "
+              f"factors by construction")
     if violations:
         print(f"result: {violations} of {len(constraints)} constraints "
               f"violated at epsilon {cfg.epsilon:g}")

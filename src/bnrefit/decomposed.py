@@ -13,13 +13,22 @@ The marginal a constraint is matched against is always the network's true
 marginal ``Q(y)``, obtained by variable elimination; inside a subnet it is
 computed from the factored form ``cond(y | s) * w(y, s)``, where ``w`` is
 the contraction of every CPT outside ``Y`` onto ``S`` and ``Y``.  ``w``
-does not change while only ``Y``'s tables are updated, so each inner
-iteration costs a handful of subnet-sized array operations.
+does not change while only ``Y``'s tables are updated.
+
+Subnets are small (a few dozen cells) but their inner loops run for
+thousands of iterations, so per-call overhead, not arithmetic, sets the
+cost.  Each non-local constraint is therefore compiled once per run into
+an index plan (``_SubnetPlan``): flat arrays that map every cell of the
+C-order enumeration of ``(S, Y)`` to its ``y`` and ``s`` configuration and
+to its entry in each member CPT.  An inner iteration is then a fixed
+handful of gathers and ``bincount`` sums on 1-D arrays, whatever the
+number of members or their parent order.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -119,16 +128,21 @@ def _aligned_target(r: Constraint, order: tuple[str, ...]) -> np.ndarray:
     return np.transpose(r.dist.probs, [r.scope.index(v) for v in order])
 
 
+def _dominance_error(names: tuple[str, ...], mass: float,
+                     idx: Sequence[int]) -> DominanceError:
+    cell = ", ".join(f"{n}={int(v)}" for n, v in zip(names, idx))
+    return DominanceError(
+        f"constraint over {names} requires mass {mass:.17g} at "
+        f"({cell}) where the current distribution has none"
+    )
+
+
 def _ratio(target: np.ndarray, current: np.ndarray,
            names: tuple[str, ...]) -> np.ndarray:
     blocked = (current == 0.0) & (target > 0.0)
     if np.any(blocked):
         idx = tuple(int(v) for v in np.argwhere(blocked)[0])
-        cell = ", ".join(f"{n}={v}" for n, v in zip(names, idx))
-        raise DominanceError(
-            f"constraint over {names} requires mass {target[idx]:.17g} at "
-            f"({cell}) where the current distribution has none"
-        )
+        raise _dominance_error(names, target[idx], idx)
     return np.divide(target, current, out=np.zeros_like(target),
                      where=current > 0.0)
 
@@ -348,25 +362,78 @@ def extract_subnet_cpts(sub: LocalSubnet, net: NetworkSpec,
 
 @dataclass
 class _SubnetPlan:
+    """Flat index plan for one non-local constraint, built once per run.
+
+    The subnet's cells are the C-order enumeration of ``(*s, *y)``.  Each
+    array below maps those cells, or the entries of the member tables, to
+    the index they gather from or ``bincount`` into:
+
+    - ``y_cell`` and ``s_cell``: the raveled ``y`` and ``s`` configuration
+      of each cell;
+    - ``family``: one row per member, in ``y`` order, holding each cell's
+      entry in that member's raveled table (``parents..., child``), offset
+      so that all member tables share one concatenated vector;
+    - ``row`` and ``uniform``: for each entry of that vector, the index of
+      its parent row and the value a zero-mass row falls back to;
+    - ``positive`` and ``target``: the raveled ``y`` cells where the
+      constraint is positive, and its values there.
+
+    Every ``y`` and ``s`` configuration and every member-table entry occurs
+    among the cells, so each ``bincount`` comes out at full length.
+    """
+
     y: tuple[str, ...]
     s: tuple[str, ...]
-    sy: tuple[str, ...]
-    target_table: np.ndarray
-    y_axes: tuple[int, ...]
-    s_axes: tuple[int, ...]
-    extractions: tuple[tuple[str, tuple[str, ...]], ...]
+    y_shape: tuple[int, ...]
+    members: tuple[tuple[str, tuple[str, ...], tuple[int, ...]], ...]
+    y_cell: np.ndarray
+    s_cell: np.ndarray
+    family: np.ndarray
+    row: np.ndarray
+    uniform: np.ndarray
+    positive: np.ndarray
+    target: np.ndarray
 
     @staticmethod
     def build(net: NetworkSpec, r: Constraint, cls: NonLocal) -> "_SubnetPlan":
         y, s = cls.y, cls.s
         sy = s + y
-        ns, ny = len(s), len(y)
+        axis = {v: i for i, v in enumerate(sy)}
+        shape = tuple(net.cardinality(v) for v in sy)
+
+        def cells(names: tuple[str, ...], offset: int = 0) -> np.ndarray:
+            """Index of every subnet cell in a raveled table over ``names``."""
+            sub = tuple(net.cardinality(v) for v in names)
+            index = np.arange(offset, offset + math.prod(sub)).reshape(sub)
+            placed = _placed(index, [axis[v] for v in names], len(sy))
+            return np.broadcast_to(placed, shape).ravel()
+
+        members, family, row, uniform = [], [], [], []
+        entries = rows = 0
+        for child in y:
+            parents = net.parents[child]
+            table_shape = tuple(net.cardinality(v) for v in parents + (child,))
+            size = math.prod(table_shape)
+            card = table_shape[-1]
+            members.append((child, parents, table_shape))
+            family.append(cells(parents + (child,), entries))
+            row.append(np.arange(size) // card + rows)
+            uniform.append(np.full(size, 1.0 / card))
+            entries += size
+            rows += size // card
+        target = _aligned_target(r, y).ravel()
+        positive = np.flatnonzero(target > 0.0)
         return _SubnetPlan(
-            y=y, s=s, sy=sy,
-            target_table=_aligned_target(r, y),
-            y_axes=tuple(range(ns, ns + ny)),
-            s_axes=tuple(range(ns)),
-            extractions=tuple((child, net.parents[child]) for child in y),
+            y=y, s=s,
+            y_shape=shape[len(s):],
+            members=tuple(members),
+            y_cell=cells(y),
+            s_cell=cells(s),
+            family=np.stack(family),
+            row=np.concatenate(row),
+            uniform=np.concatenate(uniform),
+            positive=positive,
+            target=target[positive],
         )
 
 
@@ -378,57 +445,51 @@ def _nonlocal_visit(plan: _SubnetPlan, work: dict[str, Cpt], net: NetworkSpec,
     re-extraction of member CPTs until the step stops moving the table.
     The context weight is computed once; it only involves outside CPTs.
 
-    The loop can run for thousands of iterations when the constraint asks
-    for dependence the subnet expresses reluctantly, so all per-iteration
-    work happens on member tables kept in broadcast position over the
-    subnet axes: summing with ``keepdims`` both extracts a member and
-    leaves it placed for the next product, and the proper ``Cpt`` objects
-    are only built once the loop settles.
+    The loop can run for thousands of iterations on subnets of a few dozen
+    cells, so each iteration is a fixed handful of calls on 1-D arrays
+    through the plan's indices: the member tables live in one concatenated
+    vector, a gather through ``family`` forms their product, and
+    ``bincount`` gives the ``y`` marginal, the per-``s`` row mass and the
+    re-extracted member tables.  ``Cpt`` objects are built only once the
+    loop settles.
     """
-    w = _outside_weight(net, plan.y, plan.s, work)
-    pos = {v: i for i, v in enumerate(plan.sy)}
-    ndim = len(plan.sy)
-    ratio_shape = (1,) * len(plan.s) + plan.target_table.shape
-    specs = []
-    placed: dict[str, np.ndarray] = {}
-    for child, parents in plan.extractions:
-        axes = [pos[p] for p in parents] + [pos[child]]
-        drop = tuple(i for i in range(ndim) if i not in axes)
-        uniform = 1.0 / work[child].table.shape[-1]
-        specs.append((child, parents, drop, pos[child], uniform))
-        placed[child] = _placed(work[child].table, axes, ndim)
+    w = _outside_weight(net, plan.y, plan.s, work).ravel()
+    theta = np.concatenate([work[child].table.ravel()
+                            for child, _, _ in plan.members])
+    family = plan.family.ravel()
+    refit = np.empty(plan.family.shape)
+    ratio = np.zeros(math.prod(plan.y_shape))
     delta = float("inf")
     iterations = 0
     while iterations < inner_cap:
         iterations += 1
-        cond = placed[plan.y[0]]
-        for child in plan.y[1:]:
-            cond = cond * placed[child]
-        joint = cond * w
-        qy = joint.sum(axis=plan.s_axes) if plan.s_axes else joint
-        total = float(qy.sum())
+        cond = theta[plan.family].prod(axis=0)
+        qy = np.bincount(plan.y_cell, cond * w)
+        total = qy.sum()
         if total > 0.0:
-            qy = qy / total
-        ratio = _ratio(plan.target_table, qy, plan.y)
-        scaled = cond * ratio.reshape(ratio_shape)
-        alpha = scaled.sum(axis=plan.y_axes, keepdims=True)
-        newcond = np.where(alpha > 0.0,
-                           scaled / np.where(alpha > 0.0, alpha, 1.0), cond)
-        delta = float(np.max(np.abs(newcond - cond)))
-        refit = newcond * w
-        for child, parents, drop, child_axis, uniform in specs:
-            m = refit.sum(axis=drop, keepdims=True) if drop else refit
-            denom = m.sum(axis=child_axis, keepdims=True)
-            placed[child] = np.where(
-                denom > 0.0, m / np.where(denom > 0.0, denom, 1.0), uniform)
+            qy /= total
+        current = qy[plan.positive]
+        if not current.all():
+            i = int(np.flatnonzero(current == 0.0)[0])
+            raise _dominance_error(plan.y, plan.target[i], np.unravel_index(
+                int(plan.positive[i]), plan.y_shape))
+        ratio[plan.positive] = plan.target / current
+        scaled = cond * ratio[plan.y_cell]
+        alpha = np.bincount(plan.s_cell, scaled)[plan.s_cell]
+        newcond = np.divide(scaled, alpha, out=cond.copy(), where=alpha > 0.0)
+        delta = float(np.abs(newcond - cond).max())
+        np.multiply(newcond, w, out=refit)
+        m = np.bincount(family, refit.ravel())
+        denom = np.bincount(plan.row, m)[plan.row]
+        theta = np.divide(m, denom, out=plan.uniform.copy(), where=denom > 0.0)
         if delta <= inner_epsilon:
             break
-    for child, parents, drop, child_axis, uniform in specs:
-        keep = sorted(set(range(ndim)) - set(drop))
-        axes = [pos[p] for p in parents] + [pos[child]]
-        table = placed[child].reshape([placed[child].shape[i] for i in keep])
+    start = 0
+    for child, parents, shape in plan.members:
+        size = math.prod(shape)
         work[child] = Cpt(child, parents,
-                          np.transpose(table, [keep.index(a) for a in axes]))
+                          theta[start:start + size].reshape(shape))
+        start += size
     if delta > inner_epsilon:
         logger.warning(
             "constraint over %s: inner loop hit its cap of %d iterations "
@@ -453,8 +514,8 @@ def run_d_ipfp(net: NetworkSpec, constraints: Sequence[Constraint],
     ``_nonlocal_visit``.  Convergence is judged on CPT entries (the state
     the solver actually moves) together with the true marginal residuals
     from variable elimination.  The report's dense quantities (divergence,
-    structural residual) are filled in only when the variable count is at
-    most ``dense_report_ceiling``; the result factors over the DAG by
+    structural residual) are filled in only when the joint has at most
+    ``2 ** dense_report_ceiling`` cells; the result factors over the DAG by
     construction either way.
     """
     t0 = time.perf_counter()
@@ -471,7 +532,8 @@ def run_d_ipfp(net: NetworkSpec, constraints: Sequence[Constraint],
         )
     inner_eps = stop.epsilon if inner_epsilon is None else inner_epsilon
 
-    dense_ok = len(net.variables) <= dense_report_ceiling
+    dense_ok = (math.prod(v.cardinality for v in net.variables)
+                <= 2 ** dense_report_ceiling)
     if not constraints:
         report = RunReport(
             algorithm="d-ipfp", cycles=0,

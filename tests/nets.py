@@ -56,6 +56,13 @@ def make_diamond() -> NetworkSpec:
     )
 
 
+def diamond_without_a1() -> NetworkSpec:
+    """The diamond with P(A=1)=0: every cell with A=1 has zero mass."""
+    net = make_diamond()
+    return NetworkSpec(net.variables, net.parents,
+                       dict(net.cpts, A=Cpt("A", (), np.array([1.0, 0.0]))))
+
+
 def diamond_r3(net: NetworkSpec) -> Constraint:
     """Non-local target marginal over (A, D), state 0 first."""
     return Constraint.over(net, ("A", "D"),

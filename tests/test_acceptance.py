@@ -230,6 +230,9 @@ INVARIANT_TESTS = {
     "decomposed: subnet tables bounded by scope size": [
         ("test_decomposed", "test_build_subnet_size_is_exponential_bound"),
     ],
+    "decomposed: non-local kernel matches the subnet pipeline": [
+        ("test_decomposed", "test_d_ipfp_visit_matches_manual_sequence"),
+    ],
     "io: mangled documents fail with located errors, never crash": [
         ("test_fileio", "test_fuzzed_network_documents_never_crash"),
         ("test_fileio", "test_fuzzed_structural_mutations_fail_cleanly"),

@@ -178,6 +178,17 @@ def test_exit_dominance(tmp_path):
     assert code == cli.EXIT_DOMINANCE
 
 
+def test_exit_dominance_nonlocal_d_ipfp(tmp_path, capsys):
+    net = nets.diamond_without_a1()
+    net_path = write_net(tmp_path, net)
+    cons_path = write_cons(tmp_path, [nets.diamond_r3(net)])
+    code = cli.main(["run", "--network", net_path, "--constraints", cons_path,
+                     "--algorithm", "d-ipfp",
+                     "--out", str(tmp_path / "out.json")])
+    assert code == cli.EXIT_DOMINANCE
+    assert "(A=1, D=0)" in capsys.readouterr().err
+
+
 def test_exit_subnet_budget(tmp_path, monkeypatch, diamond_net, diamond_r3):
     monkeypatch.setattr(cli, "run_d_ipfp",
                         functools.partial(run_d_ipfp, subnet_budget=3))
@@ -220,6 +231,52 @@ def test_d_ipfp_clears_the_ceiling(tmp_path, capsys):
                      "--out", str(tmp_path / "out.json")])
     assert code == 0
     assert "divergence n/a" in capsys.readouterr().out
+
+
+def many_state_net(n=12, card=64):
+    """Independent ``card``-state variables: few variables, card**n cells."""
+    decls = tuple(VariableDecl(f"V{i:02d}", card) for i in range(n))
+    row = np.arange(1.0, card + 1.0)
+    row = row / row.sum()
+    return NetworkSpec(decls, {}, {d.name: Cpt(d.name, (), row)
+                                   for d in decls})
+
+
+@pytest.mark.parametrize("command, expected", [
+    ("check", cli.EXIT_OK),
+    ("divergence", cli.EXIT_DENSE_CEILING),
+    ("ipfp", cli.EXIT_DENSE_CEILING),
+    ("e-ipfp", cli.EXIT_DENSE_CEILING),
+    ("d-ipfp", cli.EXIT_OK),
+], ids=["check", "divergence", "ipfp", "e-ipfp", "d-ipfp"])
+def test_dense_ceiling_counts_cells(tmp_path, capsys, command, expected):
+    # Twelve 64-state variables are few, but their joint has 64^12 cells:
+    # every dense gate must refuse it by cell count, before allocating.
+    net = many_state_net()
+    net_path = write_net(tmp_path, net)
+    cons_path = write_cons(tmp_path, [
+        nets.constraint_over(net, ("V00",), net.cpts["V00"].table),
+    ])
+    report_path = tmp_path / "report.json"
+    if command == "check":
+        argv = ["check", "--network", net_path, "--constraints", cons_path]
+    elif command == "divergence":
+        argv = ["divergence", net_path, net_path]
+    else:
+        argv = ["run", "--network", net_path, "--constraints", cons_path,
+                "--algorithm", command, "--out", str(tmp_path / "out.json"),
+                "--report", str(report_path)]
+    assert cli.main(argv) == expected
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    if command == "check":
+        assert "structural residual: skipped" in captured.out
+    elif command == "d-ipfp":
+        report = json.loads(report_path.read_text())
+        assert report["final_divergence"] is None
+        assert report["structural_residual"] is None
+    else:
+        assert "ceiling" in captured.err
 
 
 def test_exit_invalid_input(tmp_path, chain_net):

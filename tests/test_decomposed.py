@@ -19,6 +19,7 @@ from bnrefit import (
     ValidationError,
     VariableDecl,
     build_local_subnet,
+    classify_constraint,
     constraint_residual,
     extract_subnet_cpts,
     i_divergence,
@@ -33,7 +34,7 @@ from bnrefit import (
     run_ipfp,
 )
 from bnrefit.decomposed import LocalSubnet
-from bnrefit.generate import random_network
+from bnrefit.generate import generate_instance, random_network
 
 
 def long_chain(n):
@@ -315,20 +316,81 @@ def test_d_ipfp_inner_cap_still_converges(diamond_net, diamond_r3):
     assert constraint_residual(q, diamond_r3) <= StopPolicy().epsilon
 
 
-def test_d_ipfp_visit_matches_manual_sequence(diamond_net, diamond_r3):
-    # One outer cycle with a single inner iteration must equal the spelled-out
-    # pipeline: build, one fitting pass against the outside weight, re-extract.
-    out, _ = run_d_ipfp(diamond_net, [diamond_r3],
-                        StopPolicy(max_cycles=1, epsilon=1e-15),
-                        inner_max_iterations=1)
-    sub = build_local_subnet(diamond_net, ("A", "D"))
-    w = np.broadcast_to(diamond_weight(diamond_net)[..., None],
-                        sub.cond_table.shape)
-    sub = nonlocal_update(sub, diamond_r3, w)
-    cpts = extract_subnet_cpts(sub, diamond_net)
-    for name in ("A", "D"):
+def reordered_diamond():
+    """The diamond with D's CPT indexed (C, B, D), against declaration order."""
+    net = nets.make_diamond()
+    parents = dict(net.parents, D=("C", "B"))
+    cpts = dict(net.cpts, D=Cpt("D", ("C", "B"),
+                                np.transpose(net.cpts["D"].table, (1, 0, 2))))
+    return NetworkSpec(net.variables, parents, cpts)
+
+
+def visit_case(name):
+    """A network and one non-local constraint on it."""
+    if name == "diamond":
+        net = nets.make_diamond()
+        return net, nets.diamond_r3(net)
+    if name == "ternary":
+        net, constraints = generate_instance(0, n_nodes=8, num_constraints=4,
+                                             cardinality=3)
+        return net, constraints[0]
+    if name == "reordered-parents":
+        net = reordered_diamond()
+        return net, nets.diamond_r3(net)
+    # empty s: two independent roots, fitted to a dependent pair
+    net = nets.v_structure()
+    return net, nets.constraint_over(net, ("A", "B"), [[0.3, 0.1], [0.2, 0.4]])
+
+
+def dense_outside_weight(net, y, s):
+    """Contraction of the CPTs outside ``y`` onto (*s, *y), up to scale,
+    read off the dense joint with ``y``'s CPTs made uniform."""
+    flat = {v: Cpt(v, net.parents[v], np.full(net.cpts[v].table.shape,
+                                              1.0 / net.cardinality(v)))
+            for v in y}
+    q = joint_from_network(NetworkSpec(net.variables, net.parents,
+                                       {**net.cpts, **flat}))
+    return marginalize(q, s + y).probs
+
+
+@pytest.mark.parametrize("inner", [1, 7])
+@pytest.mark.parametrize(
+    "case", ["diamond", "ternary", "reordered-parents", "empty-s"])
+def test_d_ipfp_visit_matches_manual_sequence(case, inner):
+    # One outer cycle of ``inner`` inner iterations must equal the
+    # spelled-out pipeline repeated ``inner`` times: build the subnet, one
+    # fitting pass against the outside weight, re-extract the member CPTs.
+    net, r = visit_case(case)
+    cls = classify_constraint(net, r)
+    assert isinstance(cls, NonLocal)
+    assert (cls.s == ()) == (case == "empty-s")
+    out, _ = run_d_ipfp(net, [r], StopPolicy(max_cycles=1, epsilon=1e-15),
+                        inner_max_iterations=inner)
+    w = dense_outside_weight(net, cls.y, cls.s)
+    cpts = dict(net.cpts)
+    for _ in range(inner):
+        sub = build_local_subnet(net, cls.y, cpts)
+        sub = nonlocal_update(sub, r, w)
+        cpts.update(extract_subnet_cpts(sub, net, cpts))
+    for name in net.names:
+        assert out.cpts[name].parent_order == net.cpts[name].parent_order
         assert np.max(np.abs(out.cpts[name].table
                              - cpts[name].table)) <= 1e-12
+
+
+def test_d_ipfp_nonlocal_dominance_names_cell():
+    # The target puts mass on A=1, which the network rules out; the error
+    # names the first such cell in subnet order (A, D), not scope order.
+    net = nets.diamond_without_a1()
+    target = nets.diamond_r3(net).dist.probs
+    r = nets.constraint_over(net, ("D", "A"), target.T)
+    assert isinstance(classify_constraint(net, r), NonLocal)
+    with pytest.raises(DominanceError) as err:
+        run_d_ipfp(net, [r])
+    assert str(err.value) == (
+        f"constraint over ('A', 'D') requires mass {target[1, 0]:.17g} at "
+        f"(A=1, D=0) where the current distribution has none"
+    )
 
 
 def test_d_ipfp_contradictory_constraints_oscillate(chain_net):
