@@ -228,8 +228,7 @@ def cmd_run(cfg: CliConfig) -> int:
 
     report: RunReport
     if cfg.algorithm == "d-ipfp":
-        out_net, report = run_d_ipfp(net, constraints, stop, schedule,
-                                     dense_report_ceiling=DENSE_CEILING)
+        out_net, report = run_d_ipfp(net, constraints, stop, schedule)
     elif cfg.algorithm == "e-ipfp":
         _require_dense(net, "e-ipfp")
         out_net, report = run_e_ipfp(net, constraints, stop, schedule)
@@ -250,11 +249,9 @@ def cmd_run(cfg: CliConfig) -> int:
         write_atomic(cfg.report, report_to_bytes(report))
 
     worst = max(report.per_constraint_residuals, default=0.0)
-    divergence = ("n/a" if report.final_divergence is None
-                  else format(report.final_divergence, ".6g"))
     print(f"{cfg.algorithm}: {report.termination.value} after "
           f"{report.cycles} cycles; max residual {worst:.3e}; "
-          f"divergence {divergence}; wrote {cfg.out}")
+          f"divergence {report.final_divergence:.6g}; wrote {cfg.out}")
     return _TERMINATION_EXIT[report.termination]
 
 

@@ -275,6 +275,7 @@ class NetworkSpec:
     variables: tuple[VariableDecl, ...]
     parents: Mapping[str, tuple[str, ...]]
     cpts: Mapping[str, Cpt]
+    names: tuple[str, ...] = field(init=False, repr=False)
     topo_order: tuple[str, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -282,10 +283,11 @@ class NetworkSpec:
         object.__setattr__(self, "variables", variables)
         if not variables:
             raise ValidationError("network needs at least one variable")
-        names = [v.name for v in variables]
+        names = tuple(v.name for v in variables)
         if len(set(names)) != len(names):
             raise ValidationError("duplicate variable declaration")
         index = {n: i for i, n in enumerate(names)}
+        object.__setattr__(self, "names", names)
         object.__setattr__(self, "_index", index)
 
         for key in self.parents:
@@ -333,7 +335,7 @@ class NetworkSpec:
         object.__setattr__(self, "cpts", cpts)
 
     @staticmethod
-    def _toposort(names: list[str], parents: Mapping[str, tuple[str, ...]]) -> tuple[str, ...]:
+    def _toposort(names: tuple[str, ...], parents: Mapping[str, tuple[str, ...]]) -> tuple[str, ...]:
         children: dict[str, list[str]] = {n: [] for n in names}
         pending = {n: len(parents[n]) for n in names}
         for n in names:
@@ -360,10 +362,6 @@ class NetworkSpec:
             node = next(p for p in parents[node] if pending[p] > 0)
         cycle = seen[seen.index(node):] + [node]
         raise CycleError("cycle detected: " + " -> ".join(reversed(cycle)))
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(v.name for v in self.variables)
 
     def axis(self, name: str) -> int:
         try:

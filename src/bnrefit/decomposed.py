@@ -50,14 +50,14 @@ from .core import (
     ValidationError,
     _conditional,
     _placed,
-    _reextracted_product,
     classify_constraint,
-    i_divergence,
-    joint_from_network,
     validate_constraint,
 )
+# Unused here; perfbench/tracer.py wraps these names in this module.
+from .core import _reextracted_product, i_divergence, joint_from_network
 from .dense import RunReport, Schedule, StopPolicy, Termination
-from .elimination import Factor, _ancestral, contract, cpt_factor
+from .elimination import (Factor, _ancestral, contract, cpt_factor,
+                          network_divergence)
 
 logger = logging.getLogger("bnrefit")
 
@@ -505,18 +505,17 @@ def run_d_ipfp(net: NetworkSpec, constraints: Sequence[Constraint],
                *,
                inner_epsilon: float | None = None,
                inner_max_iterations: int = 1000,
-               subnet_budget: int = SUBNET_BUDGET,
-               dense_report_ceiling: int = 25) -> tuple[NetworkSpec, RunReport]:
+               subnet_budget: int = SUBNET_BUDGET) -> tuple[NetworkSpec, RunReport]:
     """Structure-preserving fit that never materializes the joint.
 
     Each cycle visits the constraints in schedule order; a local constraint
     rescales rows of one CPT, a non-local one runs the subnet iteration of
     ``_nonlocal_visit``.  Convergence is judged on CPT entries (the state
     the solver actually moves) together with the true marginal residuals
-    from variable elimination.  The report's dense quantities (divergence,
-    structural residual) are filled in only when the joint has at most
-    ``2 ** dense_report_ceiling`` cells; the result factors over the DAG by
-    construction either way.
+    from variable elimination.  The report's divergence comes from the
+    edited families alone (``network_divergence``), at any network size.
+    Its structural residual is ``None``: the result is a network on the
+    input's DAG, so it factors over that DAG by construction.
     """
     t0 = time.perf_counter()
     stop = stop or StopPolicy()
@@ -532,15 +531,13 @@ def run_d_ipfp(net: NetworkSpec, constraints: Sequence[Constraint],
         )
     inner_eps = stop.epsilon if inner_epsilon is None else inner_epsilon
 
-    dense_ok = (math.prod(v.cardinality for v in net.variables)
-                <= 2 ** dense_report_ceiling)
     if not constraints:
         report = RunReport(
             algorithm="d-ipfp", cycles=0,
             wall_time=time.perf_counter() - t0,
-            final_divergence=0.0 if dense_ok else None,
+            final_divergence=0.0,
             per_constraint_residuals=(),
-            structural_residual=0.0 if dense_ok else None,
+            structural_residual=None,
             termination=Termination.CONVERGED,
         )
         return net, report
@@ -570,11 +567,10 @@ def run_d_ipfp(net: NetworkSpec, constraints: Sequence[Constraint],
     rank = {name: i for i, name in enumerate(net.names)}
     cards = {v.name: v.cardinality for v in net.variables}
     all_names = set(net.names)
-    residual_names = [
-        tuple(n for n in net.names
-              if n in _ancestral(net.parents, r.scope, all_names))
-        for r in constraints
-    ]
+    residual_names = []
+    for r in constraints:
+        needed = _ancestral(net.parents, r.scope, all_names)
+        residual_names.append(tuple(n for n in net.names if n in needed))
 
     work: dict[str, Cpt] = dict(net.cpts)
 
@@ -643,22 +639,13 @@ def run_d_ipfp(net: NetworkSpec, constraints: Sequence[Constraint],
         residuals = current_residuals()
 
     result = NetworkSpec(net.variables, net.parents, work)
-    final_divergence = None
-    structural_residual = None
-    if dense_ok:
-        q0 = joint_from_network(net)
-        qf = joint_from_network(result)
-        final_divergence = i_divergence(qf, q0)
-        structural_residual = float(
-            np.max(np.abs(qf.probs - _reextracted_product(qf, result)))
-        )
     report = RunReport(
         algorithm="d-ipfp",
         cycles=cycles,
         wall_time=time.perf_counter() - t0,
-        final_divergence=final_divergence,
+        final_divergence=network_divergence(result, net),
         per_constraint_residuals=residuals,
-        structural_residual=structural_residual,
+        structural_residual=None,
         termination=termination,
     )
     return result, report

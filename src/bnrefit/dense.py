@@ -134,17 +134,17 @@ class RunReport:
     """What a solver run did and how it ended.
 
     ``final_divergence`` is the I-divergence of the result from the input
-    network's joint, in natural log (``log_base`` records this); it is
-    ``None`` when the variable count makes the dense computation
-    unreasonable.  ``structural_residual`` is the max-abs gap between the
-    final joint and the product of its extracted CPTs, ``None`` when
-    skipped for the same reason.
+    network's joint, in natural log (``log_base`` records this); ``ipfp``
+    and ``e-ipfp`` compute it on the dense joints, ``d-ipfp`` from the
+    families it edited.  ``structural_residual`` is the max-abs gap between
+    the final joint and the product of its extracted CPTs; it is ``None``
+    for ``d-ipfp``, whose result is a network on the input's DAG.
     """
 
     algorithm: str
     cycles: int
     wall_time: float
-    final_divergence: float | None
+    final_divergence: float
     per_constraint_residuals: tuple[float, ...]
     structural_residual: float | None
     termination: Termination

@@ -137,3 +137,33 @@ def marginal(net: NetworkSpec, targets: Sequence[str],
     rank = {name: i for i, name in enumerate(net.names)}
     cards = {v.name: v.cardinality for v in net.variables}
     return contract(factors, targets, rank, cards)
+
+
+def network_divergence(p: NetworkSpec, q: NetworkSpec) -> float:
+    """I-divergence (natural log) of ``p``'s joint from ``q``'s, factored.
+
+    Both networks must declare the same variables and parents.  By the
+    chain rule the divergence is the sum over families of
+    ``P(pa) * KL(P(.|pa) || Q(.|pa))``, so only families whose CPT differs
+    contribute, each needing one marginal of ``p`` over its parents.  Cells
+    where ``P(pa) * p(v|pa)`` is zero contribute nothing, even when ``q``'s
+    entry is zero there; the result is infinite only where ``p`` has mass
+    that ``q`` lacks, exactly as for the dense joints.
+    """
+    if p.variables != q.variables or p.parents != q.parents:
+        raise ScopeError(
+            "factored divergence needs identical declarations and parents"
+        )
+    total = 0.0
+    for name in p.names:
+        a = p.cpts[name].table
+        b = q.cpts[name].table
+        if a is b or np.array_equal(a, b):
+            continue
+        parents = p.parents[name]
+        mass = marginal(p, parents)[..., None] * a if parents else a
+        mask = mass > 0.0
+        if np.any(b[mask] == 0.0):
+            return float("inf")
+        total += float((mass[mask] * np.log(a[mask] / b[mask])).sum())
+    return total

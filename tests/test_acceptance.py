@@ -233,6 +233,9 @@ INVARIANT_TESTS = {
     "decomposed: non-local kernel matches the subnet pipeline": [
         ("test_decomposed", "test_d_ipfp_visit_matches_manual_sequence"),
     ],
+    "elimination: factored divergence equals the dense one": [
+        ("test_elimination", "test_network_divergence_matches_dense"),
+    ],
     "io: mangled documents fail with located errors, never crash": [
         ("test_fileio", "test_fuzzed_network_documents_never_crash"),
         ("test_fileio", "test_fuzzed_structural_mutations_fail_cleanly"),

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 import nets
-from bnrefit import Cpt, joint_from_network, marginalize
-from bnrefit.elimination import Factor, _ancestral, contract, marginal
+from bnrefit import (Cpt, NetworkSpec, VariableDecl, i_divergence,
+                     joint_from_network, marginalize, run_d_ipfp)
+from bnrefit.elimination import (Factor, _ancestral, contract, marginal,
+                                 network_divergence)
 from bnrefit.core import ScopeError
-from bnrefit.generate import random_network
+from bnrefit.generate import generate_instance, random_network
 
 
 def random_net(seed, n, cardinality=2):
@@ -87,3 +89,65 @@ def test_marginal_of_root_ignores_descendant_tables(diamond_net):
     }
     got = marginal(diamond_net, ("A",), cpts={**diamond_net.cpts, **junk})
     assert np.array_equal(got, marginal(diamond_net, ("A",)))
+
+
+def chain(a_row, b_rows, parents=("A",)):
+    """A -> B (or independent A, B with ``parents=()``) with given tables."""
+    return NetworkSpec(
+        (VariableDecl("A", 2), VariableDecl("B", 2)),
+        {"B": parents},
+        {"A": Cpt("A", (), np.array(a_row)),
+         "B": Cpt("B", parents, np.array(b_rows))},
+    )
+
+
+def divergence_pair(name):
+    """Two networks on one DAG, ``(p, q)``, for the factored divergence."""
+    if name == "diamond-d-ipfp":
+        net = nets.make_diamond()
+        return run_d_ipfp(net, [nets.diamond_r3(net)])[0], net
+    if name in ("generated-d-ipfp-2", "generated-d-ipfp-3"):
+        # Seeds whose fits edit four CPTs that have parents.
+        card = int(name[-1])
+        seed = {2: 0, 3: 5}[card]
+        net, constraints = generate_instance(seed, n_nodes=9,
+                                             num_constraints=4,
+                                             cardinality=card)
+        return run_d_ipfp(net, constraints)[0], net
+    if name == "identical":
+        net = nets.make_diamond()
+        copy = {n: Cpt(n, c.parent_order, c.table.copy())
+                for n, c in net.cpts.items()}
+        return NetworkSpec(net.variables, net.parents, copy), net
+    if name == "zero-mass-parent-row":
+        # P(A=1) = 0, so P's uniform row for B given A=1 carries no mass,
+        # although Q's row zeroes one of its cells.
+        return (chain([1.0, 0.0], [[0.3, 0.7], [0.5, 0.5]]),
+                chain([0.8, 0.2], [[0.8, 0.2], [1.0, 0.0]]))
+    if name == "infinite":
+        return (chain([0.6, 0.4], [[0.3, 0.7], [0.5, 0.5]]),
+                chain([0.6, 0.4], [[0.3, 0.7], [1.0, 0.0]]))
+    # different parents: A -> B against independent A and B
+    return (chain([0.6, 0.4], [[0.3, 0.7], [0.5, 0.5]]),
+            chain([0.6, 0.4], [0.4, 0.6], parents=()))
+
+
+@pytest.mark.parametrize("name", [
+    "diamond-d-ipfp", "generated-d-ipfp-2", "generated-d-ipfp-3",
+    "identical", "zero-mass-parent-row", "infinite", "different-parents",
+])
+def test_network_divergence_matches_dense(name):
+    p, q = divergence_pair(name)
+    if name == "different-parents":
+        with pytest.raises(ScopeError):
+            network_divergence(p, q)
+        return
+    got = network_divergence(p, q)
+    want = i_divergence(joint_from_network(p), joint_from_network(q))
+    if name == "identical":
+        assert got == 0.0 == want
+    elif name == "infinite":
+        assert got == np.inf == want
+    else:
+        assert 0.0 < got < np.inf
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
