@@ -251,13 +251,11 @@ class _LocalPlan:
 
 def _local_visit(plan: _LocalPlan, work: Mapping[str, Cpt],
                  net: NetworkSpec) -> Cpt:
-    rank = {name: i for i, name in enumerate(net.names)}
-    cards = {v.name: v.cardinality for v in net.variables}
     cpt = work[plan.target]
     ndim = len(plan.parents) + 1
     if plan.parents:
         factors = [cpt_factor(work[name]) for name in plan.ancestral]
-        qpi = contract(factors, plan.parents, rank, cards)
+        qpi = contract(factors, plan.parents, net.rank, net.cards)
         joint = qpi[..., None] * cpt.table
     else:
         joint = cpt.table
@@ -309,20 +307,26 @@ def nonlocal_update(sub: LocalSubnet, r: Constraint,
     return LocalSubnet(sub.y, sub.s, new)
 
 
-def _outside_weight(net: NetworkSpec, y: tuple[str, ...], s: tuple[str, ...],
-                    cpts: Mapping[str, Cpt]) -> np.ndarray:
-    """Contraction of every CPT outside ``y`` onto ``(*s, *y)``.
+def _outside_names(net: NetworkSpec, y: tuple[str, ...],
+                   s: tuple[str, ...]) -> tuple[str, ...]:
+    """Variables outside ``y`` whose CPTs can influence a weight over
+    ``(*s, *y)``, in declaration order."""
+    needed = _ancestral(net.parents, s + y, set(net.names) - set(y))
+    return tuple(name for name in net.names if name in needed)
 
-    Pairing this weight with a conditional table for ``y`` gives the exact
-    joint marginal over ``s`` and ``y``; it only involves tables of
-    variables outside ``y``, so it is invariant while ``y``'s CPTs move.
+
+def _outside_weight(net: NetworkSpec, outside: tuple[str, ...],
+                    keep: tuple[str, ...],
+                    cpts: Mapping[str, Cpt]) -> np.ndarray:
+    """Contraction of the CPTs of ``outside`` onto ``keep`` = ``(*s, *y)``.
+
+    With ``outside`` from ``_outside_names``, pairing this weight with a
+    conditional table for ``y`` gives the exact joint marginal over ``s``
+    and ``y``; it only involves tables of variables outside ``y``, so it
+    is invariant while ``y``'s CPTs move.
     """
-    rank = {name: i for i, name in enumerate(net.names)}
-    cards = {v.name: v.cardinality for v in net.variables}
-    have = set(net.names) - set(y)
-    needed = _ancestral(net.parents, s + y, have)
-    outside = [cpt_factor(cpts[name]) for name in net.names if name in needed]
-    return contract(outside, s + y, rank, cards)
+    factors = [cpt_factor(cpts[name]) for name in outside]
+    return contract(factors, keep, net.rank, net.cards)
 
 
 def extract_subnet_cpts(sub: LocalSubnet, net: NetworkSpec,
@@ -349,9 +353,9 @@ def extract_subnet_cpts(sub: LocalSubnet, net: NetworkSpec,
             f"{tuple(sorted(outside, key=net.axis))}"
         )
     table = cpts if cpts is not None else net.cpts
-    w = _outside_weight(net, sub.y, sub.s, table)
-    joint = sub.cond_table * w
     sy = sub.s + sub.y
+    w = _outside_weight(net, _outside_names(net, sub.y, sub.s), sy, table)
+    joint = sub.cond_table * w
     out: dict[str, Cpt] = {}
     for child in sub.y:
         parents = net.parents[child]
@@ -378,12 +382,16 @@ class _SubnetPlan:
     - ``positive`` and ``target``: the raveled ``y`` cells where the
       constraint is positive, and its values there.
 
+    ``outside`` names the CPTs the context weight contracts
+    (``_outside_names``).
+
     Every ``y`` and ``s`` configuration and every member-table entry occurs
     among the cells, so each ``bincount`` comes out at full length.
     """
 
     y: tuple[str, ...]
     s: tuple[str, ...]
+    outside: tuple[str, ...]
     y_shape: tuple[int, ...]
     members: tuple[tuple[str, tuple[str, ...], tuple[int, ...]], ...]
     y_cell: np.ndarray
@@ -425,6 +433,7 @@ class _SubnetPlan:
         positive = np.flatnonzero(target > 0.0)
         return _SubnetPlan(
             y=y, s=s,
+            outside=_outside_names(net, y, s),
             y_shape=shape[len(s):],
             members=tuple(members),
             y_cell=cells(y),
@@ -453,7 +462,7 @@ def _nonlocal_visit(plan: _SubnetPlan, work: dict[str, Cpt], net: NetworkSpec,
     re-extracted member tables.  ``Cpt`` objects are built only once the
     loop settles.
     """
-    w = _outside_weight(net, plan.y, plan.s, work).ravel()
+    w = _outside_weight(net, plan.outside, plan.s + plan.y, work).ravel()
     theta = np.concatenate([work[child].table.ravel()
                             for child, _, _ in plan.members])
     family = plan.family.ravel()
@@ -564,8 +573,6 @@ def run_d_ipfp(net: NetworkSpec, constraints: Sequence[Constraint],
                 )
             plans.append(_SubnetPlan.build(net, r, cls))
 
-    rank = {name: i for i, name in enumerate(net.names)}
-    cards = {v.name: v.cardinality for v in net.variables}
     all_names = set(net.names)
     residual_names = []
     for r in constraints:
@@ -578,7 +585,7 @@ def run_d_ipfp(net: NetworkSpec, constraints: Sequence[Constraint],
         res = []
         for r, names in zip(constraints, residual_names):
             factors = [cpt_factor(work[n]) for n in names]
-            m = contract(factors, r.scope, rank, cards)
+            m = contract(factors, r.scope, net.rank, net.cards)
             res.append(float(np.max(np.abs(m - r.dist.probs))))
         return tuple(res)
 

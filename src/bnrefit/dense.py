@@ -89,13 +89,10 @@ class StopPolicy:
 class Schedule:
     """Constraint visiting order within one cycle.
 
-    ``order`` is a permutation of constraint indices.  ``include_structural``
-    asks ``run_ipfp`` to finish each cycle with the structural re-extraction
-    step; ``run_e_ipfp`` performs that step regardless.
+    ``order`` is a permutation of constraint indices.
     """
 
     order: tuple[int, ...]
-    include_structural: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "order", tuple(self.order))
@@ -106,12 +103,12 @@ class Schedule:
             )
 
     @staticmethod
-    def document_order(count: int, include_structural: bool = False) -> "Schedule":
-        return Schedule(tuple(range(count)), include_structural)
+    def document_order(count: int) -> "Schedule":
+        return Schedule(tuple(range(count)))
 
     @staticmethod
-    def ancestors_first(net: NetworkSpec, constraints: Sequence[Constraint],
-                        include_structural: bool = False) -> "Schedule":
+    def ancestors_first(net: NetworkSpec,
+                        constraints: Sequence[Constraint]) -> "Schedule":
         """Visit constraints whose scopes sit higher in the DAG first.
 
         Scopes are ordered by the topological depth of their deepest
@@ -125,8 +122,7 @@ class Schedule:
             depths = [net.topo_depth(v) for v in constraints[i].scope]
             return (max(depths), min(depths), i)
 
-        return Schedule(tuple(sorted(range(len(constraints)), key=key)),
-                        include_structural)
+        return Schedule(tuple(sorted(range(len(constraints)), key=key)))
 
 
 @dataclass
@@ -214,7 +210,6 @@ def _run_dense(net: NetworkSpec, constraints: Sequence[Constraint],
             f"schedule covers {len(schedule.order)} constraints, got "
             f"{len(constraints)}"
         )
-    structural = structural or schedule.include_structural
 
     q0 = joint_from_network(net)
     if not constraints:

@@ -134,9 +134,7 @@ def marginal(net: NetworkSpec, targets: Sequence[str],
     table = cpts if cpts is not None else net.cpts
     needed = _ancestral(net.parents, targets, set(net.names))
     factors = [cpt_factor(table[name]) for name in net.names if name in needed]
-    rank = {name: i for i, name in enumerate(net.names)}
-    cards = {v.name: v.cardinality for v in net.variables}
-    return contract(factors, targets, rank, cards)
+    return contract(factors, targets, net.rank, net.cards)
 
 
 def network_divergence(p: NetworkSpec, q: NetworkSpec) -> float:

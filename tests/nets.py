@@ -85,6 +85,32 @@ def v_structure() -> NetworkSpec:
     )
 
 
+def children_first() -> NetworkSpec:
+    """A random 6-variable DAG declared children first, cardinalities 2 to 4.
+
+    Variables are declared in reverse topological order and every CPT
+    lists its parents in topological order, so each non-root family's last
+    axis in the joint belongs to a parent, not to the child, and a CPT's
+    parent axes decrease.  Generated networks declare parents first, so
+    they exercise neither case.
+    """
+    rng = np.random.default_rng(0)
+    topo = [f"V{i}" for i in range(6)]
+    cards = {name: 2 + i % 3 for i, name in enumerate(topo)}
+    parents: dict[str, tuple[str, ...]] = {}
+    cpts: dict[str, Cpt] = {}
+    for i, name in enumerate(topo):
+        k = int(rng.integers(1 if i else 0, min(i, 3) + 1))
+        ps = tuple(topo[j] for j in sorted(rng.permutation(i)[:k]))
+        parents[name] = ps
+        shape = tuple(cards[p] for p in ps) + (cards[name],)
+        rows = rng.dirichlet(np.full(cards[name], 2.0),
+                             size=int(np.prod(shape[:-1])))
+        cpts[name] = Cpt(name, ps, rows.reshape(shape))
+    decls = tuple(VariableDecl(name, cards[name]) for name in reversed(topo))
+    return NetworkSpec(decls, parents, cpts)
+
+
 def constraint_over(net: NetworkSpec, names, values) -> Constraint:
     return Constraint.over(net, names, np.asarray(values, dtype=float))
 

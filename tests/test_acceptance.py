@@ -195,6 +195,9 @@ INVARIANT_TESTS = {
     "dense: steps are idempotent": [
         ("test_dense", "test_step_is_idempotent"),
     ],
+    "dense: structural projection equals per-family extraction": [
+        ("test_dense", "test_structural_projection_matches_per_family_extraction"),
+    ],
     "dense: e-ipfp outputs are valid networks on the same DAG": [
         ("test_dense", "test_run_e_ipfp_output_network_invariants"),
     ],

@@ -37,6 +37,18 @@ def random_net(seed, n, cardinality=2, max_in_degree=3):
                           max_in_degree)
 
 
+def case_net(case, n):
+    """``random_net(case, n)`` for a seed, or the children-first network."""
+    if case == "children-first":
+        return nets.children_first()
+    return random_net(case, n)
+
+
+# Eight generated networks, which declare parents first, plus one declared
+# children first with cardinalities 2 to 4.
+NET_CASES = [*range(8), "children-first"]
+
+
 # type invariants
 
 
@@ -164,13 +176,16 @@ def test_marginalize_unknown_variable(chain_net):
         marginalize(q, ("A", "Z"))
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_marginalize_commutes(seed):
-    net = random_net(seed, 6)
+@pytest.mark.parametrize("case", [*NET_CASES, "full-scope"])
+def test_marginalize_commutes(case):
+    full = case == "full-scope"
+    net = nets.children_first() if full else case_net(case, 6)
     q = joint_from_network(net)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(case if isinstance(case, int) else 0)
     names = list(net.names)
-    y = list(rng.permutation(names)[:4])
+    # The full-scope case first marginalizes onto every variable in a
+    # permuted order, which sums nothing out and only transposes.
+    y = list(rng.permutation(names)[:len(names) if full else 4])
     z = list(rng.permutation(y)[:2])
     direct = marginalize(q, z)
     via = marginalize(marginalize(q, y), z)
@@ -200,9 +215,9 @@ def test_extract_zero_parent_row_fills_uniform():
     assert np.array_equal(cpt.table[1], np.array([0.5, 0.5]))
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_extract_joint_roundtrip(seed):
-    net = random_net(seed, 7)
+@pytest.mark.parametrize("case", NET_CASES)
+def test_extract_joint_roundtrip(case):
+    net = case_net(case, 7)
     q = joint_from_network(net)
     for name in net.names:
         got = extract_cpt(q, name, net.parents[name])
@@ -255,9 +270,9 @@ def test_divergence_nonnegative_zero_iff_equal(seed):
 # is_structurally_consistent
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_network_joint_is_structurally_consistent(seed):
-    net = random_net(seed, 6)
+@pytest.mark.parametrize("case", NET_CASES)
+def test_network_joint_is_structurally_consistent(case):
+    net = case_net(case, 6)
     q = joint_from_network(net)
     assert is_structurally_consistent(q, net, 1e-9)
 

@@ -139,6 +139,30 @@ def test_projection_changes_ipfp_output(diamond_net, diamond_r3):
     assert np.max(np.abs(projected.probs - q.probs)) > 1e-3
 
 
+@pytest.mark.parametrize("case", ["children-first", "diamond", "random"])
+def test_structural_projection_matches_per_family_extraction(case):
+    # The projection reads each family off a declaration-order prefix of
+    # the joint; the reference extracts every family from the full joint.
+    # The table is random, so the projection moves it.  The cells where the
+    # last declared variable is 0 are empty; on the children-first network
+    # that variable is a root, so some parent rows have zero mass and fall
+    # back to uniform.
+    net = {"children-first": nets.children_first,
+           "diamond": nets.make_diamond,
+           "random": lambda: random_network(np.random.default_rng(3), 5, 3),
+           }[case]()
+    rng = np.random.default_rng(11)
+    scope = joint_from_network(net).scope
+    raw = rng.random(tuple(v.cardinality for v in scope))
+    raw[..., 0] = 0.0
+    q = JointTable(scope, raw / raw.sum())
+    cpts = {name: extract_cpt(q, name, net.parents[name]) for name in net.names}
+    want = joint_from_network(NetworkSpec(net.variables, net.parents, cpts))
+    got = structural_projection(q, net)
+    assert np.max(np.abs(got.probs - want.probs)) <= 1e-12
+    assert np.max(np.abs(got.probs - q.probs)) > 1e-3
+
+
 def test_projection_restores_v_structure_independence():
     net = nets.v_structure()
     rng = np.random.default_rng(7)
@@ -193,12 +217,12 @@ def test_run_ipfp_contradictory_constraints_oscillate(chain_net):
     assert report.cycles <= StopPolicy().max_cycles
 
 
-def test_run_ipfp_hits_cycle_budget(diamond_net, diamond_r3):
+def test_run_e_ipfp_hits_cycle_budget(diamond_net, diamond_r3):
     # One cycle cannot satisfy a non-local constraint and also settle, so a
     # budget of 1 must be reported as such, never as convergence.
-    q, report = run_ipfp(diamond_net, [diamond_r3],
-                         StopPolicy(max_cycles=1, epsilon=1e-15),
-                         Schedule((0,), include_structural=True))
+    out, report = run_e_ipfp(diamond_net, [diamond_r3],
+                             StopPolicy(max_cycles=1, epsilon=1e-15),
+                             Schedule((0,)))
     assert report.termination is Termination.MAX_CYCLES
     assert report.cycles == 1
 

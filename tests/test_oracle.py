@@ -71,12 +71,25 @@ def test_random_networks_match_vectorized_joint(seed):
 
 
 def test_oracle_marginal_matches_marginalize(diamond_net):
-    enum = enum_of(diamond_net)
-    q = joint_from_network(diamond_net)
-    marg = oracle.oracle_marginal(enum, ("A", "D"))
-    vect = marginalize(q, ("A", "D")).probs
-    for key, value in marg.items():
-        assert abs(value - float(vect[key])) <= 1e-12
+    # Targets in declaration order, permuted, and over the full scope, on
+    # the diamond and on a network declared children first.
+    children_first = nets.children_first()
+    cases = [
+        (diamond_net, ("A", "D")),
+        (diamond_net, ("D", "B", "A")),
+        (diamond_net, ("C", "A", "D", "B")),
+        (children_first, ("V1", "V4")),
+        (children_first, ("V0", "V3", "V5")),
+        (children_first, ("V0", "V2", "V4", "V1", "V5", "V3")),
+    ]
+    for net, target in cases:
+        enum = enum_of(net)
+        q = joint_from_network(net)
+        marg = oracle.oracle_marginal(enum, target)
+        vect = marginalize(q, target).probs
+        assert len(marg) == vect.size
+        for key, value in marg.items():
+            assert abs(value - float(vect[key])) <= 1e-12
 
 
 def test_oracle_divergence_ln2():
