@@ -26,7 +26,6 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -37,10 +36,12 @@ from .core import (
     NetworkSpec,
     ValidationError,
     _reextracted_product,
-    extract_cpt,
+    extract_cpts,
     i_divergence,
     joint_from_network,
 )
+# Unused here; perfbench/tracer.py wraps this name in this module.
+from .core import extract_cpt
 from .decomposed import SubnetSizeError, run_d_ipfp
 from .dense import RunReport, Schedule, StopPolicy, Termination, run_e_ipfp, run_ipfp
 from .elimination import marginal
@@ -81,32 +82,6 @@ _TERMINATION_EXIT = {
 
 class DenseCeilingError(BnError):
     """A dense joint was requested over more cells than the ceiling."""
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    """Validated arguments for one invocation."""
-
-    command: str
-    network: str | None = None
-    constraints: str | None = None
-    algorithm: str = "e-ipfp"
-    epsilon: float = 1e-9
-    max_cycles: int = 10_000
-    schedule: str = "document-order"
-    out: str | None = None
-    report: str | None = None
-    first: str | None = None
-    second: str | None = None
-    seed: int | None = None
-    nodes: int = 15
-    num_constraints: int = 8
-
-    @staticmethod
-    def from_args(args: argparse.Namespace) -> "CliConfig":
-        return CliConfig(**{
-            k: v for k, v in vars(args).items() if k != "func"
-        })
 
 
 def _positive_float(text: str) -> float:
@@ -217,52 +192,46 @@ def _require_dense(net: NetworkSpec, what: str) -> None:
         )
 
 
-def cmd_run(cfg: CliConfig) -> int:
-    net = parse_network(_read(cfg.network))
-    constraints = parse_constraints(_read(cfg.constraints), net)
-    stop = StopPolicy(epsilon=cfg.epsilon, max_cycles=cfg.max_cycles)
-    if cfg.schedule == "ancestors-first":
+def cmd_run(args: argparse.Namespace) -> int:
+    net = parse_network(_read(args.network))
+    constraints = parse_constraints(_read(args.constraints), net)
+    stop = StopPolicy(epsilon=args.epsilon, max_cycles=args.max_cycles)
+    if args.schedule == "ancestors-first":
         schedule = Schedule.ancestors_first(net, constraints)
     else:
         schedule = Schedule.document_order(len(constraints))
 
     report: RunReport
-    if cfg.algorithm == "d-ipfp":
+    if args.algorithm == "d-ipfp":
         out_net, report = run_d_ipfp(net, constraints, stop, schedule)
-    elif cfg.algorithm == "e-ipfp":
+    elif args.algorithm == "e-ipfp":
         _require_dense(net, "e-ipfp")
         out_net, report = run_e_ipfp(net, constraints, stop, schedule)
     else:
         _require_dense(net, "ipfp")
         q, report = run_ipfp(net, constraints, stop, schedule)
-        if report.cycles == 0:
-            out_net = net
-        else:
-            cpts = {
-                v.name: extract_cpt(q, v.name, net.parents[v.name])
-                for v in net.variables
-            }
-            out_net = NetworkSpec(net.variables, net.parents, cpts)
+        out_net = net if report.cycles == 0 else NetworkSpec(
+            net.variables, net.parents, extract_cpts(q, net))
 
-    write_atomic(cfg.out, serialize_network(out_net))
-    if cfg.report:
-        write_atomic(cfg.report, report_to_bytes(report))
+    write_atomic(args.out, serialize_network(out_net))
+    if args.report:
+        write_atomic(args.report, report_to_bytes(report))
 
     worst = max(report.per_constraint_residuals, default=0.0)
-    print(f"{cfg.algorithm}: {report.termination.value} after "
+    print(f"{args.algorithm}: {report.termination.value} after "
           f"{report.cycles} cycles; max residual {worst:.3e}; "
-          f"divergence {report.final_divergence:.6g}; wrote {cfg.out}")
+          f"divergence {report.final_divergence:.6g}; wrote {args.out}")
     return _TERMINATION_EXIT[report.termination]
 
 
-def cmd_check(cfg: CliConfig) -> int:
-    net = parse_network(_read(cfg.network))
-    constraints = parse_constraints(_read(cfg.constraints), net)
+def cmd_check(args: argparse.Namespace) -> int:
+    net = parse_network(_read(args.network))
+    constraints = parse_constraints(_read(args.constraints), net)
     violations = 0
     for i, r in enumerate(constraints, start=1):
         m = marginal(net, r.scope)
         residual = float(np.max(np.abs(m - r.dist.probs)))
-        ok = residual <= cfg.epsilon
+        ok = residual <= args.epsilon
         violations += 0 if ok else 1
         scope = ", ".join(r.scope)
         print(f"constraint {i} over ({scope}): residual {residual:.3e} "
@@ -278,16 +247,16 @@ def cmd_check(cfg: CliConfig) -> int:
               f"factors by construction")
     if violations:
         print(f"result: {violations} of {len(constraints)} constraints "
-              f"violated at epsilon {cfg.epsilon:g}")
+              f"violated at epsilon {args.epsilon:g}")
         return EXIT_CHECK_FAILED
     print(f"result: all {len(constraints)} constraints met at epsilon "
-          f"{cfg.epsilon:g}")
+          f"{args.epsilon:g}")
     return EXIT_OK
 
 
-def cmd_divergence(cfg: CliConfig) -> int:
-    first = parse_network(_read(cfg.first))
-    second = parse_network(_read(cfg.second))
+def cmd_divergence(args: argparse.Namespace) -> int:
+    first = parse_network(_read(args.first))
+    second = parse_network(_read(args.second))
     if first.variables != second.variables:
         raise ValidationError(
             "the two networks declare different variables; divergence needs "
@@ -299,13 +268,13 @@ def cmd_divergence(cfg: CliConfig) -> int:
     return EXIT_OK
 
 
-def cmd_gen(cfg: CliConfig) -> int:
-    net, constraints = generate_instance(cfg.seed, n_nodes=cfg.nodes,
-                                         num_constraints=cfg.num_constraints)
-    write_atomic(cfg.network, serialize_network(net))
-    write_atomic(cfg.constraints, serialize_constraints(constraints))
-    print(f"wrote {cfg.network} ({cfg.nodes} variables) and "
-          f"{cfg.constraints} ({len(constraints)} constraints)")
+def cmd_gen(args: argparse.Namespace) -> int:
+    net, constraints = generate_instance(args.seed, n_nodes=args.nodes,
+                                         num_constraints=args.num_constraints)
+    write_atomic(args.network, serialize_network(net))
+    write_atomic(args.constraints, serialize_constraints(constraints))
+    print(f"wrote {args.network} ({args.nodes} variables) and "
+          f"{args.constraints} ({len(constraints)} constraints)")
     return EXIT_OK
 
 
@@ -325,9 +294,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     _configure_logging()
-    cfg = CliConfig.from_args(args)
     try:
-        return args.func(cfg)
+        return args.func(args)
     except SubnetSizeError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_SUBNET_BUDGET

@@ -17,6 +17,7 @@ order with the last scope variable varying fastest; the file formats in
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -181,7 +182,7 @@ class JointTable:
             raise ValidationError(f"joint table scope repeats a variable: {names}")
         shape = tuple(v.cardinality for v in scope)
         probs = np.array(self.probs, dtype=float)
-        if probs.ndim == 1 and probs.size == int(np.prod(shape)):
+        if probs.ndim == 1 and probs.size == math.prod(shape):
             probs = probs.reshape(shape)
         if probs.shape != shape:
             raise ValidationError(
@@ -387,15 +388,15 @@ class NetworkSpec:
         return self.topo_order.index(name)
 
 
-def _cpt_product(variables: tuple[VariableDecl, ...],
-                 cpts: Mapping[str, Cpt]) -> np.ndarray:
-    """Multiply all CPTs out to a dense table over ``variables``."""
+def _cpt_product(variables: Sequence[VariableDecl],
+                 cpts: Iterable[Cpt]) -> np.ndarray:
+    """Multiply ``cpts``, in the order given, out to a dense table over
+    ``variables``, which must hold every child and parent they name."""
     axis = {v.name: i for i, v in enumerate(variables)}
     ndim = len(variables)
     out = np.ones(tuple(v.cardinality for v in variables))
-    for v in variables:
-        cpt = cpts[v.name]
-        axes = [axis[p] for p in cpt.parent_order] + [axis[v.name]]
+    for cpt in cpts:
+        axes = [axis[p] for p in cpt.parent_order] + [axis[cpt.child]]
         out *= _placed(cpt.table, axes, ndim)
     return out
 
@@ -407,7 +408,8 @@ def joint_from_network(net: NetworkSpec) -> JointTable:
     fail on a constructed ``NetworkSpec``; cyclic graphs and non-normalized
     rows are rejected earlier, when the network object is built.
     """
-    return JointTable(net.variables, _cpt_product(net.variables, net.cpts))
+    return JointTable(net.variables,
+                      _cpt_product(net.variables, net.cpts.values()))
 
 
 def _sum_out(table: np.ndarray, drop: Sequence[int]) -> np.ndarray:
@@ -430,6 +432,17 @@ def _sum_out(table: np.ndarray, drop: Sequence[int]) -> np.ndarray:
     return table
 
 
+def _project(table: np.ndarray, axes_vars: Sequence[str],
+             keep: Sequence[str]) -> np.ndarray:
+    """Sum ``table``, whose axes are named by ``axes_vars``, down to
+    ``keep`` and put the axes in ``keep`` order."""
+    keep_axes = [axes_vars.index(v) for v in keep]
+    drop = [i for i in range(len(axes_vars)) if i not in set(keep_axes)]
+    kept_sorted = sorted(keep_axes)
+    return np.transpose(_sum_out(table, drop),
+                        [kept_sorted.index(a) for a in keep_axes])
+
+
 def marginalize(q: JointTable, target: Sequence[str]) -> JointTable:
     """Sum ``q`` down to ``target``, result axes in ``target`` order."""
     target = tuple(target)
@@ -441,12 +454,8 @@ def marginalize(q: JointTable, target: Sequence[str]) -> JointTable:
     missing = [t for t in target if t not in names]
     if missing:
         raise ScopeError(f"variables {missing} are not in scope {names}")
-    keep = [names.index(t) for t in target]
-    drop = [i for i in range(len(names)) if i not in set(keep)]
-    reduced = _sum_out(q.probs, drop)
-    kept_sorted = sorted(keep)
-    out = np.transpose(reduced, [kept_sorted.index(a) for a in keep])
-    return JointTable(tuple(q.scope[a] for a in keep), out)
+    return JointTable(tuple(q.scope[names.index(t)] for t in target),
+                      _project(q.probs, names, target))
 
 
 def _conditional(m: np.ndarray) -> np.ndarray:
@@ -468,12 +477,8 @@ def extract_cpt(q: JointTable, child: str, parents: Sequence[str]) -> Cpt:
     return Cpt(child, parents, _conditional(m.probs))
 
 
-def _reextracted_product(q: JointTable, net: NetworkSpec) -> np.ndarray:
-    """Product of the CPTs that ``net``'s DAG reads off ``q``.
-
-    This is the closest distribution to ``q`` that factors over the DAG in
-    the extraction sense; comparing it with ``q`` measures how far ``q`` is
-    from respecting the structure.
+def extract_cpts(q: JointTable, net: NetworkSpec) -> dict[str, Cpt]:
+    """The CPTs that ``net``'s DAG reads off ``q``, in declaration order.
 
     Each family is read off the shortest declaration-order prefix of ``q``
     that holds it: the marginal over the first ``m + 1`` variables, where
@@ -498,13 +503,48 @@ def _reextracted_product(q: JointTable, net: NetworkSpec) -> np.ndarray:
             prefix = JointTable(q.scope[:m + 1], _sum_out(prefix.probs, (m + 1,)))
         for name in by_last.get(m, ()):
             cpts[name] = extract_cpt(prefix, name, net.parents[name])
-    return _cpt_product(net.variables, cpts)
+    return {name: cpts[name] for name in net.names}
+
+
+def _reextracted_product(q: JointTable, net: NetworkSpec) -> np.ndarray:
+    """Product of the CPTs that ``net``'s DAG reads off ``q``.
+
+    This is the closest distribution to ``q`` that factors over the DAG in
+    the extraction sense; comparing it with ``q`` measures how far ``q`` is
+    from respecting the structure.
+    """
+    return _cpt_product(net.variables, extract_cpts(q, net).values())
 
 
 def is_structurally_consistent(q: JointTable, net: NetworkSpec,
                                tol: float = TAU_NORM) -> bool:
     """Whether ``q`` equals the product of its own extracted CPTs within ``tol``."""
     return bool(np.max(np.abs(q.probs - _reextracted_product(q, net))) <= tol)
+
+
+def _dominance_error(names: tuple[str, ...], mass: float,
+                     idx: Sequence[int]) -> DominanceError:
+    cell = ", ".join(f"{n}={int(v)}" for n, v in zip(names, idx))
+    return DominanceError(
+        f"constraint over {names} requires mass {mass:.17g} at "
+        f"({cell}) where the current distribution has none"
+    )
+
+
+def _ratio(target: np.ndarray, current: np.ndarray,
+           names: tuple[str, ...]) -> np.ndarray:
+    """Cellwise ``target / current``, the factor of a proportional step.
+
+    Cells where both are zero get ratio zero.  A target that is positive
+    where ``current`` is zero cannot be reached by rescaling and raises
+    ``DominanceError`` naming the cell, with axes named by ``names``.
+    """
+    blocked = (current == 0.0) & (target > 0.0)
+    if np.any(blocked):
+        idx = tuple(int(v) for v in np.argwhere(blocked)[0])
+        raise _dominance_error(names, target[idx], idx)
+    return np.divide(target, current, out=np.zeros_like(target),
+                     where=current > 0.0)
 
 
 def i_divergence(p: JointTable, q: JointTable) -> float:
@@ -545,6 +585,13 @@ def constraint_residual(q: JointTable, r: Constraint) -> float:
     return float(np.max(np.abs(m.probs - r.dist.probs)))
 
 
+def _outside_parents(net: NetworkSpec, members: Iterable[str]) -> tuple[str, ...]:
+    """Parents of ``members`` that are not members, in declaration order."""
+    members = set(members)
+    outside = {p for v in members for p in net.parents[v] if p not in members}
+    return tuple(sorted(outside, key=net.axis))
+
+
 def classify_scope(net: NetworkSpec, scope: Sequence[str]) -> LocalityClass:
     """Locality of a constraint scope against ``net``'s structure.
 
@@ -567,12 +614,8 @@ def classify_scope(net: NetworkSpec, scope: Sequence[str]) -> LocalityClass:
         target = max(candidates, key=net.topo_depth)
         others = tuple(sorted(members - {target}, key=net.axis))
         return Local(target, others)
-    y = tuple(sorted(members, key=net.axis))
-    outside: set[str] = set()
-    for v in y:
-        outside.update(p for p in net.parents[v] if p not in members)
-    s = tuple(sorted(outside, key=net.axis))
-    return NonLocal(y, s)
+    return NonLocal(tuple(sorted(members, key=net.axis)),
+                    _outside_parents(net, members))
 
 
 def classify_constraint(net: NetworkSpec, r: Constraint) -> LocalityClass:

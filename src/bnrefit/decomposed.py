@@ -41,22 +41,24 @@ from .core import (
     BnError,
     Constraint,
     Cpt,
-    DominanceError,
-    JointTable,
     Local,
     NetworkSpec,
     NonLocal,
     ScopeError,
     ValidationError,
     _conditional,
+    _cpt_product,
+    _dominance_error,
+    _outside_parents,
     _placed,
+    _project,
+    _ratio,
     classify_constraint,
-    validate_constraint,
 )
 # Unused here; perfbench/tracer.py wraps these names in this module.
 from .core import _reextracted_product, i_divergence, joint_from_network
-from .dense import RunReport, Schedule, StopPolicy, Termination
-from .elimination import (Factor, _ancestral, contract, cpt_factor,
+from .dense import RunReport, Schedule, StopPolicy, Termination, _prepared
+from .elimination import (_ancestral, contract, cpt_factor,
                           network_divergence)
 
 logger = logging.getLogger("bnrefit")
@@ -109,16 +111,6 @@ class LocalSubnet:
         object.__setattr__(self, "cond_table", table)
 
 
-def _project(table: np.ndarray, axes_vars: tuple[str, ...],
-             keep: tuple[str, ...]) -> np.ndarray:
-    """Sum ``table`` down to ``keep`` and put the axes in ``keep`` order."""
-    keep_set = set(keep)
-    drop = tuple(i for i, v in enumerate(axes_vars) if v not in keep_set)
-    reduced = table.sum(axis=drop) if drop else table
-    remaining = [v for v in axes_vars if v in keep_set]
-    return np.transpose(reduced, [remaining.index(v) for v in keep])
-
-
 def _aligned_target(r: Constraint, order: tuple[str, ...]) -> np.ndarray:
     """``r``'s table transposed from its scope order to ``order``."""
     if sorted(r.scope) != sorted(order):
@@ -126,25 +118,6 @@ def _aligned_target(r: Constraint, order: tuple[str, ...]) -> np.ndarray:
             f"constraint scope {r.scope} does not cover the variables {order}"
         )
     return np.transpose(r.dist.probs, [r.scope.index(v) for v in order])
-
-
-def _dominance_error(names: tuple[str, ...], mass: float,
-                     idx: Sequence[int]) -> DominanceError:
-    cell = ", ".join(f"{n}={int(v)}" for n, v in zip(names, idx))
-    return DominanceError(
-        f"constraint over {names} requires mass {mass:.17g} at "
-        f"({cell}) where the current distribution has none"
-    )
-
-
-def _ratio(target: np.ndarray, current: np.ndarray,
-           names: tuple[str, ...]) -> np.ndarray:
-    blocked = (current == 0.0) & (target > 0.0)
-    if np.any(blocked):
-        idx = tuple(int(v) for v in np.argwhere(blocked)[0])
-        raise _dominance_error(names, target[idx], idx)
-    return np.divide(target, current, out=np.zeros_like(target),
-                     where=current > 0.0)
 
 
 def _scaled_rows(table: np.ndarray, ratio_placed: np.ndarray,
@@ -157,20 +130,6 @@ def _scaled_rows(table: np.ndarray, ratio_placed: np.ndarray,
     alpha = scaled.sum(axis=row_axes, keepdims=True)
     safe = np.where(alpha > 0.0, alpha, 1.0)
     return np.where(alpha > 0.0, scaled / safe, fallback)
-
-
-def _cond_product(y: tuple[str, ...], s: tuple[str, ...],
-                  cpts: Mapping[str, Cpt]) -> np.ndarray:
-    """Product of the ``y`` CPTs over axes ``(*s, *y)``."""
-    order = s + y
-    pos = {v: i for i, v in enumerate(order)}
-    shape = [1] * len(order)
-    out = np.ones(shape)
-    for name in y:
-        cpt = cpts[name]
-        axes = [pos[p] for p in cpt.parent_order] + [pos[name]]
-        out = out * _placed(cpt.table, axes, len(order))
-    return out
 
 
 def build_local_subnet(net: NetworkSpec, y_vars: Sequence[str],
@@ -189,14 +148,10 @@ def build_local_subnet(net: NetworkSpec, y_vars: Sequence[str],
         if v not in net.names:
             raise ScopeError(f"variable {v!r} is not declared in this network")
     y = tuple(sorted(members, key=net.axis))
-    outside: set[str] = set()
-    for v in y:
-        outside.update(p for p in net.parents[v] if p not in members)
-    s = tuple(sorted(outside, key=net.axis))
-    table = _cond_product(y, s, cpts if cpts is not None else net.cpts)
-    cards = {v: net.cardinality(v) for v in s + y}
-    full = np.broadcast_to(table, tuple(cards[v] for v in s + y))
-    return LocalSubnet(y, s, full)
+    s = _outside_parents(net, y)
+    table = cpts if cpts is not None else net.cpts
+    return LocalSubnet(y, s, _cpt_product([net.decl(v) for v in s + y],
+                                          [table[v] for v in y]))
 
 
 def local_update(cpt: Cpt, r: Constraint, net: NetworkSpec,
@@ -343,14 +298,10 @@ def extract_subnet_cpts(sub: LocalSubnet, net: NetworkSpec,
     for v in sub.y:
         if v not in net.names:
             raise ScopeError(f"variable {v!r} is not declared in this network")
-    members = set(sub.y)
-    outside: set[str] = set()
-    for v in sub.y:
-        outside.update(p for p in net.parents[v] if p not in members)
-    if set(sub.s) != outside:
+    outside = _outside_parents(net, sub.y)
+    if set(sub.s) != set(outside):
         raise ScopeError(
-            f"subnet outside set {sub.s} does not match the network's "
-            f"{tuple(sorted(outside, key=net.axis))}"
+            f"subnet outside set {sub.s} does not match the network's {outside}"
         )
     table = cpts if cpts is not None else net.cpts
     sy = sub.s + sub.y
@@ -528,28 +479,8 @@ def run_d_ipfp(net: NetworkSpec, constraints: Sequence[Constraint],
     """
     t0 = time.perf_counter()
     stop = stop or StopPolicy()
-    constraints = list(constraints)
-    for r in constraints:
-        validate_constraint(net, r)
-    if schedule is None:
-        schedule = Schedule.document_order(len(constraints))
-    if len(schedule.order) != len(constraints):
-        raise ValidationError(
-            f"schedule covers {len(schedule.order)} constraints, got "
-            f"{len(constraints)}"
-        )
+    constraints, schedule = _prepared(net, constraints, schedule)
     inner_eps = stop.epsilon if inner_epsilon is None else inner_epsilon
-
-    if not constraints:
-        report = RunReport(
-            algorithm="d-ipfp", cycles=0,
-            wall_time=time.perf_counter() - t0,
-            final_divergence=0.0,
-            per_constraint_residuals=(),
-            structural_residual=None,
-            termination=Termination.CONVERGED,
-        )
-        return net, report
 
     plans: list[_LocalPlan | _SubnetPlan] = []
     for r in constraints:
@@ -592,11 +523,11 @@ def run_d_ipfp(net: NetworkSpec, constraints: Sequence[Constraint],
     eps = stop.epsilon
     deltas: deque[float] = deque(maxlen=stop.oscillation_window)
     worsts: deque[float] = deque(maxlen=stop.oscillation_window)
-    termination = Termination.MAX_CYCLES
-    cycles = stop.max_cycles
+    termination = Termination.MAX_CYCLES if constraints else Termination.CONVERGED
+    cycles = stop.max_cycles if constraints else 0
     residuals: tuple[float, ...] | None = None
 
-    for cycle in range(1, stop.max_cycles + 1):
+    for cycle in range(1, cycles + 1):
         snapshot = dict(work)
         for i in schedule.order:
             plan = plans[i]
@@ -645,7 +576,7 @@ def run_d_ipfp(net: NetworkSpec, constraints: Sequence[Constraint],
     if residuals is None:
         residuals = current_residuals()
 
-    result = NetworkSpec(net.variables, net.parents, work)
+    result = NetworkSpec(net.variables, net.parents, work) if cycles else net
     report = RunReport(
         algorithm="d-ipfp",
         cycles=cycles,

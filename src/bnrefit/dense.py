@@ -33,19 +33,21 @@ import numpy as np
 
 from .core import (
     Constraint,
-    DominanceError,
     JointTable,
     NetworkSpec,
     ValidationError,
     _placed,
+    _ratio,
     _reextracted_product,
     constraint_residual,
-    extract_cpt,
+    extract_cpts,
     i_divergence,
     joint_from_network,
     marginalize,
     validate_constraint,
 )
+# Unused here; perfbench/tracer.py wraps this name in this module.
+from .core import extract_cpt
 
 logger = logging.getLogger("bnrefit")
 
@@ -133,8 +135,10 @@ class RunReport:
     network's joint, in natural log (``log_base`` records this); ``ipfp``
     and ``e-ipfp`` compute it on the dense joints, ``d-ipfp`` from the
     families it edited.  ``structural_residual`` is the max-abs gap between
-    the final joint and the product of its extracted CPTs; it is ``None``
-    for ``d-ipfp``, whose result is a network on the input's DAG.
+    the final joint and the product of its extracted CPTs; only ``ipfp``,
+    whose fitted joint need not factor, reports it.  It is ``None`` for
+    ``e-ipfp`` and ``d-ipfp``, whose results are networks on the input's
+    DAG.
     """
 
     algorithm: str
@@ -152,21 +156,10 @@ def ipfp_step(q: JointTable, r: Constraint) -> JointTable:
     ``r.scope`` equals ``r.dist`` exactly (up to rounding).
 
     Cells where the current marginal and the target are both zero stay
-    zero.  A target that is positive where the marginal is zero cannot be
-    reached by rescaling and raises ``DominanceError`` naming the cell.
+    zero.  A target that is positive where the marginal is zero raises
+    ``DominanceError`` naming the cell (see ``core._ratio``).
     """
-    current = marginalize(q, r.scope).probs
-    target = r.dist.probs
-    blocked = (current == 0.0) & (target > 0.0)
-    if np.any(blocked):
-        idx = tuple(int(v) for v in np.argwhere(blocked)[0])
-        cell = ", ".join(f"{n}={v}" for n, v in zip(r.scope, idx))
-        raise DominanceError(
-            f"constraint over {r.scope} requires mass {target[idx]:.17g} at "
-            f"({cell}) where the current joint has none"
-        )
-    ratio = np.divide(target, current, out=np.zeros_like(target),
-                      where=current > 0.0)
+    ratio = _ratio(r.dist.probs, marginalize(q, r.scope).probs, r.scope)
     axes = [q.axis(n) for n in r.scope]
     return JointTable(q.scope, q.probs * _placed(ratio, axes, q.probs.ndim))
 
@@ -181,25 +174,10 @@ def structural_projection(q: JointTable, net: NetworkSpec) -> JointTable:
     return JointTable(q.scope, _reextracted_product(q, net))
 
 
-def _immediate_report(algorithm: str, net: NetworkSpec, q0: JointTable,
-                      t0: float) -> RunReport:
-    return RunReport(
-        algorithm=algorithm,
-        cycles=0,
-        wall_time=time.perf_counter() - t0,
-        final_divergence=0.0,
-        per_constraint_residuals=(),
-        structural_residual=float(
-            np.max(np.abs(q0.probs - _reextracted_product(q0, net)))
-        ),
-        termination=Termination.CONVERGED,
-    )
-
-
-def _run_dense(net: NetworkSpec, constraints: Sequence[Constraint],
-               stop: StopPolicy, schedule: Schedule | None,
-               structural: bool, algorithm: str) -> tuple[JointTable, RunReport]:
-    t0 = time.perf_counter()
+def _prepared(net: NetworkSpec, constraints: Sequence[Constraint],
+              schedule: Schedule | None) -> tuple[list[Constraint], Schedule]:
+    """``constraints`` as a validated list, and ``schedule``, which defaults
+    to document order and must cover every constraint."""
     constraints = list(constraints)
     for r in constraints:
         validate_constraint(net, r)
@@ -210,20 +188,23 @@ def _run_dense(net: NetworkSpec, constraints: Sequence[Constraint],
             f"schedule covers {len(schedule.order)} constraints, got "
             f"{len(constraints)}"
         )
+    return constraints, schedule
 
-    q0 = joint_from_network(net)
-    if not constraints:
-        return q0, _immediate_report(algorithm, net, q0, t0)
 
-    q = q0
+def _run_dense(net: NetworkSpec, constraints: Sequence[Constraint],
+               stop: StopPolicy, schedule: Schedule | None,
+               structural: bool, algorithm: str) -> tuple[JointTable, RunReport]:
+    t0 = time.perf_counter()
+    constraints, schedule = _prepared(net, constraints, schedule)
+    q0 = q = joint_from_network(net)
     eps = stop.epsilon
     deltas: deque[float] = deque(maxlen=stop.oscillation_window)
     worsts: deque[float] = deque(maxlen=stop.oscillation_window)
-    termination = Termination.MAX_CYCLES
-    cycles = stop.max_cycles
+    termination = Termination.MAX_CYCLES if constraints else Termination.CONVERGED
+    cycles = stop.max_cycles if constraints else 0
     residuals: tuple[float, ...] = ()
 
-    for cycle in range(1, stop.max_cycles + 1):
+    for cycle in range(1, cycles + 1):
         previous = q.probs
         for i in schedule.order:
             q = ipfp_step(q, constraints[i])
@@ -240,14 +221,6 @@ def _run_dense(net: NetworkSpec, constraints: Sequence[Constraint],
         residuals = tuple(constraint_residual(q, r) for r in constraints)
         worst = max(residuals)
         if worst <= eps and delta <= eps:
-            if structural:
-                gap = float(np.max(np.abs(q.probs - _reextracted_product(q, net))))
-                if gap > eps:
-                    # Re-extraction is idempotent so this is unreachable in
-                    # practice, but convergence must not be claimed on a
-                    # structurally drifted table.
-                    deltas.append(delta)
-                    continue
             termination = Termination.CONVERGED
             cycles = cycle
             break
@@ -266,16 +239,14 @@ def _run_dense(net: NetworkSpec, constraints: Sequence[Constraint],
             cycles = cycle
             break
 
-    structural_residual = float(
-        np.max(np.abs(q.probs - _reextracted_product(q, net)))
-    )
     report = RunReport(
         algorithm=algorithm,
         cycles=cycles,
         wall_time=time.perf_counter() - t0,
         final_divergence=i_divergence(q, q0),
         per_constraint_residuals=residuals,
-        structural_residual=structural_residual,
+        structural_residual=None if structural else float(
+            np.max(np.abs(q.probs - _reextracted_product(q, net)))),
         termination=termination,
     )
     return q, report
@@ -309,8 +280,4 @@ def run_e_ipfp(net: NetworkSpec, constraints: Sequence[Constraint],
                            structural=True, algorithm="e-ipfp")
     if report.cycles == 0:
         return net, report
-    cpts = {
-        v.name: extract_cpt(q, v.name, net.parents[v.name])
-        for v in net.variables
-    }
-    return NetworkSpec(net.variables, net.parents, cpts), report
+    return NetworkSpec(net.variables, net.parents, extract_cpts(q, net)), report

@@ -18,6 +18,7 @@ except clause covers both.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from pathlib import Path
@@ -193,7 +194,7 @@ def parse_network(data: bytes | str) -> NetworkSpec:
         raw_cpt = _array(obj["cpt"], f"{where}: cpt")
         values = [_number(v, f"{where}: cpt[{k}]") for k, v in enumerate(raw_cpt)]
         shape = tuple(cardinalities[p] for p in ps) + (cardinalities[name],)
-        expected = int(np.prod(shape))
+        expected = math.prod(shape)
         _expect(
             len(values) == expected,
             f"{where}: cpt has {len(values)} entries, expected {expected} "
@@ -244,7 +245,7 @@ def parse_constraints(data: bytes | str, net: NetworkSpec) -> list[Constraint]:
         values = [_number(v, f"{where}: dist[{k}]")
                   for k, v in enumerate(raw_dist)]
         shape = tuple(net.cardinality(v) for v in scope)
-        expected = int(np.prod(shape))
+        expected = math.prod(shape)
         _expect(
             len(values) == expected,
             f"{where}: dist has {len(values)} entries, expected {expected} "

@@ -111,6 +111,13 @@ def children_first() -> NetworkSpec:
     return NetworkSpec(decls, parents, cpts)
 
 
+def wide(n: int = 64) -> NetworkSpec:
+    """``n`` independent binary variables: a full-scope table has 2^n cells."""
+    decls = tuple(VariableDecl(f"X{i:02d}", 2) for i in range(n))
+    return NetworkSpec(decls, {}, {d.name: Cpt(d.name, (), np.array([0.5, 0.5]))
+                                   for d in decls})
+
+
 def constraint_over(net: NetworkSpec, names, values) -> Constraint:
     return Constraint.over(net, names, np.asarray(values, dtype=float))
 

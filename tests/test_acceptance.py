@@ -14,6 +14,7 @@ import pytest
 import nets
 import oracle
 from bnrefit import (
+    Constraint,
     StopPolicy,
     Termination,
     build_local_subnet,
@@ -162,6 +163,20 @@ def test_criterion_7_contradiction_oscillates():
     _verdict(7, "contradictory constraints terminate as oscillating", ok)
 
 
+def test_generated_contradiction_oscillates():
+    # A generated instance plus a perturbed copy of its constraint on X02:
+    # the two targets disagree, and every solver must say so rather than
+    # run out its cycle budget or claim convergence.
+    net, constraints = generate_instance(17, n_nodes=10, num_constraints=3)
+    r = next(c for c in constraints if c.scope == ("X02",))
+    target = r.dist.probs * np.random.default_rng(17).uniform(
+        0.5, 1.5, r.dist.probs.shape)
+    constraints.append(Constraint.over(net, r.scope, target / target.sum()))
+    for runner in (run_ipfp, run_e_ipfp, run_d_ipfp):
+        _, rep = runner(net, constraints)
+        assert rep.termination is Termination.OSCILLATING, runner.__name__
+
+
 # Criterion 8: every stated invariant has an automated test.  The registry
 # maps each one to the functions that exercise it; existence is asserted so
 # a renamed or deleted test breaks the gate.
@@ -208,6 +223,9 @@ INVARIANT_TESTS = {
         ("test_dense", "test_run_ipfp_chain_divergence_minimal_on_grid"),
         ("test_oracle", "test_sampled_divergence_never_beats_the_solver"),
         ("test_acceptance", "test_criterion_4_unconstrained_projection"),
+    ],
+    "solvers: a contradictory generated instance oscillates": [
+        ("test_acceptance", "test_generated_contradiction_oscillates"),
     ],
     "decomposed: local update moves the joint by ratio over alpha": [
         ("test_decomposed", "test_local_update_moves_joint_by_ratio_over_alpha"),

@@ -291,6 +291,33 @@ def test_exit_invalid_input(tmp_path, chain_net):
         == cli.EXIT_INVALID_INPUT
 
 
+@pytest.mark.parametrize("document", ["network", "constraints"])
+def test_exit_invalid_input_on_wrapping_cell_count(tmp_path, capsys, document):
+    # Both documents declare a table of 2^64 cells with an empty value list;
+    # the cell count wraps to 0 in int64, so it must be counted exactly.
+    wide = nets.wide()
+    net_path = write_net(tmp_path, wide)
+    cons_path = tmp_path / "cons.json"
+    cons_path.write_text(json.dumps({
+        "format_version": 1,
+        "constraints": [{"scope": list(wide.names), "dist": []}],
+    }))
+    if document == "network":
+        (tmp_path / "net.json").write_text(json.dumps({
+            "format_version": 1,
+            "variables": [
+                {"name": "A", "cardinality": 2 ** 32, "parents": ["B"], "cpt": []},
+                {"name": "B", "cardinality": 2 ** 32, "parents": [], "cpt": []},
+            ],
+        }))
+    code = cli.main(["check", "--network", net_path,
+                     "--constraints", str(cons_path)])
+    assert code == cli.EXIT_INVALID_INPUT
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"{2 ** 64} for" in err
+
+
 def test_exit_missing_file(tmp_path, chain_net):
     cons_path = write_cons(tmp_path, [
         nets.constraint_over(chain_net, ("B",), [0.3, 0.7]),

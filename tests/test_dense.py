@@ -26,6 +26,7 @@ from bnrefit import (
     run_ipfp,
     structural_projection,
 )
+from bnrefit.core import extract_cpts
 from bnrefit.generate import random_network
 
 
@@ -103,7 +104,9 @@ def test_step_dominance_error_names_cell():
     r = Constraint(("Y1",), JointTable((decls[0],), np.array([0.4, 0.6])))
     with pytest.raises(DominanceError) as err:
         ipfp_step(q, r)
-    assert "Y1=1" in str(err.value)
+    assert str(err.value) == (
+        "constraint over ('Y1',) requires mass 0.59999999999999998 at "
+        "(Y1=1) where the current distribution has none")
 
 
 def test_step_fits_own_constraint_exactly(diamond_net, diamond_r3):
@@ -141,8 +144,9 @@ def test_projection_changes_ipfp_output(diamond_net, diamond_r3):
 
 @pytest.mark.parametrize("case", ["children-first", "diamond", "random"])
 def test_structural_projection_matches_per_family_extraction(case):
-    # The projection reads each family off a declaration-order prefix of
-    # the joint; the reference extracts every family from the full joint.
+    # The projection and ``extract_cpts`` read each family off a
+    # declaration-order prefix of the joint; the reference extracts every
+    # family from the full joint.
     # The table is random, so the projection moves it.  The cells where the
     # last declared variable is 0 are empty; on the children-first network
     # that variable is a root, so some parent rows have zero mass and fall
@@ -161,6 +165,10 @@ def test_structural_projection_matches_per_family_extraction(case):
     got = structural_projection(q, net)
     assert np.max(np.abs(got.probs - want.probs)) <= 1e-12
     assert np.max(np.abs(got.probs - q.probs)) > 1e-3
+    read = extract_cpts(q, net)
+    assert tuple(read) == net.names
+    for name in net.names:
+        assert np.max(np.abs(read[name].table - cpts[name].table)) <= 1e-12
 
 
 def test_projection_restores_v_structure_independence():
@@ -279,8 +287,12 @@ def test_run_e_ipfp_output_network_invariants(diamond_net, diamond_r3):
 
 
 def test_run_e_ipfp_structural_residual_in_gate(diamond_net, diamond_r3):
+    # The result is a network on the input's DAG, so its joint factors by
+    # construction and the report carries no structural residual.
     out, report = run_e_ipfp(diamond_net, [diamond_r3])
-    assert report.structural_residual <= StopPolicy().epsilon
+    assert report.structural_residual is None
+    assert is_structurally_consistent(joint_from_network(out), diamond_net,
+                                      StopPolicy().epsilon)
 
 
 def test_monotone_residual_at_fit_time(diamond_net, diamond_r3):

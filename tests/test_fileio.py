@@ -100,11 +100,17 @@ def test_parse_names_bad_row():
 
 
 def test_parse_rejects_wrong_cpt_length():
-    doc = network_doc(variables=[
+    short = network_doc(variables=[
         {"name": "A", "cardinality": 2, "parents": [], "cpt": [0.5, 0.5, 0.0]},
     ])
-    with pytest.raises(FormatError):
-        parse_network(doc)
+    # A 2^32 x 2^32 table has 2^64 cells, a count that wraps to 0 in int64.
+    wrapping = network_doc(variables=[
+        {"name": "A", "cardinality": 2 ** 32, "parents": ["B"], "cpt": []},
+        {"name": "B", "cardinality": 2 ** 32, "parents": [], "cpt": []},
+    ])
+    for doc in (short, wrapping):
+        with pytest.raises(FormatError):
+            parse_network(doc)
 
 
 def test_parse_rejects_unknown_keys():
@@ -182,6 +188,15 @@ def test_parse_constraint_rejects_wrong_length(chain_net):
     }).encode()
     with pytest.raises((FormatError, ValidationError)):
         parse_constraints(data, chain_net)
+    # A full scope of 64 binary variables has 2^64 cells, which wraps to 0
+    # in int64 and so would match the empty list.
+    wide = nets.wide()
+    data = json.dumps({
+        "format_version": 1,
+        "constraints": [{"scope": list(wide.names), "dist": []}],
+    }).encode()
+    with pytest.raises(FormatError):
+        parse_constraints(data, wide)
 
 
 # canonical serialization
