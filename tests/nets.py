@@ -141,4 +141,4 @@ CHAIN_LOCAL_ROWS = ((12 / 19, 7 / 19), (3 / 31, 28 / 31))
 DIAMOND_IPFP_DIVERGENCE = 0.046700762531755584
 DIAMOND_IPFP_STRUCTURAL_GAP = 0.018570648328204636
 DIAMOND_E_DIVERGENCE = 0.13483920563157603
-DIAMOND_D_DIVERGENCE = 0.2644637771231635
+DIAMOND_D_DIVERGENCE = 0.26446377777057717

@@ -254,6 +254,13 @@ INVARIANT_TESTS = {
     "decomposed: non-local kernel matches the subnet pipeline": [
         ("test_decomposed", "test_d_ipfp_visit_matches_manual_sequence"),
     ],
+    "decomposed: accelerated visit lands on a fixed point of the plain map": [
+        ("test_decomposed", "test_d_ipfp_lands_on_plain_fixed_point"),
+    ],
+    "decomposed: divergence does not depend on the inner tolerance": [
+        ("test_decomposed",
+         "test_d_ipfp_diamond_divergence_independent_of_inner_epsilon"),
+    ],
     "elimination: factored divergence equals the dense one": [
         ("test_elimination", "test_network_divergence_matches_dense"),
     ],

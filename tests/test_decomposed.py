@@ -33,7 +33,8 @@ from bnrefit import (
     run_e_ipfp,
     run_ipfp,
 )
-from bnrefit.decomposed import LocalSubnet
+from bnrefit.decomposed import (SQUAREM_GATE, LocalSubnet, _extrapolated,
+                                _outside_weight, _SubnetPlan)
 from bnrefit.generate import generate_instance, random_network
 
 
@@ -272,6 +273,19 @@ def test_d_ipfp_desk_instance(diamond_net, diamond_r3):
         nets.DIAMOND_D_DIVERGENCE, abs=1e-12)
 
 
+def test_d_ipfp_diamond_divergence_independent_of_inner_epsilon(
+        diamond_net, diamond_r3):
+    # The inner map's fixed points form a continuum, so where a visit stops
+    # depends on its path.  Extrapolation reaches the limit the plain map
+    # only approaches, so the default inner tolerance and a far tighter one
+    # report the same divergence.  The cap is high enough for both runs.
+    _, default = run_d_ipfp(diamond_net, [diamond_r3],
+                            inner_max_iterations=100_000)
+    _, tight = run_d_ipfp(diamond_net, [diamond_r3], inner_epsilon=1e-14,
+                          inner_max_iterations=100_000)
+    assert abs(default.final_divergence - tight.final_divergence) <= 1e-10
+
+
 def test_d_ipfp_divergence_ordering(diamond_net, diamond_r3):
     # Shrinking the feasible set raises the projection's divergence: the
     # unstructured fit lower-bounds the structural one, which lower-bounds
@@ -370,12 +384,107 @@ def test_d_ipfp_visit_matches_manual_sequence(case, inner):
     cpts = dict(net.cpts)
     for _ in range(inner):
         sub = build_local_subnet(net, cls.y, cpts)
-        sub = nonlocal_update(sub, r, w)
-        cpts.update(extract_subnet_cpts(sub, net, cpts))
+        stepped = nonlocal_update(sub, r, w)
+        # Every step stays above the extrapolation gate, so the kernel
+        # takes plain maps only and this pins the plain map itself.
+        assert (np.max(np.abs(stepped.cond_table - sub.cond_table))
+                >= SQUAREM_GATE)
+        cpts.update(extract_subnet_cpts(stepped, net, cpts))
     for name in net.names:
         assert out.cpts[name].parent_order == net.cpts[name].parent_order
         assert np.max(np.abs(out.cpts[name].table
                              - cpts[name].table)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "case", ["diamond", "ternary", "reordered-parents", "empty-s",
+             "generated"])
+def test_d_ipfp_lands_on_plain_fixed_point(case):
+    # Extrapolated visits may stop anywhere on the continuum of fixed
+    # points, but on one: once the run ends, a further plain step through
+    # the spelled-out subnet pipeline leaves every member CPT in place.
+    # Independent roots cannot carry the empty-s case's dependent pair, so
+    # that run ends oscillating, on a fixed point all the same.
+    if case == "generated":
+        net, constraints = generate_instance(0)
+    else:
+        net, r = visit_case(case)
+        constraints = [r]
+    out, report = run_d_ipfp(net, constraints)
+    assert report.termination is (Termination.OSCILLATING if case == "empty-s"
+                                  else Termination.CONVERGED)
+    nonlocal_seen = 0
+    for r in constraints:
+        cls = classify_constraint(net, r)
+        if not isinstance(cls, NonLocal):
+            continue
+        nonlocal_seen += 1
+        w = dense_outside_weight(out, cls.y, cls.s)
+        sub = nonlocal_update(build_local_subnet(out, cls.y), r, w)
+        for name, cpt in extract_subnet_cpts(sub, out).items():
+            assert np.max(np.abs(cpt.table - out.cpts[name].table)) <= 1e-8
+    assert nonlocal_seen
+
+
+def _diamond_plan_and_weight():
+    net = nets.make_diamond()
+    r = nets.diamond_r3(net)
+    plan = _SubnetPlan.build(net, r, classify_constraint(net, r))
+    w = _outside_weight(net, plan.outside, plan.s + plan.y, net.cpts)
+    return plan, w.ravel()
+
+
+def _member_vectors(a_rows):
+    """Synthetic ``theta, t1, t2`` for the diamond's (A, D) subnet: A's
+    table takes the given rows, D's stays the network's."""
+    d = nets.make_diamond().cpts["D"].table.ravel()
+    return [np.concatenate([np.asarray(a, dtype=float), d]) for a in a_rows]
+
+
+def test_extrapolated_rejects_negative_entry():
+    # A geometric sequence 0.5, 0.8, 0.95 extrapolates to its limit 1.1,
+    # which leaves A's other entry at -0.1.
+    plan, w = _diamond_plan_and_weight()
+    theta, t1, t2 = _member_vectors([[0.5, 0.5], [0.8, 0.2], [0.95, 0.05]])
+    assert _extrapolated(theta, t1, t2, plan, w) is None
+
+
+def test_extrapolated_rejects_zero_on_target_positive_cell():
+    # The exact limit A = (1, 0) takes all mass off A=1, where the
+    # constraint puts 0.4; the entries are binary fractions, so the
+    # candidate's zero is exact, not a rounding residue.
+    plan, w = _diamond_plan_and_weight()
+    assert plan.positive.size == 4  # every (A, D) cell is target-positive
+    theta, t1, t2 = _member_vectors(
+        [[0.5, 0.5], [0.75, 0.25], [0.875, 0.125]])
+    assert _extrapolated(theta, t1, t2, plan, w) is None
+
+
+def test_extrapolated_candidate_rows_are_distributions():
+    # Inputs whose rows are off by a few percent still give a candidate
+    # whose every parent row sums to one.
+    plan, w = _diamond_plan_and_weight()
+    theta, t1, t2 = _member_vectors([[0.5, 0.5], [0.6, 0.4], [0.65, 0.35]])
+    t1[2:] *= 1.02
+    t2[2:] *= 0.97
+    candidate = _extrapolated(theta, t1, t2, plan, w)
+    assert candidate is not None
+    assert candidate.min() >= 0.0
+    sums = np.bincount(plan.row, candidate)
+    assert np.max(np.abs(sums - 1.0)) <= 1e-12
+    assert candidate[0] > t2[0]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_d_ipfp_n200_converges_in_few_cycles(seed):
+    # Beyond dense reach: 200 variables, 40 constraints.  Plain maps alone
+    # hit the inner cap so often that these need 243 and 1,061 outer
+    # cycles; with extrapolation each visit settles.
+    net, constraints = generate_instance(seed, n_nodes=200,
+                                         num_constraints=40)
+    _, report = run_d_ipfp(net, constraints)
+    assert report.termination is Termination.CONVERGED
+    assert report.cycles <= 12
 
 
 def test_d_ipfp_nonlocal_dominance_names_cell():
