@@ -19,7 +19,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -139,7 +139,8 @@ class Cpt:
             raise ValidationError(
                 f"CPT for {self.child!r}: child axis has length {table.shape[-1]}"
             )
-        if np.any(table < 0.0) or np.any(table > 1.0 + TAU_NORM):
+        # Written so that NaN, for which every comparison is False, fails.
+        if not np.all((table >= 0.0) & (table <= 1.0 + TAU_NORM)):
             raise ValidationError(f"CPT for {self.child!r}: entries must lie in [0, 1]")
         rows = table.reshape(-1, table.shape[-1])
         sums = rows.sum(axis=1)
@@ -167,6 +168,17 @@ class JointTable:
     ``probs`` carries one axis per scope variable, axes in scope order, and
     sums to one within ``TAU_NORM``.  A flat array of the right total size
     is accepted and reshaped.  The array is stored read-only.
+
+    Validation happens at the boundary: constructing a ``JointTable``
+    directly, as callers and the file parsers in ``fileio`` do, copies the
+    array and checks its shape, that no entry is negative or NaN, and its
+    total.  Tables the package computes itself from validated tables
+    (marginals, fitted and projected joints, the prefixes of a CPT
+    extraction and ``joint_from_network``'s product) are built by
+    ``_computed`` instead, which checks nothing and copies nothing: they
+    have the scope's shape, non-negative entries and a total within
+    rounding of one because the arithmetic that made them preserves those
+    properties, and their arrays are read-only all the same.
     """
 
     scope: tuple[VariableDecl, ...]
@@ -189,8 +201,10 @@ class JointTable:
                 f"joint table over {tuple(names)}: shape {probs.shape} does not "
                 f"match cardinalities {shape}"
             )
-        if np.any(probs < 0.0):
-            raise ValidationError(f"joint table over {tuple(names)}: negative entry")
+        # Written so that NaN, for which every comparison is False, fails.
+        if not np.all(probs >= 0.0):
+            raise ValidationError(
+                f"joint table over {tuple(names)}: negative or NaN entry")
         total = float(probs.sum())
         if abs(total - 1.0) > TAU_NORM:
             raise NormalizationError(
@@ -209,6 +223,19 @@ class JointTable:
             if v.name == name:
                 return i
         raise ScopeError(f"variable {name!r} is not in scope {self.names}")
+
+
+def _computed(scope: tuple[VariableDecl, ...], probs: np.ndarray) -> JointTable:
+    """``JointTable`` over ``scope`` for an array the package computed.
+
+    ``probs`` must already have the scope's shape and be derived from
+    validated tables; it is frozen in place, not copied or scanned.
+    """
+    table = object.__new__(JointTable)
+    object.__setattr__(table, "scope", scope)
+    probs.setflags(write=False)
+    object.__setattr__(table, "probs", probs)
+    return table
 
 
 @dataclass(frozen=True, eq=False)
@@ -389,15 +416,21 @@ class NetworkSpec:
 
 
 def _cpt_product(variables: Sequence[VariableDecl],
-                 cpts: Iterable[Cpt]) -> np.ndarray:
-    """Multiply ``cpts``, in the order given, out to a dense table over
-    ``variables``, which must hold every child and parent they name."""
+                 tables: Mapping[str, np.ndarray],
+                 parents: Mapping[str, tuple[str, ...]]) -> np.ndarray:
+    """Multiply ``tables``, in the order given, out to a dense table over
+    ``variables``.
+
+    ``tables`` maps each child to its conditional table, with axes
+    ``parents[child]`` plus the child; ``variables`` must hold every child
+    and parent named.
+    """
     axis = {v.name: i for i, v in enumerate(variables)}
     ndim = len(variables)
     out = np.ones(tuple(v.cardinality for v in variables))
-    for cpt in cpts:
-        axes = [axis[p] for p in cpt.parent_order] + [axis[cpt.child]]
-        out *= _placed(cpt.table, axes, ndim)
+    for child, table in tables.items():
+        axes = [axis[p] for p in parents[child]] + [axis[child]]
+        out *= _placed(table, axes, ndim)
     return out
 
 
@@ -408,8 +441,9 @@ def joint_from_network(net: NetworkSpec) -> JointTable:
     fail on a constructed ``NetworkSpec``; cyclic graphs and non-normalized
     rows are rejected earlier, when the network object is built.
     """
-    return JointTable(net.variables,
-                      _cpt_product(net.variables, net.cpts.values()))
+    tables = {name: cpt.table for name, cpt in net.cpts.items()}
+    return _computed(net.variables,
+                     _cpt_product(net.variables, tables, net.parents))
 
 
 def _sum_out(table: np.ndarray, drop: Sequence[int]) -> np.ndarray:
@@ -437,7 +471,8 @@ def _project(table: np.ndarray, axes_vars: Sequence[str],
     """Sum ``table``, whose axes are named by ``axes_vars``, down to
     ``keep`` and put the axes in ``keep`` order."""
     keep_axes = [axes_vars.index(v) for v in keep]
-    drop = [i for i in range(len(axes_vars)) if i not in set(keep_axes)]
+    kept = set(keep_axes)
+    drop = [i for i in range(len(axes_vars)) if i not in kept]
     kept_sorted = sorted(keep_axes)
     return np.transpose(_sum_out(table, drop),
                         [kept_sorted.index(a) for a in keep_axes])
@@ -454,8 +489,8 @@ def marginalize(q: JointTable, target: Sequence[str]) -> JointTable:
     missing = [t for t in target if t not in names]
     if missing:
         raise ScopeError(f"variables {missing} are not in scope {names}")
-    return JointTable(tuple(q.scope[names.index(t)] for t in target),
-                      _project(q.probs, names, target))
+    return _computed(tuple(q.scope[names.index(t)] for t in target),
+                     _project(q.probs, names, target))
 
 
 def _conditional(m: np.ndarray) -> np.ndarray:
@@ -477,16 +512,18 @@ def extract_cpt(q: JointTable, child: str, parents: Sequence[str]) -> Cpt:
     return Cpt(child, parents, _conditional(m.probs))
 
 
-def extract_cpts(q: JointTable, net: NetworkSpec) -> dict[str, Cpt]:
-    """The CPTs that ``net``'s DAG reads off ``q``, in declaration order.
+def _prefixes(q: JointTable, net: NetworkSpec
+              ) -> Iterator[tuple[str, np.ndarray]]:
+    """Each family of ``net`` with the prefix of ``q.probs`` to read it off.
 
-    Each family is read off the shortest declaration-order prefix of ``q``
+    A family's prefix is the shortest declaration-order prefix of ``q``
     that holds it: the marginal over the first ``m + 1`` variables, where
     ``m`` is the family's last axis.  The prefixes are walked from the full
     joint down, each the previous one with its trailing axis summed out,
     so every family marginal starts from a table that is smaller by the
     variables declared after it.  Declaration order need not be
     topological; a family with a later parent is read off a longer prefix.
+    Families come out in walk order, last axis descending.
     """
     if q.names != net.names:
         raise ScopeError(
@@ -496,14 +533,37 @@ def extract_cpts(q: JointTable, net: NetworkSpec) -> dict[str, Cpt]:
     for name in net.names:
         last = max(net.axis(v) for v in net.parents[name] + (name,))
         by_last.setdefault(last, []).append(name)
-    cpts = {}
-    prefix = q
-    for m in range(len(q.scope) - 1, min(by_last) - 1, -1):
-        if m < len(q.scope) - 1:
-            prefix = JointTable(q.scope[:m + 1], _sum_out(prefix.probs, (m + 1,)))
+    top = len(q.scope) - 1
+    prefix = q.probs
+    for m in range(top, min(by_last) - 1, -1):
+        if m < top:
+            prefix = _sum_out(prefix, (m + 1,))
         for name in by_last.get(m, ()):
-            cpts[name] = extract_cpt(prefix, name, net.parents[name])
+            yield name, prefix
+
+
+def extract_cpts(q: JointTable, net: NetworkSpec) -> dict[str, Cpt]:
+    """The CPTs that ``net``'s DAG reads off ``q``, in declaration order.
+
+    Each family is read off its declaration-order prefix of ``q`` (see
+    ``_prefixes``), and each CPT is validated as it is built.
+    """
+    cpts = {name: extract_cpt(_computed(q.scope[:prefix.ndim], prefix),
+                              name, net.parents[name])
+            for name, prefix in _prefixes(q, net)}
     return {name: cpts[name] for name in net.names}
+
+
+def _conditionals(q: JointTable, net: NetworkSpec) -> dict[str, np.ndarray]:
+    """The conditional tables of ``extract_cpts``, as bare arrays.
+
+    The same prefix walk and the same arithmetic, without building or
+    validating ``Cpt`` objects; the structural projection runs on these.
+    """
+    tables = {name: _conditional(_project(prefix, net.names[:prefix.ndim],
+                                          net.parents[name] + (name,)))
+              for name, prefix in _prefixes(q, net)}
+    return {name: tables[name] for name in net.names}
 
 
 def _reextracted_product(q: JointTable, net: NetworkSpec) -> np.ndarray:
@@ -513,7 +573,8 @@ def _reextracted_product(q: JointTable, net: NetworkSpec) -> np.ndarray:
     the extraction sense; comparing it with ``q`` measures how far ``q`` is
     from respecting the structure.
     """
-    return _cpt_product(net.variables, extract_cpts(q, net).values())
+    tables = {name: cpt.table for name, cpt in extract_cpts(q, net).items()}
+    return _cpt_product(net.variables, tables, net.parents)
 
 
 def is_structurally_consistent(q: JointTable, net: NetworkSpec,

@@ -165,7 +165,8 @@ def build_local_subnet(net: NetworkSpec, y_vars: Sequence[str],
     s = _outside_parents(net, y)
     table = cpts if cpts is not None else net.cpts
     return LocalSubnet(y, s, _cpt_product([net.decl(v) for v in s + y],
-                                          [table[v] for v in y]))
+                                          {v: table[v].table for v in y},
+                                          net.parents))
 
 
 def local_update(cpt: Cpt, r: Constraint, net: NetworkSpec,

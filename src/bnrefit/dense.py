@@ -36,6 +36,9 @@ from .core import (
     JointTable,
     NetworkSpec,
     ValidationError,
+    _computed,
+    _conditionals,
+    _cpt_product,
     _placed,
     _ratio,
     _reextracted_product,
@@ -161,7 +164,7 @@ def ipfp_step(q: JointTable, r: Constraint) -> JointTable:
     """
     ratio = _ratio(r.dist.probs, marginalize(q, r.scope).probs, r.scope)
     axes = [q.axis(n) for n in r.scope]
-    return JointTable(q.scope, q.probs * _placed(ratio, axes, q.probs.ndim))
+    return _computed(q.scope, q.probs * _placed(ratio, axes, q.probs.ndim))
 
 
 def structural_projection(q: JointTable, net: NetworkSpec) -> JointTable:
@@ -171,7 +174,8 @@ def structural_projection(q: JointTable, net: NetworkSpec) -> JointTable:
     distributions factoring over the DAG; applying it at the end of each
     cycle is what turns plain fitting into the structure-preserving solver.
     """
-    return JointTable(q.scope, _reextracted_product(q, net))
+    return _computed(q.scope, _cpt_product(
+        net.variables, _conditionals(q, net), net.parents))
 
 
 def _prepared(net: NetworkSpec, constraints: Sequence[Constraint],
@@ -215,7 +219,7 @@ def _run_dense(net: NetworkSpec, constraints: Sequence[Constraint],
             # Drift is a few ulp per cycle; correct it in the open.
             logger.debug("cycle %d: renormalizing, sum off by %.3e",
                          cycle, total - 1.0)
-            q = JointTable(q.scope, q.probs / total)
+            q = _computed(q.scope, q.probs / total)
 
         delta = float(np.max(np.abs(q.probs - previous)))
         residuals = tuple(constraint_residual(q, r) for r in constraints)

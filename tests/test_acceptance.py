@@ -213,6 +213,12 @@ INVARIANT_TESTS = {
     "dense: structural projection equals per-family extraction": [
         ("test_dense", "test_structural_projection_matches_per_family_extraction"),
     ],
+    "dense: e-ipfp and ipfp trajectories are pinned": [
+        ("test_dense", "test_dense_fit_trajectories_are_pinned"),
+    ],
+    "dense: tables built inside the package are read-only": [
+        ("test_dense", "test_computed_tables_are_read_only"),
+    ],
     "dense: e-ipfp outputs are valid networks on the same DAG": [
         ("test_dense", "test_run_e_ipfp_output_network_invariants"),
     ],

@@ -318,6 +318,44 @@ def test_exit_invalid_input_on_wrapping_cell_count(tmp_path, capsys, document):
     assert f"{2 ** 64} for" in err
 
 
+@pytest.mark.parametrize("command, document", [
+    ("run", "network"), ("check", "network"), ("divergence", "network"),
+    ("run", "constraints"), ("check", "constraints"),
+])
+def test_exit_invalid_input_on_nan(tmp_path, capsys, chain_net, command,
+                                   document):
+    # json.loads reads the bare token NaN, and NaN fails every < and >
+    # test, so a range check written with them lets it through.
+    net_doc = json.loads(serialize_network(chain_net))
+    cons_doc = json.loads(serialize_constraints([
+        nets.constraint_over(chain_net, ("B",), [0.3, 0.7]),
+    ]))
+    if document == "network":
+        net_doc["variables"][0]["cpt"] = [float("nan")] * 2
+        named = "'A'"
+    else:
+        cons_doc["constraints"][0]["dist"] = [float("nan")] * 2
+        named = "'B'"
+    net_path = tmp_path / "net.json"
+    net_path.write_text(json.dumps(net_doc))
+    cons_path = tmp_path / "cons.json"
+    cons_path.write_text(json.dumps(cons_doc))
+    good_path = write_net(tmp_path, chain_net, "good.json")
+    argv = {
+        "run": ["run", "--algorithm", "d-ipfp", "--network", str(net_path),
+                "--constraints", str(cons_path),
+                "--out", str(tmp_path / "o.json")],
+        "check": ["check", "--network", str(net_path),
+                  "--constraints", str(cons_path)],
+        "divergence": ["divergence", str(net_path), good_path],
+    }[command]
+    assert cli.main(argv) == cli.EXIT_INVALID_INPUT
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert named in captured.err
+    assert not (tmp_path / "o.json").exists()
+
+
 def test_exit_missing_file(tmp_path, chain_net):
     cons_path = write_cons(tmp_path, [
         nets.constraint_over(chain_net, ("B",), [0.3, 0.7]),

@@ -27,7 +27,7 @@ from bnrefit import (
     structural_projection,
 )
 from bnrefit.core import extract_cpts
-from bnrefit.generate import random_network
+from bnrefit.generate import generate_instance, random_network
 
 
 def uniform_pair():
@@ -180,6 +180,21 @@ def test_projection_restores_v_structure_independence():
     ab = marginalize(projected, ("A", "B")).probs
     outer = np.outer(ab.sum(axis=1), ab.sum(axis=0))
     assert np.max(np.abs(ab - outer)) <= 1e-12
+
+
+# tables built inside the package
+
+
+def test_computed_tables_are_read_only(diamond_net, diamond_r3):
+    q = joint_from_network(diamond_net)
+    before = q.probs.copy()
+    stepped = ipfp_step(q, diamond_r3)
+    assert np.array_equal(q.probs, before)
+    fitted, _ = run_ipfp(diamond_net, [diamond_r3])
+    for table in (q, stepped, structural_projection(stepped, diamond_net),
+                  marginalize(stepped, ("D", "A")),
+                  marginalize(stepped, diamond_net.names), fitted):
+        assert not table.probs.flags.writeable
 
 
 # run_ipfp
@@ -340,3 +355,19 @@ def test_run_e_ipfp_random_instances_converge(seed):
     out, report = run_e_ipfp(net, [r])
     assert report.termination is Termination.CONVERGED
     assert is_structurally_consistent(joint_from_network(out), net, 1e-9)
+
+
+def test_dense_fit_trajectories_are_pinned():
+    # The benchmark's dense-fit instance.  Both solvers are deterministic,
+    # so a change to the dense loop that moves the trajectory at all shows
+    # up as a different cycle count or divergence.
+    net, constraints = generate_instance(0, n_nodes=16, num_constraints=6)
+    _, e_rep = run_e_ipfp(net, constraints)
+    _, i_rep = run_ipfp(net, constraints)
+    assert e_rep.termination is Termination.CONVERGED
+    assert i_rep.termination is Termination.CONVERGED
+    assert (e_rep.cycles, i_rep.cycles) == (68, 9)
+    assert e_rep.final_divergence == pytest.approx(0.011291853300081181,
+                                                   abs=1e-12)
+    assert i_rep.final_divergence == pytest.approx(0.011095154935745748,
+                                                   abs=1e-12)
