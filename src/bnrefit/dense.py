@@ -36,10 +36,11 @@ from .core import (
     JointTable,
     NetworkSpec,
     ValidationError,
+    _block_shape,
+    _blocked,
     _computed,
     _conditionals,
     _cpt_product,
-    _placed,
     _ratio,
     _reextracted_product,
     constraint_residual,
@@ -164,7 +165,10 @@ def ipfp_step(q: JointTable, r: Constraint) -> JointTable:
     """
     ratio = _ratio(r.dist.probs, marginalize(q, r.scope).probs, r.scope)
     axes = [q.axis(n) for n in r.scope]
-    return _computed(q.scope, q.probs * _placed(ratio, axes, q.probs.ndim))
+    shape = q.probs.shape
+    return _computed(q.scope, np.multiply(
+        q.probs.reshape(_block_shape(shape)),
+        _blocked(ratio, axes, shape)).reshape(shape))
 
 
 def structural_projection(q: JointTable, net: NetworkSpec) -> JointTable:

@@ -198,6 +198,11 @@ INVARIANT_TESTS = {
     "core: network joints are structurally consistent": [
         ("test_core", "test_network_joint_is_structurally_consistent"),
     ],
+    "core: blocked dense product equals the oracle joint": [
+        ("test_oracle", "test_random_networks_match_vectorized_joint"),
+        ("test_oracle", "test_oracle_divergence_matches_vectorized"),
+        ("test_dense", "test_step_on_blocked_and_transposed_tables"),
+    ],
     "core: single-variable scopes classify local": [
         ("test_core", "test_every_single_variable_scope_is_local"),
     ],

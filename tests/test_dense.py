@@ -127,6 +127,32 @@ def test_step_is_idempotent(diamond_net, diamond_r3):
     assert np.max(np.abs(twice.probs - once.probs)) <= 1e-12
 
 
+def test_step_on_blocked_and_transposed_tables():
+    # A 2^10-cell joint runs the step on a head and a contiguous block of
+    # core._BLOCK cells: a constraint over the last declared variable lies
+    # inside the block.  A transposed marginal is not C-contiguous.  Both
+    # steps equal the explicit q * ratio broadcast.
+    rng = np.random.default_rng(5)
+    q = joint_from_network(random_network(rng, 10, 2, 3))
+    last = q.names[-1]
+    target = np.array([0.3, 0.7])
+    r = Constraint((last,), JointTable(q.scope[-1:], target))
+    want = q.probs * (target / q.probs.sum(axis=tuple(range(9))))
+    assert np.max(np.abs(ipfp_step(q, r).probs - want)) <= 1e-15
+
+    t = marginalize(q, q.names[::-1])
+    assert not t.probs.flags.c_contiguous
+    scope = (t.names[1], t.names[-1])
+    raw = rng.random((2, 2))
+    r = Constraint(scope, JointTable((t.scope[1], t.scope[-1]),
+                                     raw / raw.sum()))
+    ratio = r.dist.probs / t.probs.sum(axis=tuple(range(2, 9)) + (0,))
+    want = t.probs * ratio.reshape((1, 2) + (1,) * 7 + (2,))
+    got = ipfp_step(t, r)
+    assert got.scope == t.scope
+    assert np.max(np.abs(got.probs - want)) <= 1e-15
+
+
 # structural_projection
 
 

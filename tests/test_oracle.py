@@ -15,11 +15,13 @@ import pytest
 import nets
 import oracle
 from bnrefit import (
+    NetworkSpec,
     i_divergence,
     joint_from_network,
     marginalize,
     run_ipfp,
 )
+from bnrefit.core import _block_shape, _cpt_product, _outside_parents
 from bnrefit.generate import random_network
 
 
@@ -58,16 +60,58 @@ def test_enum_joint_covers_every_assignment(diamond_net):
     assert sum(p for _, p in enum.assignments) == pytest.approx(1.0, abs=1e-12)
 
 
+def product_oracle(net, names, multiplied) -> oracle.EnumJoint:
+    """Oracle product over ``names`` of the CPTs of ``multiplied`` only.
+
+    Every other variable gets a parentless table of ones, so the oracle's
+    entry product is the product of the chosen CPTs alone.
+    """
+    _, _, parents, tables = nets.as_plain(net)
+    cards = [net.cardinality(v) for v in names]
+    for v, card in zip(names, cards):
+        if v not in multiplied:
+            parents[v], tables[v] = (), [1.0] * card
+    return oracle.oracle_joint(names, cards, parents, tables)
+
+
+def worst_gap(enum: oracle.EnumJoint, table: np.ndarray) -> float:
+    return max(abs(prob - float(table[a])) for a, prob in enum.assignments)
+
+
 @pytest.mark.parametrize("seed", range(100))
 def test_random_networks_match_vectorized_joint(seed):
+    # Up to 4,096 and 19,683 cells, beyond core._BLOCK: the product runs
+    # on a head and a contiguous block.  Declared in reverse topological
+    # order, children sit in the head with parents in the block.  The
+    # direct _cpt_product cases are build_local_subnet's call (tables for
+    # y only, over s + y) and a product where no table reaches the block,
+    # so the head product is only broadcast.
     rng = np.random.default_rng(seed)
     card = 2 + seed % 2
     n = 3 + seed % (10 if card == 2 else 7)
     net = random_network(rng, n, card, 3)
     enum = enum_of(net)
     q = joint_from_network(net)
-    worst = max(abs(prob - float(q.probs[a])) for a, prob in enum.assignments)
-    assert worst <= 1e-12
+    assert worst_gap(enum, q.probs) <= 1e-12
+
+    reverse = NetworkSpec(net.variables[::-1], net.parents, net.cpts)
+    assert worst_gap(enum_of(reverse),
+                     joint_from_network(reverse).probs) <= 1e-12
+
+    y = net.names[n // 4:]
+    s = _outside_parents(net, y)
+    subnet = _cpt_product([net.decl(v) for v in s + y],
+                          {v: net.cpts[v].table for v in y}, net.parents)
+    assert worst_gap(product_oracle(net, s + y, y), subnet) <= 1e-12
+
+    head = len(_block_shape(q.probs.shape)) - 1
+    inside = [v for v in net.names
+              if max(map(net.axis, net.parents[v] + (v,))) < head]
+    only_head = _cpt_product(net.variables,
+                             {v: net.cpts[v].table for v in inside},
+                             net.parents)
+    assert worst_gap(product_oracle(net, net.names, inside),
+                     only_head) <= 1e-12
 
 
 def test_oracle_marginal_matches_marginalize(diamond_net):
@@ -117,6 +161,20 @@ def test_oracle_divergence_matches_vectorized(diamond_net, chain_net, rng):
     got = oracle.oracle_divergence(enum_of_joint(p), enum_of_joint(q))
     want = i_divergence(p, q)
     assert abs(got - want) <= 1e-12
+
+    # Beyond core._BLOCK cells, with p empty on a quarter of the table;
+    # then with q empty on one cell where p has mass.
+    q = joint_from_network(random_network(rng, 10, 2, 3))
+    raw = rng.random(q.probs.shape)
+    raw[0, ..., 1] = 0.0
+    p = JointTable(q.scope, raw / raw.sum())
+    got = oracle.oracle_divergence(enum_of_joint(p), enum_of_joint(q))
+    assert abs(got - i_divergence(p, q)) <= 1e-12
+    holed = q.probs.copy()
+    holed[(1,) * 10] = 0.0
+    q = JointTable(q.scope, holed / holed.sum())
+    assert oracle.oracle_divergence(enum_of_joint(p), enum_of_joint(q)) \
+        == i_divergence(p, q) == math.inf
 
 
 def test_feasible_samples_meet_target_exactly(chain_net):
