@@ -58,7 +58,7 @@ def main():
           f"divergence {rep_p.final_divergence:.6f}")
     print("  residual:", f"{constraint_residual(q, r):.2e}")
     print("  still a network over the diamond:",
-          is_structurally_consistent(q, net, 1e-9))
+          is_structurally_consistent(q, net))
     print("  structural residual:", f"{rep_p.structural_residual:.4f}")
 
     net_e, rep_e = run_e_ipfp(net, [r])
@@ -67,7 +67,7 @@ def main():
           f"divergence {rep_e.final_divergence:.6f}")
     print("  residual:", f"{constraint_residual(q_e, r):.2e}")
     print("  still a network over the diamond:",
-          is_structurally_consistent(q_e, net, 1e-9))
+          is_structurally_consistent(q_e, net))
 
     net_d, rep_d = run_d_ipfp(net, [r])
     q_d = joint_from_network(net_d)
@@ -75,7 +75,7 @@ def main():
           f"divergence {rep_d.final_divergence:.6f}")
     print("  residual:", f"{constraint_residual(q_d, r):.2e}")
     print("  still a network over the diamond:",
-          is_structurally_consistent(q_d, net, 1e-9))
+          is_structurally_consistent(q_d, net))
     print("  CPTs touched:",
           [n for n in net.names
            if not np.array_equal(net_d.cpts[n].table, net.cpts[n].table)])

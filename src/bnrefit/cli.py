@@ -98,6 +98,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bnrefit",
@@ -163,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "constraint set for it, deterministically from the seed, "
                     "and write both files.",
     )
-    gen.add_argument("--seed", type=int, required=True)
+    gen.add_argument("--seed", type=_nonnegative_int, required=True)
     gen.add_argument("--nodes", type=_positive_int, default=15)
     gen.add_argument("--num-constraints", type=_positive_int, default=8,
                      dest="num_constraints")

@@ -60,13 +60,6 @@ class DominanceError(BnError):
     """
 
 
-def _freeze(values, dtype=float) -> np.ndarray:
-    """Copy ``values`` into a read-only float array."""
-    arr = np.array(values, dtype=dtype)
-    arr.setflags(write=False)
-    return arr
-
-
 def _placed(table: np.ndarray, axes: Sequence[int], ndim: int) -> np.ndarray:
     """View of ``table`` broadcastable over an ``ndim``-axis array.
 
@@ -155,10 +148,6 @@ class Cpt:
             )
         table.setflags(write=False)
         object.__setattr__(self, "table", table)
-
-    @property
-    def child_cardinality(self) -> int:
-        return self.table.shape[-1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -648,10 +637,10 @@ def _reextracted_product(q: JointTable, net: NetworkSpec) -> np.ndarray:
     return _cpt_product(net.variables, tables, net.parents)
 
 
-def is_structurally_consistent(q: JointTable, net: NetworkSpec,
-                               tol: float = TAU_NORM) -> bool:
-    """Whether ``q`` equals the product of its own extracted CPTs within ``tol``."""
-    return bool(np.max(np.abs(q.probs - _reextracted_product(q, net))) <= tol)
+def is_structurally_consistent(q: JointTable, net: NetworkSpec) -> bool:
+    """Whether ``q`` equals its re-extracted product within ``TAU_NORM``."""
+    gap = np.max(np.abs(q.probs - _reextracted_product(q, net)))
+    return bool(gap <= TAU_NORM)
 
 
 def _dominance_error(names: tuple[str, ...], mass: float,

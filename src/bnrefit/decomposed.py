@@ -71,7 +71,8 @@ from .core import (
 )
 # Unused here; perfbench/tracer.py wraps these names in this module.
 from .core import _reextracted_product, i_divergence, joint_from_network
-from .dense import RunReport, Schedule, StopPolicy, Termination, _prepared
+from .dense import (OSCILLATION_WINDOW, RunReport, Schedule, StopPolicy,
+                    Termination, _prepared)
 from .elimination import (_ancestral, contract, cpt_factor,
                           network_divergence)
 
@@ -80,6 +81,10 @@ logger = logging.getLogger("bnrefit")
 SUBNET_BUDGET = 20
 """Largest variable count (constrained set plus outside parents) a single
 constraint may span; beyond it the run aborts instead of degrading."""
+
+INNER_MAX_ITERATIONS = 1000
+"""Plain maps one non-local visit may make before it hands the constraint
+back to the outer cycle, which revisits it."""
 
 
 class SubnetSizeError(BnError):
@@ -544,11 +549,7 @@ def _nonlocal_visit(plan: _SubnetPlan, work: dict[str, Cpt], net: NetworkSpec,
 
 def run_d_ipfp(net: NetworkSpec, constraints: Sequence[Constraint],
                stop: StopPolicy | None = None,
-               schedule: Schedule | None = None,
-               *,
-               inner_epsilon: float | None = None,
-               inner_max_iterations: int = 1000,
-               subnet_budget: int = SUBNET_BUDGET) -> tuple[NetworkSpec, RunReport]:
+               schedule: Schedule | None = None) -> tuple[NetworkSpec, RunReport]:
     """Structure-preserving fit that never materializes the joint.
 
     Each cycle visits the constraints in schedule order; a local constraint
@@ -559,31 +560,34 @@ def run_d_ipfp(net: NetworkSpec, constraints: Sequence[Constraint],
     edited families alone (``network_divergence``), at any network size.
     Its structural residual is ``None``: the result is a network on the
     input's DAG, so it factors over that DAG by construction.
+
+    A non-local visit stops its inner loop at ``stop.epsilon`` or after
+    ``INNER_MAX_ITERATIONS`` plain maps; a constraint spanning more than
+    ``SUBNET_BUDGET`` variables raises ``SubnetSizeError`` before any work.
     """
     t0 = time.perf_counter()
     stop = stop or StopPolicy()
     constraints, schedule = _prepared(net, constraints, schedule)
-    inner_eps = stop.epsilon if inner_epsilon is None else inner_epsilon
 
     plans: list[_LocalPlan | _SubnetPlan] = []
     for r in constraints:
         cls = classify_constraint(net, r)
         if isinstance(cls, Local):
             span = {cls.target} | set(net.parents[cls.target])
-            if len(span) > subnet_budget:
+            if len(span) > SUBNET_BUDGET:
                 raise SubnetSizeError(
                     f"constraint over {r.scope}: the family of "
                     f"{cls.target!r} spans {len(span)} variables, over the "
-                    f"budget of {subnet_budget}"
+                    f"budget of {SUBNET_BUDGET}"
                 )
             plans.append(_LocalPlan.build(net, r, cls))
         else:
             span = len(cls.y) + len(cls.s)
-            if span > subnet_budget:
+            if span > SUBNET_BUDGET:
                 raise SubnetSizeError(
                     f"constraint over {r.scope}: subnet spans {span} "
                     f"variables (y={cls.y}, s={cls.s}), over the budget "
-                    f"of {subnet_budget}"
+                    f"of {SUBNET_BUDGET}"
                 )
             plans.append(_SubnetPlan.build(net, r, cls))
 
@@ -604,8 +608,8 @@ def run_d_ipfp(net: NetworkSpec, constraints: Sequence[Constraint],
         return tuple(res)
 
     eps = stop.epsilon
-    deltas: deque[float] = deque(maxlen=stop.oscillation_window)
-    worsts: deque[float] = deque(maxlen=stop.oscillation_window)
+    deltas: deque[float] = deque(maxlen=OSCILLATION_WINDOW)
+    worsts: deque[float] = deque(maxlen=OSCILLATION_WINDOW)
     termination = Termination.MAX_CYCLES if constraints else Termination.CONVERGED
     cycles = stop.max_cycles if constraints else 0
     residuals: tuple[float, ...] | None = None
@@ -617,8 +621,7 @@ def run_d_ipfp(net: NetworkSpec, constraints: Sequence[Constraint],
             if isinstance(plan, _LocalPlan):
                 work[plan.target] = _local_visit(plan, work, net)
             else:
-                _nonlocal_visit(plan, work, net, inner_eps,
-                                inner_max_iterations)
+                _nonlocal_visit(plan, work, net, eps, INNER_MAX_ITERATIONS)
 
         delta = 0.0
         for name, cpt in work.items():

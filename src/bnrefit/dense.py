@@ -64,31 +64,29 @@ class Termination(enum.Enum):
     OSCILLATING = "oscillating"
 
 
+OSCILLATION_WINDOW = 20
+"""How many recent cycles the plateau detectors look at; a run is declared
+oscillating only when, over a full window, the newest delta fails to fall
+below 0.9 times the oldest and the worst residual has also improved by
+less than one percent."""
+
+
 @dataclass(frozen=True)
 class StopPolicy:
     """Termination tuning shared by the solvers.
 
     ``epsilon`` bounds both constraint residuals and the cycle-to-cycle
-    table change at convergence.  ``oscillation_window`` is how many recent
-    cycles the plateau detector looks at; a run is declared oscillating
-    only when, over a full window, the newest delta fails to fall below
-    0.9 times the oldest and the worst residual has also improved by less
-    than one percent.
+    table change at convergence; ``max_cycles`` is the cycle budget.
     """
 
     epsilon: float = 1e-9
     max_cycles: int = 10_000
-    oscillation_window: int = 20
 
     def __post_init__(self):
         if not (self.epsilon > 0.0):
             raise ValidationError(f"epsilon must be positive, got {self.epsilon}")
         if self.max_cycles < 1:
             raise ValidationError(f"max_cycles must be >= 1, got {self.max_cycles}")
-        if self.oscillation_window < 2:
-            raise ValidationError(
-                f"oscillation_window must be >= 2, got {self.oscillation_window}"
-            )
 
 
 @dataclass(frozen=True)
@@ -136,7 +134,7 @@ class RunReport:
     """What a solver run did and how it ended.
 
     ``final_divergence`` is the I-divergence of the result from the input
-    network's joint, in natural log (``log_base`` records this); ``ipfp``
+    network's joint, in natural log; ``ipfp``
     and ``e-ipfp`` compute it on the dense joints, ``d-ipfp`` from the
     families it edited.  ``structural_residual`` is the max-abs gap between
     the final joint and the product of its extracted CPTs; only ``ipfp``,
@@ -152,7 +150,6 @@ class RunReport:
     per_constraint_residuals: tuple[float, ...]
     structural_residual: float | None
     termination: Termination
-    log_base: str = "e"
 
 
 def ipfp_step(q: JointTable, r: Constraint) -> JointTable:
@@ -206,8 +203,8 @@ def _run_dense(net: NetworkSpec, constraints: Sequence[Constraint],
     constraints, schedule = _prepared(net, constraints, schedule)
     q0 = q = joint_from_network(net)
     eps = stop.epsilon
-    deltas: deque[float] = deque(maxlen=stop.oscillation_window)
-    worsts: deque[float] = deque(maxlen=stop.oscillation_window)
+    deltas: deque[float] = deque(maxlen=OSCILLATION_WINDOW)
+    worsts: deque[float] = deque(maxlen=OSCILLATION_WINDOW)
     termination = Termination.MAX_CYCLES if constraints else Termination.CONVERGED
     cycles = stop.max_cycles if constraints else 0
     residuals: tuple[float, ...] = ()

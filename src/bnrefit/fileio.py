@@ -96,6 +96,8 @@ def _load(data: bytes | str):
         return json.loads(data)
     except json.JSONDecodeError as e:
         raise FormatError(f"document is not valid JSON: {e}") from None
+    except RecursionError:
+        raise FormatError("document nests too deeply to parse") from None
 
 
 def _expect(cond: bool, message: str) -> None:
@@ -276,7 +278,7 @@ def report_to_bytes(report: RunReport) -> bytes:
         "termination": report.termination.value,
         "cycles": report.cycles,
         "wall_time_seconds": float(report.wall_time),
-        "log_base": report.log_base,
+        "log_base": "e",
         "final_divergence": report.final_divergence,
         "structural_residual": report.structural_residual,
         "per_constraint_residuals": [float(v) for v in report.per_constraint_residuals],

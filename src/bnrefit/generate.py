@@ -28,20 +28,24 @@ from .core import (
 )
 from .elimination import marginal
 
+MAX_SCOPE = 3  # most variables in a local scope, a target and its parents
+SUBNET_SPAN = 8  # most variables a generated pair's subnet may span
+PERTURBATION = 0.1  # jitter scale of the twin that supplies the targets
+
 
 def random_network(rng: np.random.Generator, n_nodes: int = 15,
-                   cardinality: int = 2, max_in_degree: int = 3,
-                   name_prefix: str = "X") -> NetworkSpec:
+                   cardinality: int = 2, max_in_degree: int = 3) -> NetworkSpec:
     """A sparse random DAG with Dirichlet CPT rows.
 
     Node ``i`` draws up to ``max_in_degree`` parents among earlier nodes,
-    so declaration order is already topological.  Rows use a Dirichlet
-    with concentration 2, which keeps entries comfortably away from zero.
+    so declaration order is already topological.  Names run ``X1``,
+    ``X2``, ... zero-padded to one width.  Rows use a Dirichlet with
+    concentration 2, which keeps entries comfortably away from zero.
     """
     if n_nodes < 1:
         raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
     width = len(str(n_nodes))
-    names = [f"{name_prefix}{i + 1:0{width}d}" for i in range(n_nodes)]
+    names = [f"X{i + 1:0{width}d}" for i in range(n_nodes)]
     decls = tuple(VariableDecl(n, cardinality) for n in names)
     parents: dict[str, tuple[str, ...]] = {}
     cpts: dict[str, Cpt] = {}
@@ -81,16 +85,14 @@ def perturb_network(rng: np.random.Generator, net: NetworkSpec,
 
 
 def random_constraints(rng: np.random.Generator, net: NetworkSpec,
-                       count: int = 8, max_scope: int = 3,
-                       subnet_budget: int = 8,
-                       perturbation: float = 0.1) -> list[Constraint]:
+                       count: int = 8) -> list[Constraint]:
     """A satisfiable mix of local and non-local constraints for ``net``.
 
     Targets are exact marginals of a twin perturbed only in the CPTs a
     solver may edit (see module docstring).  Local scopes are a variable
     with all of its parents; non-local scopes pair a grandparent with a
     grandchild it has no edge to, accepted only when their subnet spans
-    at most ``subnet_budget`` variables.
+    at most ``SUBNET_SPAN`` variables.
 
     A solver satisfies a constraint by moving the constrained variables'
     CPTs, and whatever values it settles on pin the marginals everything
@@ -159,7 +161,7 @@ def random_constraints(rng: np.random.Generator, net: NetworkSpec,
     def pick_local() -> tuple[str, ...] | None:
         ok = [
             t for t in names
-            if len(net.parents[t]) < max_scope
+            if len(net.parents[t]) < MAX_SCOPE
             and admissible((t,) + net.parents[t], {t}, pinned=True)
         ]
         pool = [t for t in ok if t not in touched] or ok
@@ -179,7 +181,7 @@ def random_constraints(rng: np.random.Generator, net: NetworkSpec,
                 cls = classify_scope(net, scope)
                 if not isinstance(cls, NonLocal):
                     continue
-                if len(cls.y) + len(cls.s) > subnet_budget:
+                if len(cls.y) + len(cls.s) > SUBNET_SPAN:
                     continue
                 ok.append(scope)
                 if not touched.intersection(scope):
@@ -207,7 +209,7 @@ def random_constraints(rng: np.random.Generator, net: NetworkSpec,
             accept(scope, set(cls.y), pinned=False)
         chosen.append(scope)
 
-    twin = perturb_network(rng, net, perturbation,
+    twin = perturb_network(rng, net, PERTURBATION,
                            only=sorted(editables, key=net.axis))
 
     out = []
@@ -218,9 +220,7 @@ def random_constraints(rng: np.random.Generator, net: NetworkSpec,
 
 
 def generate_instance(seed: int, n_nodes: int = 15, num_constraints: int = 8,
-                      cardinality: int = 2, max_in_degree: int = 3,
-                      max_scope: int = 3, subnet_budget: int = 8,
-                      perturbation: float = 0.1,
+                      cardinality: int = 2,
                       ) -> tuple[NetworkSpec, list[Constraint]]:
     """Deterministic network plus constraint set for ``seed``.
 
@@ -236,9 +236,8 @@ def generate_instance(seed: int, n_nodes: int = 15, num_constraints: int = 8,
     best: tuple[NetworkSpec, list[Constraint]] | None = None
     best_key = (-1, -1)
     for _ in range(50):
-        net = random_network(rng, n_nodes, cardinality, max_in_degree)
-        constraints = random_constraints(rng, net, num_constraints, max_scope,
-                                         subnet_budget, perturbation)
+        net = random_network(rng, n_nodes, cardinality)
+        constraints = random_constraints(rng, net, num_constraints)
         nl = sum(
             1 for c in constraints
             if isinstance(classify_constraint(net, c), NonLocal)

@@ -71,11 +71,11 @@ def test_criterion_2_structural_consistency(batch):
     for net, _, e_net, _, d_net, _ in runs:
         for out in (e_net, d_net):
             q = joint_from_network(out)
-            ok = ok and is_structurally_consistent(q, net, 1e-9)
+            ok = ok and is_structurally_consistent(q, net)
     # The contrast case: plain IPFP's fitted joint loses the factorization.
     diamond = nets.make_diamond()
     q, _ = run_ipfp(diamond, [nets.diamond_r3(diamond)])
-    ok = ok and not is_structurally_consistent(q, diamond, 1e-9)
+    ok = ok and not is_structurally_consistent(q, diamond)
     _verdict(2, "structural outputs reconstruct consistently, plain ipfp "
                 "does not", ok)
 
@@ -235,6 +235,9 @@ INVARIANT_TESTS = {
         ("test_oracle", "test_sampled_divergence_never_beats_the_solver"),
         ("test_acceptance", "test_criterion_4_unconstrained_projection"),
     ],
+    "solvers: ipfp, e-ipfp and d-ipfp take the same arguments": [
+        ("test_dense", "test_solvers_take_the_same_arguments"),
+    ],
     "solvers: a contradictory generated instance oscillates": [
         ("test_acceptance", "test_generated_contradiction_oscillates"),
     ],
@@ -279,6 +282,7 @@ INVARIANT_TESTS = {
         ("test_fileio", "test_fuzzed_network_documents_never_crash"),
         ("test_fileio", "test_fuzzed_structural_mutations_fail_cleanly"),
         ("test_fileio", "test_parse_names_bad_row"),
+        ("test_fileio", "test_parse_rejects_bad_json"),
     ],
     "io: random networks round-trip byte-stably": [
         ("test_fileio", "test_random_network_round_trip"),
@@ -287,6 +291,8 @@ INVARIANT_TESTS = {
     "cli: exit codes documented, writes atomic": [
         ("test_cli", "test_help_documents_exit_codes"),
         ("test_cli", "test_out_into_missing_directory"),
+        ("test_cli", "test_exit_invalid_input"),
+        ("test_cli", "test_usage_error_exits_2"),
         ("test_fileio", "test_write_atomic_failure_leaves_target_alone"),
     ],
     "cli: root-scope constraints give matching e and d outputs": [

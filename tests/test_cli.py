@@ -1,6 +1,5 @@
 """Command line behavior: exit codes, messages, file handling."""
 
-import functools
 import json
 import subprocess
 import sys
@@ -15,11 +14,10 @@ from bnrefit import (
     VariableDecl,
     joint_from_network,
     parse_network,
-    run_d_ipfp,
     serialize_constraints,
     serialize_network,
 )
-from bnrefit import cli
+from bnrefit import cli, decomposed
 
 
 def write_net(tmp_path, net, name="net.json"):
@@ -190,8 +188,7 @@ def test_exit_dominance_nonlocal_d_ipfp(tmp_path, capsys):
 
 
 def test_exit_subnet_budget(tmp_path, monkeypatch, diamond_net, diamond_r3):
-    monkeypatch.setattr(cli, "run_d_ipfp",
-                        functools.partial(run_d_ipfp, subnet_budget=3))
+    monkeypatch.setattr(decomposed, "SUBNET_BUDGET", 3)
     net_path = write_net(tmp_path, diamond_net)
     cons_path = write_cons(tmp_path, [diamond_r3])
     code = cli.main(["run", "--network", net_path, "--constraints", cons_path,
@@ -280,15 +277,19 @@ def test_dense_ceiling_counts_cells(tmp_path, capsys, command, expected):
         assert "ceiling" in captured.err
 
 
-def test_exit_invalid_input(tmp_path, chain_net):
+def test_exit_invalid_input(tmp_path, capsys, chain_net):
     bad = tmp_path / "bad.json"
-    bad.write_bytes(b"{broken")
     cons_path = write_cons(tmp_path, [
         nets.constraint_over(chain_net, ("B",), [0.3, 0.7]),
     ])
-    assert cli.main(["run", "--network", str(bad), "--constraints", cons_path,
-                     "--out", str(tmp_path / "o.json")]) \
-        == cli.EXIT_INVALID_INPUT
+    # The second document nests deeper than the JSON parser can recurse.
+    for data in (b"{broken", b"[" * 100_000 + b"]" * 100_000):
+        bad.write_bytes(data)
+        assert cli.main(["run", "--network", str(bad),
+                         "--constraints", cons_path,
+                         "--out", str(tmp_path / "o.json")]) \
+            == cli.EXIT_INVALID_INPUT
+        assert "Traceback" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("document", ["network", "constraints"])
@@ -377,10 +378,15 @@ def test_exit_unknown_constraint_variable(tmp_path, chain_net):
                      "--constraints", str(cons)]) == cli.EXIT_INVALID_INPUT
 
 
-def test_usage_error_exits_2():
+@pytest.mark.parametrize("argv", [
+    ["run"],
+    ["gen", "--seed", "-1", "--network", "n.json", "--constraints", "c.json"],
+], ids=["run-without-options", "gen-negative-seed"])
+def test_usage_error_exits_2(capsys, argv):
     with pytest.raises(SystemExit) as err:
-        cli.main(["run"])
+        cli.main(argv)
     assert err.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_out_into_missing_directory(tmp_path, chain_net):

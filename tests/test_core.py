@@ -274,7 +274,7 @@ def test_divergence_nonnegative_zero_iff_equal(seed):
 def test_network_joint_is_structurally_consistent(case):
     net = case_net(case, 6)
     q = joint_from_network(net)
-    assert is_structurally_consistent(q, net, 1e-9)
+    assert is_structurally_consistent(q, net)
 
 
 def test_perturbed_v_structure_joint_is_inconsistent():
@@ -283,7 +283,7 @@ def test_perturbed_v_structure_joint_is_inconsistent():
     probs[0, 0, 0] += 0.05
     probs[1, 1, 1] -= 0.05
     q = JointTable(joint_from_network(net).scope, probs / probs.sum())
-    assert not is_structurally_consistent(q, net, 1e-9)
+    assert not is_structurally_consistent(q, net)
 
 
 # constraint_residual and validation
@@ -369,7 +369,7 @@ def test_joint_properties_randomized(seed, n, card):
     net = random_net(seed, n, cardinality=card)
     q = joint_from_network(net)
     assert abs(float(q.probs.sum()) - 1.0) <= TAU_NORM
-    assert is_structurally_consistent(q, net, 1e-9)
+    assert is_structurally_consistent(q, net)
     name = net.names[seed % n]
     m = marginalize(q, (name,))
     assert abs(float(m.probs.sum()) - 1.0) <= 1e-12

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import bnrefit.decomposed as decomposed
 import nets
 from bnrefit import (
     Constraint,
@@ -268,21 +269,25 @@ def test_d_ipfp_desk_instance(diamond_net, diamond_r3):
     out, report = run_d_ipfp(diamond_net, [diamond_r3])
     q = joint_from_network(out)
     assert constraint_residual(q, diamond_r3) <= StopPolicy().epsilon
-    assert is_structurally_consistent(q, diamond_net, 1e-9)
+    assert is_structurally_consistent(q, diamond_net)
     assert report.final_divergence == pytest.approx(
         nets.DIAMOND_D_DIVERGENCE, abs=1e-12)
 
 
 def test_d_ipfp_diamond_divergence_independent_of_inner_epsilon(
-        diamond_net, diamond_r3):
+        monkeypatch, diamond_net, diamond_r3):
     # The inner map's fixed points form a continuum, so where a visit stops
     # depends on its path.  Extrapolation reaches the limit the plain map
-    # only approaches, so the default inner tolerance and a far tighter one
-    # report the same divergence.  The cap is high enough for both runs.
-    _, default = run_d_ipfp(diamond_net, [diamond_r3],
-                            inner_max_iterations=100_000)
-    _, tight = run_d_ipfp(diamond_net, [diamond_r3], inner_epsilon=1e-14,
-                          inner_max_iterations=100_000)
+    # only approaches, so the default inner tolerance (the outer epsilon)
+    # and a far tighter one report the same divergence.  The cap is raised
+    # high enough for both runs.
+    monkeypatch.setattr(decomposed, "INNER_MAX_ITERATIONS", 100_000)
+    _, default = run_d_ipfp(diamond_net, [diamond_r3])
+    visit = decomposed._nonlocal_visit
+    monkeypatch.setattr(
+        decomposed, "_nonlocal_visit",
+        lambda plan, work, net, _, cap: visit(plan, work, net, 1e-14, cap))
+    _, tight = run_d_ipfp(diamond_net, [diamond_r3])
     assert abs(default.final_divergence - tight.final_divergence) <= 1e-10
 
 
@@ -307,9 +312,10 @@ def test_d_ipfp_alpha_rows_normalize(diamond_net, diamond_r3):
         assert np.max(np.abs(rows.sum(axis=1) - 1.0)) <= 1e-12
 
 
-def test_d_ipfp_budget_enforced(diamond_net, diamond_r3):
+def test_d_ipfp_budget_enforced(monkeypatch, diamond_net, diamond_r3):
+    monkeypatch.setattr(decomposed, "SUBNET_BUDGET", 3)
     with pytest.raises(SubnetSizeError):
-        run_d_ipfp(diamond_net, [diamond_r3], subnet_budget=3)
+        run_d_ipfp(diamond_net, [diamond_r3])
 
 
 def test_d_ipfp_long_chain_skips_dense_reporting():
@@ -322,9 +328,10 @@ def test_d_ipfp_long_chain_skips_dense_reporting():
     assert max(report.per_constraint_residuals) <= StopPolicy().epsilon
 
 
-def test_d_ipfp_inner_cap_still_converges(diamond_net, diamond_r3):
-    out, report = run_d_ipfp(diamond_net, [diamond_r3],
-                             inner_max_iterations=2)
+def test_d_ipfp_inner_cap_still_converges(monkeypatch, diamond_net,
+                                         diamond_r3):
+    monkeypatch.setattr(decomposed, "INNER_MAX_ITERATIONS", 2)
+    out, report = run_d_ipfp(diamond_net, [diamond_r3])
     assert report.termination is Termination.CONVERGED
     q = joint_from_network(out)
     assert constraint_residual(q, diamond_r3) <= StopPolicy().epsilon
@@ -370,7 +377,7 @@ def dense_outside_weight(net, y, s):
 @pytest.mark.parametrize("inner", [1, 7])
 @pytest.mark.parametrize(
     "case", ["diamond", "ternary", "reordered-parents", "empty-s"])
-def test_d_ipfp_visit_matches_manual_sequence(case, inner):
+def test_d_ipfp_visit_matches_manual_sequence(monkeypatch, case, inner):
     # One outer cycle of ``inner`` inner iterations must equal the
     # spelled-out pipeline repeated ``inner`` times: build the subnet, one
     # fitting pass against the outside weight, re-extract the member CPTs.
@@ -378,8 +385,8 @@ def test_d_ipfp_visit_matches_manual_sequence(case, inner):
     cls = classify_constraint(net, r)
     assert isinstance(cls, NonLocal)
     assert (cls.s == ()) == (case == "empty-s")
-    out, _ = run_d_ipfp(net, [r], StopPolicy(max_cycles=1, epsilon=1e-15),
-                        inner_max_iterations=inner)
+    monkeypatch.setattr(decomposed, "INNER_MAX_ITERATIONS", inner)
+    out, _ = run_d_ipfp(net, [r], StopPolicy(max_cycles=1, epsilon=1e-15))
     w = dense_outside_weight(net, cls.y, cls.s)
     cpts = dict(net.cpts)
     for _ in range(inner):

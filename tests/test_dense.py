@@ -1,5 +1,8 @@
 """Dense solvers: single fitting steps, full runs, and termination logic."""
 
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 
@@ -22,6 +25,7 @@ from bnrefit import (
     is_structurally_consistent,
     joint_from_network,
     marginalize,
+    run_d_ipfp,
     run_e_ipfp,
     run_ipfp,
     structural_projection,
@@ -43,8 +47,19 @@ def test_stop_policy_validation():
         StopPolicy(epsilon=0.0)
     with pytest.raises(ValidationError):
         StopPolicy(max_cycles=0)
-    with pytest.raises(ValidationError):
-        StopPolicy(oscillation_window=1)
+
+
+def test_stop_policy_holds_only_epsilon_and_max_cycles():
+    # The plateau window is the module constant OSCILLATION_WINDOW.
+    assert [f.name for f in dataclasses.fields(StopPolicy)] == [
+        "epsilon", "max_cycles"]
+
+
+def test_solvers_take_the_same_arguments():
+    names = {fn.__name__: list(inspect.signature(fn).parameters)
+             for fn in (run_ipfp, run_e_ipfp, run_d_ipfp)}
+    assert names == dict.fromkeys(
+        names, ["net", "constraints", "stop", "schedule"])
 
 
 def test_schedule_must_be_permutation():
@@ -284,7 +299,7 @@ def test_run_ipfp_desk_values(diamond_net, diamond_r3):
         nets.DIAMOND_IPFP_DIVERGENCE, abs=1e-12)
     assert report.structural_residual == pytest.approx(
         nets.DIAMOND_IPFP_STRUCTURAL_GAP, abs=1e-12)
-    assert not is_structurally_consistent(q, diamond_net, 1e-9)
+    assert not is_structurally_consistent(q, diamond_net)
 
 
 # run_e_ipfp
@@ -306,7 +321,7 @@ def test_run_e_ipfp_desk_instance(diamond_net, diamond_r3):
     assert report.termination is Termination.CONVERGED
     assert max(report.per_constraint_residuals) <= 1e-9
     q = joint_from_network(out)
-    assert is_structurally_consistent(q, diamond_net, 1e-9)
+    assert is_structurally_consistent(q, diamond_net)
     assert report.final_divergence == pytest.approx(
         nets.DIAMOND_E_DIVERGENCE, abs=1e-12)
 
@@ -332,8 +347,7 @@ def test_run_e_ipfp_structural_residual_in_gate(diamond_net, diamond_r3):
     # construction and the report carries no structural residual.
     out, report = run_e_ipfp(diamond_net, [diamond_r3])
     assert report.structural_residual is None
-    assert is_structurally_consistent(joint_from_network(out), diamond_net,
-                                      StopPolicy().epsilon)
+    assert is_structurally_consistent(joint_from_network(out), diamond_net)
 
 
 def test_monotone_residual_at_fit_time(diamond_net, diamond_r3):
@@ -357,7 +371,6 @@ def test_slow_consistent_run_is_not_flagged_oscillating(diamond_net, diamond_r3)
 def test_report_invariants(diamond_net, diamond_r3):
     _, report = run_e_ipfp(diamond_net, [diamond_r3])
     assert isinstance(report, RunReport)
-    assert report.log_base == "e"
     assert report.cycles <= StopPolicy().max_cycles
     assert all(res >= 0.0 for res in report.per_constraint_residuals)
     assert report.wall_time >= 0.0
@@ -380,7 +393,7 @@ def test_run_e_ipfp_random_instances_converge(seed):
     r = Constraint.over(net, (name,), target / target.sum())
     out, report = run_e_ipfp(net, [r])
     assert report.termination is Termination.CONVERGED
-    assert is_structurally_consistent(joint_from_network(out), net, 1e-9)
+    assert is_structurally_consistent(joint_from_network(out), net)
 
 
 def test_dense_fit_trajectories_are_pinned():

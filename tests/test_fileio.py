@@ -127,9 +127,16 @@ def test_parse_rejects_wrong_version():
         parse_network(json.dumps(doc).encode())
 
 
-def test_parse_rejects_bad_json():
+def test_parse_rejects_bad_json(chain_net):
     with pytest.raises(FormatError):
         parse_network(b"{not json")
+    # json.loads recurses once per level; past the interpreter's limit it
+    # raises RecursionError, which must surface as a FormatError.
+    deep = "[" * 100_000 + "]" * 100_000
+    with pytest.raises(FormatError, match="nests too deeply"):
+        parse_network(deep)
+    with pytest.raises(FormatError, match="nests too deeply"):
+        parse_constraints(deep, chain_net)
 
 
 def test_parse_rejects_non_utf8():
