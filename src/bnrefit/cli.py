@@ -43,7 +43,7 @@ from .core import (
 # Unused here; perfbench/tracer.py wraps this name in this module.
 from .core import extract_cpt
 from .decomposed import SubnetSizeError, run_d_ipfp
-from .dense import RunReport, Schedule, StopPolicy, Termination, run_e_ipfp, run_ipfp
+from .dense import RunReport, StopPolicy, Termination, run_e_ipfp, run_ipfp
 from .elimination import marginal
 from .fileio import (
     parse_constraints,
@@ -86,8 +86,9 @@ class DenseCeilingError(BnError):
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be positive and finite, got {text}")
     return value
 
 
@@ -133,9 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="convergence tolerance (default 1e-9)")
     run.add_argument("--max-cycles", type=_positive_int, default=10_000,
                      dest="max_cycles", help="cycle budget (default 10000)")
-    run.add_argument("--schedule", choices=["document-order", "ancestors-first"],
-                     default="document-order",
-                     help="constraint visiting order within a cycle")
     run.add_argument("--out", required=True, help="output network file")
     run.add_argument("--report", help="optional run report file")
     run.set_defaults(func=cmd_run)
@@ -203,20 +201,16 @@ def cmd_run(args: argparse.Namespace) -> int:
     net = parse_network(_read(args.network))
     constraints = parse_constraints(_read(args.constraints), net)
     stop = StopPolicy(epsilon=args.epsilon, max_cycles=args.max_cycles)
-    if args.schedule == "ancestors-first":
-        schedule = Schedule.ancestors_first(net, constraints)
-    else:
-        schedule = Schedule.document_order(len(constraints))
 
     report: RunReport
     if args.algorithm == "d-ipfp":
-        out_net, report = run_d_ipfp(net, constraints, stop, schedule)
+        out_net, report = run_d_ipfp(net, constraints, stop)
     elif args.algorithm == "e-ipfp":
         _require_dense(net, "e-ipfp")
-        out_net, report = run_e_ipfp(net, constraints, stop, schedule)
+        out_net, report = run_e_ipfp(net, constraints, stop)
     else:
         _require_dense(net, "ipfp")
-        q, report = run_ipfp(net, constraints, stop, schedule)
+        q, report = run_ipfp(net, constraints, stop)
         out_net = net if report.cycles == 0 else NetworkSpec(
             net.variables, net.parents, extract_cpts(q, net))
 

@@ -71,9 +71,9 @@ from .core import (
 )
 # Unused here; perfbench/tracer.py wraps these names in this module.
 from .core import _reextracted_product, i_divergence, joint_from_network
-from .dense import (OSCILLATION_WINDOW, RunReport, Schedule, StopPolicy,
-                    Termination, _prepared)
-from .elimination import (_ancestral, contract, cpt_factor,
+from .dense import (OSCILLATION_WINDOW, RunReport, StopPolicy, Termination,
+                    _prepared)
+from .elimination import (_ancestral, contract, cpt_factor, marginal,
                           network_divergence)
 
 logger = logging.getLogger("bnrefit")
@@ -118,11 +118,11 @@ class LocalSubnet:
                 f"subnet table has {table.ndim} axes, expected "
                 f"{len(s) + len(y)} for s={s}, y={y}"
             )
-        if np.any(table < 0.0):
-            raise ValidationError("subnet table has a negative entry")
+        if not np.all(table >= 0.0):
+            raise ValidationError("subnet table has a negative or NaN entry")
         y_axes = tuple(range(len(s), len(s) + len(y)))
         sums = table.sum(axis=y_axes)
-        if np.any(np.abs(sums - 1.0) > TAU_NORM):
+        if not np.all(np.abs(sums - 1.0) <= TAU_NORM):
             raise ValidationError(
                 "subnet table rows must sum to 1 for every outside configuration"
             )
@@ -548,11 +548,10 @@ def _nonlocal_visit(plan: _SubnetPlan, work: dict[str, Cpt], net: NetworkSpec,
 
 
 def run_d_ipfp(net: NetworkSpec, constraints: Sequence[Constraint],
-               stop: StopPolicy | None = None,
-               schedule: Schedule | None = None) -> tuple[NetworkSpec, RunReport]:
+               stop: StopPolicy | None = None) -> tuple[NetworkSpec, RunReport]:
     """Structure-preserving fit that never materializes the joint.
 
-    Each cycle visits the constraints in schedule order; a local constraint
+    Each cycle visits the constraints in list order; a local constraint
     rescales rows of one CPT, a non-local one runs the subnet iteration of
     ``_nonlocal_visit``.  Convergence is judged on CPT entries (the state
     the solver actually moves) together with the true marginal residuals
@@ -567,7 +566,7 @@ def run_d_ipfp(net: NetworkSpec, constraints: Sequence[Constraint],
     """
     t0 = time.perf_counter()
     stop = stop or StopPolicy()
-    constraints, schedule = _prepared(net, constraints, schedule)
+    constraints = _prepared(net, constraints)
 
     plans: list[_LocalPlan | _SubnetPlan] = []
     for r in constraints:
@@ -591,21 +590,12 @@ def run_d_ipfp(net: NetworkSpec, constraints: Sequence[Constraint],
                 )
             plans.append(_SubnetPlan.build(net, r, cls))
 
-    all_names = set(net.names)
-    residual_names = []
-    for r in constraints:
-        needed = _ancestral(net.parents, r.scope, all_names)
-        residual_names.append(tuple(n for n in net.names if n in needed))
-
     work: dict[str, Cpt] = dict(net.cpts)
 
     def current_residuals() -> tuple[float, ...]:
-        res = []
-        for r, names in zip(constraints, residual_names):
-            factors = [cpt_factor(work[n]) for n in names]
-            m = contract(factors, r.scope, net.rank, net.cards)
-            res.append(float(np.max(np.abs(m - r.dist.probs))))
-        return tuple(res)
+        return tuple(
+            float(np.max(np.abs(marginal(net, r.scope, work) - r.dist.probs)))
+            for r in constraints)
 
     eps = stop.epsilon
     deltas: deque[float] = deque(maxlen=OSCILLATION_WINDOW)
@@ -616,8 +606,7 @@ def run_d_ipfp(net: NetworkSpec, constraints: Sequence[Constraint],
 
     for cycle in range(1, cycles + 1):
         snapshot = dict(work)
-        for i in schedule.order:
-            plan = plans[i]
+        for plan in plans:
             if isinstance(plan, _LocalPlan):
                 work[plan.target] = _local_visit(plan, work, net)
             else:

@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import enum
 import logging
+import math
+import operator
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -83,50 +85,16 @@ class StopPolicy:
     max_cycles: int = 10_000
 
     def __post_init__(self):
-        if not (self.epsilon > 0.0):
-            raise ValidationError(f"epsilon must be positive, got {self.epsilon}")
-        if self.max_cycles < 1:
-            raise ValidationError(f"max_cycles must be >= 1, got {self.max_cycles}")
-
-
-@dataclass(frozen=True)
-class Schedule:
-    """Constraint visiting order within one cycle.
-
-    ``order`` is a permutation of constraint indices.
-    """
-
-    order: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "order", tuple(self.order))
-        if sorted(self.order) != list(range(len(self.order))):
+        if not 0.0 < self.epsilon < math.inf:
             raise ValidationError(
-                f"schedule order {self.order} is not a permutation of "
-                f"0..{len(self.order) - 1}"
-            )
-
-    @staticmethod
-    def document_order(count: int) -> "Schedule":
-        return Schedule(tuple(range(count)))
-
-    @staticmethod
-    def ancestors_first(net: NetworkSpec,
-                        constraints: Sequence[Constraint]) -> "Schedule":
-        """Visit constraints whose scopes sit higher in the DAG first.
-
-        Scopes are ordered by the topological depth of their deepest
-        member, the variable whose CPT region absorbs the constraint, so
-        upstream constraints are applied before the downstream fits that
-        must account for them.  Ties fall back to shallowest member, then
-        to position in the input list, keeping the order deterministic.
-        """
-
-        def key(i: int):
-            depths = [net.topo_depth(v) for v in constraints[i].scope]
-            return (max(depths), min(depths), i)
-
-        return Schedule(tuple(sorted(range(len(constraints)), key=key)))
+                f"epsilon must be positive and finite, got {self.epsilon}")
+        try:
+            valid = operator.index(self.max_cycles) >= 1
+        except TypeError:
+            valid = False
+        if not valid:
+            raise ValidationError(
+                f"max_cycles must be an integer >= 1, got {self.max_cycles!r}")
 
 
 @dataclass
@@ -179,28 +147,20 @@ def structural_projection(q: JointTable, net: NetworkSpec) -> JointTable:
         net.variables, _conditionals(q, net), net.parents))
 
 
-def _prepared(net: NetworkSpec, constraints: Sequence[Constraint],
-              schedule: Schedule | None) -> tuple[list[Constraint], Schedule]:
-    """``constraints`` as a validated list, and ``schedule``, which defaults
-    to document order and must cover every constraint."""
+def _prepared(net: NetworkSpec,
+              constraints: Sequence[Constraint]) -> list[Constraint]:
+    """``constraints`` as a list, each validated against ``net``."""
     constraints = list(constraints)
     for r in constraints:
         validate_constraint(net, r)
-    if schedule is None:
-        schedule = Schedule.document_order(len(constraints))
-    if len(schedule.order) != len(constraints):
-        raise ValidationError(
-            f"schedule covers {len(schedule.order)} constraints, got "
-            f"{len(constraints)}"
-        )
-    return constraints, schedule
+    return constraints
 
 
 def _run_dense(net: NetworkSpec, constraints: Sequence[Constraint],
-               stop: StopPolicy, schedule: Schedule | None,
-               structural: bool, algorithm: str) -> tuple[JointTable, RunReport]:
+               stop: StopPolicy, structural: bool,
+               algorithm: str) -> tuple[JointTable, RunReport]:
     t0 = time.perf_counter()
-    constraints, schedule = _prepared(net, constraints, schedule)
+    constraints = _prepared(net, constraints)
     q0 = q = joint_from_network(net)
     eps = stop.epsilon
     deltas: deque[float] = deque(maxlen=OSCILLATION_WINDOW)
@@ -211,8 +171,8 @@ def _run_dense(net: NetworkSpec, constraints: Sequence[Constraint],
 
     for cycle in range(1, cycles + 1):
         previous = q.probs
-        for i in schedule.order:
-            q = ipfp_step(q, constraints[i])
+        for r in constraints:
+            q = ipfp_step(q, r)
         if structural:
             q = structural_projection(q, net)
         total = float(q.probs.sum())
@@ -258,8 +218,7 @@ def _run_dense(net: NetworkSpec, constraints: Sequence[Constraint],
 
 
 def run_ipfp(net: NetworkSpec, constraints: Sequence[Constraint],
-             stop: StopPolicy | None = None,
-             schedule: Schedule | None = None) -> tuple[JointTable, RunReport]:
+             stop: StopPolicy | None = None) -> tuple[JointTable, RunReport]:
     """Fit ``net``'s joint to ``constraints`` by cycling proportional steps.
 
     Returns the fitted joint table and a report.  On convergence the table
@@ -267,13 +226,12 @@ def run_ipfp(net: NetworkSpec, constraints: Sequence[Constraint],
     usually does not factor over the network's DAG any more, and the
     report's ``structural_residual`` says by how much.
     """
-    return _run_dense(net, constraints, stop or StopPolicy(), schedule,
+    return _run_dense(net, constraints, stop or StopPolicy(),
                       structural=False, algorithm="ipfp")
 
 
 def run_e_ipfp(net: NetworkSpec, constraints: Sequence[Constraint],
-               stop: StopPolicy | None = None,
-               schedule: Schedule | None = None) -> tuple[NetworkSpec, RunReport]:
+               stop: StopPolicy | None = None) -> tuple[NetworkSpec, RunReport]:
     """Structure-preserving fit: proportional steps plus a per-cycle
     re-extraction of CPTs, so the result is a network on the same DAG.
 
@@ -281,7 +239,7 @@ def run_e_ipfp(net: NetworkSpec, constraints: Sequence[Constraint],
     every constraint within ``stop.epsilon`` when the report says
     ``CONVERGED``.
     """
-    q, report = _run_dense(net, constraints, stop or StopPolicy(), schedule,
+    q, report = _run_dense(net, constraints, stop or StopPolicy(),
                            structural=True, algorithm="e-ipfp")
     if report.cycles == 0:
         return net, report

@@ -238,6 +238,9 @@ INVARIANT_TESTS = {
     "solvers: ipfp, e-ipfp and d-ipfp take the same arguments": [
         ("test_dense", "test_solvers_take_the_same_arguments"),
     ],
+    "solvers: constraints are visited in list order": [
+        ("test_dense", "test_constraints_visited_in_list_order"),
+    ],
     "solvers: a contradictory generated instance oscillates": [
         ("test_acceptance", "test_generated_contradiction_oscillates"),
     ],

@@ -381,7 +381,14 @@ def test_exit_unknown_constraint_variable(tmp_path, chain_net):
 @pytest.mark.parametrize("argv", [
     ["run"],
     ["gen", "--seed", "-1", "--network", "n.json", "--constraints", "c.json"],
-], ids=["run-without-options", "gen-negative-seed"])
+    ["check", "--network", "n.json", "--constraints", "c.json",
+     "--epsilon", "1e999"],
+    ["run", "--network", "n.json", "--constraints", "c.json",
+     "--out", "o.json", "--algorithm", "e-ipfp", "--epsilon", "inf"],
+    ["run", "--network", "n.json", "--constraints", "c.json",
+     "--out", "o.json", "--schedule", "document-order"],
+], ids=["run-without-options", "gen-negative-seed", "check-infinite-epsilon",
+        "run-infinite-epsilon", "run-schedule-removed"])
 def test_usage_error_exits_2(capsys, argv):
     with pytest.raises(SystemExit) as err:
         cli.main(argv)

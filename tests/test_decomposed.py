@@ -73,6 +73,8 @@ def test_subnet_rows_must_normalize():
     bad = np.array([[0.5, 0.4], [0.5, 0.5]])
     with pytest.raises(ValidationError):
         LocalSubnet(("A",), ("B",), bad)
+    with pytest.raises(ValidationError):
+        LocalSubnet(("A",), (), [np.nan, np.nan])
 
 
 # build_local_subnet

@@ -13,7 +13,6 @@ from bnrefit import (
     JointTable,
     NetworkSpec,
     RunReport,
-    Schedule,
     StopPolicy,
     Termination,
     ValidationError,
@@ -39,7 +38,7 @@ def uniform_pair():
     return JointTable(decls, np.full((2, 2), 0.25))
 
 
-# StopPolicy / Schedule invariants
+# StopPolicy and the solver signatures
 
 
 def test_stop_policy_validation():
@@ -47,6 +46,13 @@ def test_stop_policy_validation():
         StopPolicy(epsilon=0.0)
     with pytest.raises(ValidationError):
         StopPolicy(max_cycles=0)
+    with pytest.raises(ValidationError):
+        StopPolicy(epsilon=float("inf"))
+    with pytest.raises(ValidationError):
+        StopPolicy(epsilon=float("nan"))
+    with pytest.raises(ValidationError):
+        StopPolicy(max_cycles=2.5)
+    assert StopPolicy(max_cycles=np.int64(3)).max_cycles == 3
 
 
 def test_stop_policy_holds_only_epsilon_and_max_cycles():
@@ -59,31 +65,23 @@ def test_solvers_take_the_same_arguments():
     names = {fn.__name__: list(inspect.signature(fn).parameters)
              for fn in (run_ipfp, run_e_ipfp, run_d_ipfp)}
     assert names == dict.fromkeys(
-        names, ["net", "constraints", "stop", "schedule"])
+        names, ["net", "constraints", "stop"])
 
 
-def test_schedule_must_be_permutation():
-    with pytest.raises(ValidationError):
-        Schedule((0, 0, 1))
-    with pytest.raises(ValidationError):
-        Schedule((1, 2))
-    assert Schedule.document_order(3).order == (0, 1, 2)
-
-
-def test_schedule_ancestors_first_sorts_by_deepest_member(diamond_net):
-    rs = [
-        nets.constraint_over(diamond_net, ("D",), [0.5, 0.5]),
-        nets.constraint_over(diamond_net, ("A",), [0.5, 0.5]),
-        nets.constraint_over(diamond_net, ("B",), [0.5, 0.5]),
-    ]
-    sched = Schedule.ancestors_first(diamond_net, rs)
-    assert sched.order == (1, 2, 0)
-
-
-def test_schedule_length_checked_against_constraints(chain_net):
-    r = nets.constraint_over(chain_net, ("B",), [0.3, 0.7])
-    with pytest.raises(ValidationError):
-        run_ipfp(chain_net, [r], schedule=Schedule((0, 1)))
+@pytest.mark.parametrize("solve", [run_ipfp, run_e_ipfp, run_d_ipfp])
+def test_constraints_visited_in_list_order(chain_net, solve):
+    # One cycle over two contradictory constraints on B: the later visit
+    # wins, whichever of the two it is.  The dense steps meet it exactly;
+    # d-ipfp's row rescaling of B's CPT only moves B's marginal toward it,
+    # since B has a parent.
+    low = nets.constraint_over(chain_net, ("B",), [0.8, 0.2])
+    high = nets.constraint_over(chain_net, ("B",), [0.1, 0.9])
+    for first, last in ((low, high), (high, low)):
+        _, report = solve(chain_net, [first, last], StopPolicy(max_cycles=1))
+        to_first, to_last = report.per_constraint_residuals
+        assert to_last < 0.2 < 0.5 < to_first
+        if solve is not run_d_ipfp:
+            assert to_last <= 1e-12
 
 
 # ipfp_step
@@ -285,8 +283,7 @@ def test_run_e_ipfp_hits_cycle_budget(diamond_net, diamond_r3):
     # One cycle cannot satisfy a non-local constraint and also settle, so a
     # budget of 1 must be reported as such, never as convergence.
     out, report = run_e_ipfp(diamond_net, [diamond_r3],
-                             StopPolicy(max_cycles=1, epsilon=1e-15),
-                             Schedule((0,)))
+                             StopPolicy(max_cycles=1, epsilon=1e-15))
     assert report.termination is Termination.MAX_CYCLES
     assert report.cycles == 1
 
