@@ -668,6 +668,41 @@ def _ratio(target: np.ndarray, current: np.ndarray,
                      where=current > 0.0)
 
 
+SQUAREM_MAX_ALPHA = -1.0
+"""Upper clamp on the SQUAREM step length; at -1 the candidate is exactly
+two plain maps, so an accepted step never falls short of them."""
+
+
+def _squarem(theta: np.ndarray, t1: np.ndarray, t2: np.ndarray,
+             row: np.ndarray) -> np.ndarray | None:
+    """SQUAREM-S3 candidate from ``theta`` and two plain maps of it
+    (Varadhan & Roland 2008, Scand. J. Stat. 35).
+
+    ``theta``, ``t1 = F(theta)`` and ``t2 = F(t1)`` are concatenated
+    conditional tables, raveled; ``row`` gives each entry's parent row,
+    rows numbered from 0 with none skipped.  The candidate
+    ``theta - 2 a r + a^2 v`` uses ``r = t1 - theta``,
+    ``v = t2 - 2 t1 + theta`` and the step length ``a = -|r|/|v|``,
+    clamped to at most ``SQUAREM_MAX_ALPHA``, and is renormalized per
+    parent row.  Returns ``None`` (reject) when ``v`` is zero, or when the
+    candidate has a negative entry or a row without mass.
+    """
+    r = t1 - theta
+    v = t2 - 2.0 * t1 + theta
+    vv = float((v * v).sum())
+    if vv == 0.0:
+        return None
+    alpha = min(-math.sqrt(float((r * r).sum()) / vv), SQUAREM_MAX_ALPHA)
+    candidate = theta - 2.0 * alpha * r + alpha * alpha * v
+    if not (candidate >= 0.0).all():
+        return None
+    sums = np.bincount(row, candidate)
+    if not sums.all():
+        return None
+    candidate /= sums[row]
+    return candidate
+
+
 def i_divergence(p: JointTable, q: JointTable) -> float:
     """I-divergence (Kullback-Leibler, natural log) of ``p`` from ``q``.
 
@@ -705,8 +740,12 @@ def validate_constraint(net: NetworkSpec, r: Constraint) -> None:
 
 def constraint_residual(q: JointTable, r: Constraint) -> float:
     """Max-abs difference between ``q``'s marginal over ``r.scope`` and ``r``."""
-    m = marginalize(q, r.scope)
-    return float(np.max(np.abs(m.probs - r.dist.probs)))
+    return _residual(marginalize(q, r.scope).probs, r)
+
+
+def _residual(current: np.ndarray, r: Constraint) -> float:
+    """``constraint_residual`` from the marginal over ``r.scope``, given."""
+    return float(np.max(np.abs(current - r.dist.probs)))
 
 
 def _outside_parents(net: NetworkSpec, members: Iterable[str]) -> tuple[str, ...]:

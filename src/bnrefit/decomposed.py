@@ -29,14 +29,15 @@ of one, so once its step falls below ``SQUAREM_GATE`` the loop accelerates
 it with gated SQUAREM (Varadhan & Roland 2008, "Simple and globally
 convergent methods for accelerating the convergence of any EM algorithm",
 Scand. J. Stat. 35, scheme S3) on the vector of member CPT entries.
-The step length is clamped to at most ``SQUAREM_MAX_ALPHA``, the candidate
-is renormalized per parent row, and a candidate with a negative entry or
-no mass on a cell the constraint needs is replaced by two plain maps.  The
-map's fixed points form a continuum, so where a visit lands depends on its
-path.  Long steps taken far from that set can land far from where plain
-maps would; the gate keeps extrapolation to the final approach, where it
-reaches a limit the plain map only crawls toward, so the result barely
-depends on the inner tolerance.
+The extrapolation arithmetic is ``core._squarem``, shared with e-ipfp: the
+step length is clamped to at most ``core.SQUAREM_MAX_ALPHA``, the
+candidate is renormalized per parent row, and a candidate with a negative
+entry or no mass on a cell the constraint needs is replaced by two plain
+maps.  The map's fixed points form a continuum, so where a visit lands
+depends on its path.  Long steps taken far from that set can land far
+from where plain maps would; the gate keeps extrapolation to the final
+approach, where it reaches a limit the plain map only crawls toward, so
+the result barely depends on the inner tolerance.
 """
 
 from __future__ import annotations
@@ -67,6 +68,7 @@ from .core import (
     _placed,
     _project,
     _ratio,
+    _squarem,
     classify_constraint,
 )
 # Unused here; perfbench/tracer.py wraps these names in this module.
@@ -421,10 +423,6 @@ SQUAREM_GATE = 1e-4
 """Plain-step size below which the non-local inner loop extrapolates;
 ungated, the first long steps moved the diamond's divergence by 5.5e-4."""
 
-SQUAREM_MAX_ALPHA = -1.0
-"""Upper clamp on the SQUAREM step length; at -1 the candidate is exactly
-two plain maps, so an accepted step never falls short of them."""
-
 
 def _extrapolated(theta: np.ndarray, t1: np.ndarray, t2: np.ndarray,
                   plan: _SubnetPlan, w: np.ndarray) -> np.ndarray | None:
@@ -432,26 +430,14 @@ def _extrapolated(theta: np.ndarray, t1: np.ndarray, t2: np.ndarray,
 
     ``theta``, ``t1 = F(theta)`` and ``t2 = F(t1)`` are concatenated
     member-CPT vectors laid out as in ``plan``; ``w`` is the raveled
-    context weight.  The candidate ``theta - 2 a r + a^2 v`` uses
-    ``r = t1 - theta``, ``v = t2 - 2 t1 + theta`` and the step length
-    ``a = -|r|/|v|``, clamped to at most ``SQUAREM_MAX_ALPHA``, and is
-    renormalized per parent row.  Returns ``None`` (reject) when the
-    candidate has a negative entry, or leaves a cell the constraint puts
+    context weight.  The candidate is ``core._squarem``'s, which clamps the
+    step length and renormalizes rows.  Returns ``None`` (reject) when that
+    rejects it, or when the candidate leaves a cell the constraint puts
     mass on without mass, where the next plain map would fail.
     """
-    r = t1 - theta
-    v = t2 - 2.0 * t1 + theta
-    vv = float((v * v).sum())
-    if vv == 0.0:
+    candidate = _squarem(theta, t1, t2, plan.row)
+    if candidate is None:
         return None
-    alpha = min(-math.sqrt(float((r * r).sum()) / vv), SQUAREM_MAX_ALPHA)
-    candidate = theta - 2.0 * alpha * r + alpha * alpha * v
-    if not (candidate >= 0.0).all():
-        return None
-    sums = np.bincount(plan.row, candidate)
-    if not sums.all():
-        return None
-    candidate /= sums[plan.row]
     cond = candidate[plan.family].prod(axis=0)
     if not np.bincount(plan.y_cell, cond * w)[plan.positive].all():
         return None
@@ -472,13 +458,13 @@ def _nonlocal_visit(plan: _SubnetPlan, work: dict[str, Cpt], net: NetworkSpec,
     below ``SQUAREM_GATE`` the loop extrapolates with SQUAREM (Varadhan &
     Roland 2008, Scand. J. Stat. 35, scheme S3) on the member-CPT vector:
     two plain maps, the candidate of ``_extrapolated`` (step length
-    clamped to at most ``SQUAREM_MAX_ALPHA``, rows renormalized), then one
-    plain map on an accepted candidate to stabilize it.  A candidate with
-    a negative entry, or without mass on a cell the constraint puts mass
-    on, is rejected and replaced by the second plain map, so
-    ``DominanceError`` only ever comes from a plain map.  An extrapolation
-    starts only when its maps fit under the cap, and the stop test is
-    always a plain map's step.
+    clamped to at most ``core.SQUAREM_MAX_ALPHA``, rows renormalized),
+    then one plain map on an accepted candidate to stabilize it.  A
+    candidate with a negative entry, or without mass on a cell the
+    constraint puts mass on, is rejected and replaced by the second plain
+    map, so ``DominanceError`` only ever comes from a plain map.  An
+    extrapolation starts only when its maps fit under the cap, and the
+    stop test is always a plain map's step.
 
     Each map is a fixed handful of calls on 1-D arrays through the plan's
     indices: the member tables live in one concatenated vector, a gather

@@ -9,6 +9,32 @@ cycle by re-extracting CPTs from the working table and replacing it with
 their product, so its answer is again a network with the original
 structure.
 
+One plain cycle is a map on the joint: a proportional step per
+constraint, in list order, then (for e-ipfp) the structural projection,
+then renormalization.  For e-ipfp that map converges linearly and can
+crawl for thousands of cycles, so once a plain map's joint step,
+``max|q_out - q_in|``, is at or below ``SQUAREM_JOINT_GATE`` the loop
+extrapolates with SQUAREM (Varadhan & Roland 2008, Scand. J. Stat. 35,
+scheme S3) on the vector of all CPT entries: two plain maps, the
+``core._squarem`` candidate from the CPTs read off the start joint and
+the two mapped joints (step length clamped to at most
+``core.SQUAREM_MAX_ALPHA``, rows renormalized), its product, then one
+plain map on that product to stabilize it.  A candidate with a negative
+entry or a row without mass is rejected, and so is one whose stabilizing
+map raises ``DominanceError``; either way the step ends on the second
+plain map's joint.  The gate stays open once the step is at or below
+epsilon, because the residuals lag behind it.  The map's fixed points
+form a continuum, and long steps taken early land elsewhere on it, so the
+gate is narrow: extrapolation only does the final approach.  ``ipfp``
+never extrapolates.
+
+Every run's ``cycles`` counts plain maps, an extrapolation's two or three
+included, so ``max_cycles`` bounds the work; an extrapolation starts only
+when all three of its maps fit in what is left of the budget.  The stop
+test and the oscillation window read the step of the last plain map only,
+never the jump of an extrapolation, and run before any extrapolation, so
+a set that the input already meets ends after one cycle.
+
 Both solvers detect three outcomes: convergence (all residuals and the
 cycle-to-cycle change within epsilon), a cycle budget running out, and
 oscillation.  Contradictory constraints make the table orbit instead of
@@ -35,6 +61,7 @@ import numpy as np
 
 from .core import (
     Constraint,
+    DominanceError,
     JointTable,
     NetworkSpec,
     ValidationError,
@@ -45,6 +72,8 @@ from .core import (
     _cpt_product,
     _ratio,
     _reextracted_product,
+    _residual,
+    _squarem,
     constraint_residual,
     extract_cpts,
     i_divergence,
@@ -101,8 +130,11 @@ class StopPolicy:
 class RunReport:
     """What a solver run did and how it ended.
 
-    ``final_divergence`` is the I-divergence of the result from the input
-    network's joint, in natural log; ``ipfp``
+    ``cycles`` counts plain maps for ``ipfp`` and ``e-ipfp``, the maps an
+    e-ipfp extrapolation runs included, and outer cycles (visits to every
+    constraint) for ``d-ipfp``; either way it is at most the policy's
+    ``max_cycles``.  ``final_divergence`` is the I-divergence of the
+    result from the input network's joint, in natural log; ``ipfp``
     and ``e-ipfp`` compute it on the dense joints, ``d-ipfp`` from the
     families it edited.  ``structural_residual`` is the max-abs gap between
     the final joint and the product of its extracted CPTs; only ``ipfp``,
@@ -120,15 +152,20 @@ class RunReport:
     termination: Termination
 
 
-def ipfp_step(q: JointTable, r: Constraint) -> JointTable:
+def ipfp_step(q: JointTable, r: Constraint, *,
+              current: np.ndarray | None = None) -> JointTable:
     """One proportional-fitting step: after it, ``q``'s marginal over
     ``r.scope`` equals ``r.dist`` exactly (up to rounding).
 
-    Cells where the current marginal and the target are both zero stay
-    zero.  A target that is positive where the marginal is zero raises
-    ``DominanceError`` naming the cell (see ``core._ratio``).
+    ``current`` is that marginal before the step, when the caller already
+    has it; by default it is summed here.  Cells where the current marginal
+    and the target are both zero stay zero.  A target that is positive
+    where the marginal is zero raises ``DominanceError`` naming the cell
+    (see ``core._ratio``).
     """
-    ratio = _ratio(r.dist.probs, marginalize(q, r.scope).probs, r.scope)
+    if current is None:
+        current = marginalize(q, r.scope).probs
+    ratio = _ratio(r.dist.probs, current, r.scope)
     axes = [q.axis(n) for n in r.scope]
     shape = q.probs.shape
     return _computed(q.scope, np.multiply(
@@ -156,38 +193,129 @@ def _prepared(net: NetworkSpec,
     return constraints
 
 
+SQUAREM_JOINT_GATE = 1e-7
+"""Plain-map joint step at or below which e-ipfp extrapolates.  Wider gates
+take long steps while the map still sweeps along its continuum of fixed
+points: at 1e-6 criterion-1 seed 9's divergence moved by 2.9e-3 relative,
+at 1e-7 by 1.2e-5."""
+
+
+@dataclass(frozen=True)
+class _Theta:
+    """Layout of the vector of every CPT entry of ``net``, families in
+    declaration order, each raveled as ``(parents..., child)``; ``row``
+    gives each entry's parent row, as ``core._squarem`` takes it."""
+
+    net: NetworkSpec
+    shapes: tuple[tuple[int, ...], ...]
+    row: np.ndarray
+
+    @staticmethod
+    def build(net: NetworkSpec) -> "_Theta":
+        shapes, row = [], []
+        rows = 0
+        for name in net.names:
+            shape = tuple(net.cardinality(v)
+                          for v in net.parents[name] + (name,))
+            size = math.prod(shape)
+            shapes.append(shape)
+            row.append(np.arange(size) // shape[-1] + rows)
+            rows += size // shape[-1]
+        return _Theta(net, tuple(shapes), np.concatenate(row))
+
+    def read(self, q: JointTable) -> np.ndarray:
+        """The CPTs ``q`` induces on the DAG, as one vector."""
+        return np.concatenate([t.ravel()
+                               for t in _conditionals(q, self.net).values()])
+
+    def joint(self, theta: np.ndarray) -> JointTable:
+        """The dense product of the CPTs in ``theta``."""
+        net = self.net
+        tables, start = {}, 0
+        for name, shape in zip(net.names, self.shapes):
+            size = math.prod(shape)
+            tables[name] = theta[start:start + size].reshape(shape)
+            start += size
+        return _computed(net.variables,
+                         _cpt_product(net.variables, tables, net.parents))
+
+
+def _plain_map(q: JointTable, constraints: Sequence[Constraint],
+               net: NetworkSpec, structural: bool,
+               current: np.ndarray | None) -> JointTable:
+    """One plain cycle: a proportional step per constraint in list order,
+    the structural projection when ``structural``, then renormalization.
+    ``current``, when given, is ``q``'s marginal over the first
+    constraint's scope."""
+    q = ipfp_step(q, constraints[0], current=current)
+    for r in constraints[1:]:
+        q = ipfp_step(q, r)
+    if structural:
+        q = structural_projection(q, net)
+    total = float(q.probs.sum())
+    if total != 1.0:
+        # Drift is a few ulp per cycle; correct it in the open.
+        logger.debug("renormalizing, sum off by %.3e", total - 1.0)
+        q = _computed(q.scope, q.probs / total)
+    return q
+
+
+def _step(q: JointTable, previous: JointTable) -> float:
+    """Max-abs cell change from ``previous`` to ``q``."""
+    diff = q.probs - previous.probs
+    return float(np.max(np.abs(diff, out=diff)))
+
+
 def _run_dense(net: NetworkSpec, constraints: Sequence[Constraint],
                stop: StopPolicy, structural: bool,
                algorithm: str) -> tuple[JointTable, RunReport]:
     t0 = time.perf_counter()
     constraints = _prepared(net, constraints)
     q0 = q = joint_from_network(net)
+    layout = _Theta.build(net) if structural else None
     eps = stop.epsilon
     deltas: deque[float] = deque(maxlen=OSCILLATION_WINDOW)
     worsts: deque[float] = deque(maxlen=OSCILLATION_WINDOW)
     termination = Termination.MAX_CYCLES if constraints else Termination.CONVERGED
-    cycles = stop.max_cycles if constraints else 0
+    budget = stop.max_cycles if constraints else 0
     residuals: tuple[float, ...] = ()
+    cycles = 0
+    gate_open = False
+    current = None
 
-    for cycle in range(1, cycles + 1):
-        previous = q.probs
-        for r in constraints:
-            q = ipfp_step(q, r)
-        if structural:
-            q = structural_projection(q, net)
-        total = float(q.probs.sum())
-        if total != 1.0:
-            # Drift is a few ulp per cycle; correct it in the open.
-            logger.debug("cycle %d: renormalizing, sum off by %.3e",
-                         cycle, total - 1.0)
-            q = _computed(q.scope, q.probs / total)
+    while cycles < budget:
+        # An extrapolation maps q twice, reading the CPTs off each joint
+        # before dropping it, then maps the product of the candidate.
+        extrapolate = gate_open and cycles + 3 <= budget
+        if extrapolate:
+            theta0 = layout.read(q)
+            q = _plain_map(q, constraints, net, True, current)
+            theta1 = layout.read(q)
+            current = None
+        previous, q = q, _plain_map(q, constraints, net, structural, current)
+        delta, maps = _step(q, previous), 2 if extrapolate else 1
+        del previous
+        if extrapolate:
+            theta2 = layout.read(q)
+            candidate = _squarem(theta0, theta1, theta2, layout.row)
+            if candidate is not None:
+                q = layout.joint(candidate)
+                try:
+                    previous, q = q, _plain_map(q, constraints, net, True,
+                                                None)
+                except DominanceError:
+                    q = layout.joint(theta2)
+                else:
+                    delta, maps = _step(q, previous), 3
+                    del previous
+        cycles += maps
 
-        delta = float(np.max(np.abs(q.probs - previous)))
-        residuals = tuple(constraint_residual(q, r) for r in constraints)
+        current = marginalize(q, constraints[0].scope).probs
+        residuals = (_residual(current, constraints[0]),) + tuple(
+            constraint_residual(q, r) for r in constraints[1:])
         worst = max(residuals)
         if worst <= eps and delta <= eps:
             termination = Termination.CONVERGED
-            cycles = cycle
             break
         deltas.append(delta)
         worsts.append(worst)
@@ -198,11 +326,11 @@ def _run_dense(net: NetworkSpec, constraints: Sequence[Constraint],
                 "cycle %d: deltas plateaued near %.3e and max residual stuck "
                 "near %.3e; constraints look contradictory, stopping as "
                 "oscillating",
-                cycle, delta, worst,
+                cycles, delta, worst,
             )
             termination = Termination.OSCILLATING
-            cycles = cycle
             break
+        gate_open = structural and delta <= SQUAREM_JOINT_GATE
 
     report = RunReport(
         algorithm=algorithm,

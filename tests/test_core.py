@@ -29,6 +29,7 @@ from bnrefit import (
     marginalize,
     validate_constraint,
 )
+from bnrefit.core import _squarem
 from bnrefit.generate import random_network
 
 
@@ -287,6 +288,53 @@ def test_perturbed_v_structure_joint_is_inconsistent():
 
 
 # constraint_residual and validation
+
+
+# SQUAREM-S3 candidate shared by e-ipfp and d-ipfp.  All inputs are binary
+# fractions, so the arithmetic below is exact.
+
+ONE_ROW = np.array([0, 0])
+
+
+def test_squarem_clamped_step_returns_second_map():
+    # |r| / |v| = 1/4, so the step length clamps to -1, where the candidate
+    # is exactly t2.
+    theta, t1, t2 = (np.array(x) for x in
+                     ([0.5, 0.5], [0.625, 0.375], [0.25, 0.75]))
+    candidate = _squarem(theta, t1, t2, ONE_ROW)
+    assert candidate is not None
+    assert np.array_equal(candidate, t2)
+
+
+def test_squarem_rejects_negative_entry():
+    # A geometric sequence 0.5, 0.8, 0.95 extrapolates to its limit 1.1,
+    # which leaves the row's other entry at -0.1.
+    theta, t1, t2 = (np.array(x) for x in
+                     ([0.5, 0.5], [0.8, 0.2], [0.95, 0.05]))
+    assert _squarem(theta, t1, t2, ONE_ROW) is None
+
+
+def test_squarem_rejects_row_without_mass():
+    # The second parent row is zero in every input, so the candidate's is
+    # too and cannot be renormalized.
+    theta, t1, t2 = (np.array(x) for x in ([0.5, 0.5, 0.0, 0.0],
+                                           [0.625, 0.375, 0.0, 0.0],
+                                           [0.25, 0.75, 0.0, 0.0]))
+    assert _squarem(theta, t1, t2, np.array([0, 0, 1, 1])) is None
+
+
+def test_squarem_rows_are_renormalized():
+    # Inputs whose rows are off by a few percent give a candidate whose
+    # every parent row sums to one; a zero-variance input is rejected.
+    row = np.array([0, 0, 0, 1, 1])
+    theta = np.array([0.2, 0.3, 0.5, 0.5, 0.5])
+    t1 = np.array([0.25, 0.3, 0.5, 0.6, 0.4]) * 1.02
+    t2 = np.array([0.27, 0.3, 0.45, 0.65, 0.35]) * 0.97
+    candidate = _squarem(theta, t1, t2, row)
+    assert candidate is not None
+    assert candidate.min() >= 0.0
+    assert np.max(np.abs(np.bincount(row, candidate) - 1.0)) <= 1e-12
+    assert _squarem(theta, theta, theta, row) is None
 
 
 def test_residual_zero_when_satisfied(chain_net):

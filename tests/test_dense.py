@@ -402,8 +402,56 @@ def test_dense_fit_trajectories_are_pinned():
     _, i_rep = run_ipfp(net, constraints)
     assert e_rep.termination is Termination.CONVERGED
     assert i_rep.termination is Termination.CONVERGED
-    assert (e_rep.cycles, i_rep.cycles) == (68, 9)
-    assert e_rep.final_divergence == pytest.approx(0.011291853300081181,
+    assert (e_rep.cycles, i_rep.cycles) == (15, 9)
+    assert e_rep.final_divergence == pytest.approx(0.011291853273630184,
                                                    abs=1e-12)
     assert i_rep.final_divergence == pytest.approx(0.011095154935745748,
                                                    abs=1e-12)
+
+
+def test_step_with_given_marginal_is_bit_identical(diamond_net, diamond_r3):
+    q = joint_from_network(diamond_net)
+    current = marginalize(q, diamond_r3.scope).probs
+    assert np.array_equal(ipfp_step(q, diamond_r3, current=current).probs,
+                          ipfp_step(q, diamond_r3).probs)
+
+
+def test_run_e_ipfp_budget_bounds_extrapolated_maps():
+    # The criterion-6 instance ends on its cycle budget while plain maps
+    # still crawl; on the dense-fit instance the gate opens after map 6, so
+    # budgets from 7 up cover an extrapolation that does not fit, one that
+    # fits exactly, and one followed by a plain map.
+    net, constraints = generate_instance(0)
+    _, report = run_e_ipfp(net, constraints, StopPolicy(max_cycles=5))
+    assert report.termination is Termination.MAX_CYCLES
+    assert report.cycles == 5
+    net, constraints = generate_instance(0, n_nodes=16, num_constraints=6)
+    for budget in (7, 8, 9, 10):
+        _, report = run_e_ipfp(net, constraints,
+                               StopPolicy(max_cycles=budget))
+        assert report.termination is Termination.MAX_CYCLES
+        assert report.cycles == budget
+
+
+def test_run_e_ipfp_falls_back_when_candidate_map_fails(
+        monkeypatch, diamond_net, diamond_r3):
+    # A candidate that takes all mass off A=1, where the constraint over
+    # (A, D) needs some, makes its stabilizing map raise DominanceError;
+    # each extrapolation then ends on its second plain map, so the run
+    # still converges, near the plain map's own limit.
+    from bnrefit import dense
+    calls = []
+
+    def failing(theta, t1, t2, row):
+        calls.append(1)
+        candidate = t2.copy()
+        candidate[:2] = (1.0, 0.0)  # A's table comes first
+        return candidate
+
+    monkeypatch.setattr(dense, "_squarem", failing)
+    _, report = run_e_ipfp(diamond_net, [diamond_r3])
+    assert calls
+    assert report.termination is Termination.CONVERGED
+    assert max(report.per_constraint_residuals) <= 1e-9
+    assert report.final_divergence == pytest.approx(
+        nets.DIAMOND_E_DIVERGENCE, abs=1e-8)
