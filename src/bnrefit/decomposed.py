@@ -13,7 +13,11 @@ The marginal a constraint is matched against is always the network's true
 marginal ``Q(y)``, obtained by variable elimination; inside a subnet it is
 computed from the factored form ``cond(y | s) * w(y, s)``, where ``w`` is
 the contraction of every CPT outside ``Y`` onto ``S`` and ``Y``.  ``w``
-does not change while only ``Y``'s tables are updated.
+does not change while only ``Y``'s tables are updated.  The DAG and every
+scope stay fixed for a run, so each of these contractions (a non-local
+constraint's ``w``, a local constraint's parent marginal, each residual
+marginal) is planned once per run (``elimination.plan_contraction``), and
+a visit only executes its plan.
 
 Subnets are small (a few dozen cells) but their inner loops run for
 thousands of iterations, so per-call overhead, not arithmetic, sets the
@@ -75,8 +79,8 @@ from .core import (
 from .core import _reextracted_product, i_divergence, joint_from_network
 from .dense import (OSCILLATION_WINDOW, RunReport, StopPolicy, Termination,
                     _prepared)
-from .elimination import (_ancestral, contract, cpt_factor, marginal,
-                          network_divergence)
+from .elimination import (Contraction, contract, network_divergence,
+                          plan_cpt_contraction)
 
 logger = logging.getLogger("bnrefit")
 
@@ -200,14 +204,18 @@ def local_update(cpt: Cpt, r: Constraint, net: NetworkSpec,
         )
     working = dict(cpts if cpts is not None else net.cpts)
     working[cpt.child] = cpt
-    return _local_visit(_LocalPlan.build(net, r, cls), working, net)
+    return _local_visit(_LocalPlan.build(net, r, cls), working)
 
 
 @dataclass
 class _LocalPlan:
+    """One local constraint, compiled once per run: ``qpi`` contracts the
+    CPTs of ``ancestral`` onto the target's parents."""
+
     target: str
     parents: tuple[str, ...]
     ancestral: tuple[str, ...]
+    qpi: Contraction
     y_order: tuple[str, ...]
     y_axes: tuple[int, ...]
     target_table: np.ndarray
@@ -215,24 +223,21 @@ class _LocalPlan:
     @staticmethod
     def build(net: NetworkSpec, r: Constraint, cls: Local) -> "_LocalPlan":
         parents = net.parents[cls.target]
-        needed = _ancestral(net.parents, parents, set(net.names))
-        ancestral = tuple(n for n in net.names if n in needed)
+        ancestral, qpi = plan_cpt_contraction(net, parents)
         in_z = set(cls.constrained_parents)
         y_order = tuple(p for p in parents if p in in_z) + (cls.target,)
         y_axes = tuple(
             [parents.index(p) for p in y_order[:-1]] + [len(parents)]
         )
-        return _LocalPlan(cls.target, parents, ancestral, y_order, y_axes,
-                          _aligned_target(r, y_order))
+        return _LocalPlan(cls.target, parents, ancestral, qpi, y_order,
+                          y_axes, _aligned_target(r, y_order))
 
 
-def _local_visit(plan: _LocalPlan, work: Mapping[str, Cpt],
-                 net: NetworkSpec) -> Cpt:
+def _local_visit(plan: _LocalPlan, work: Mapping[str, Cpt]) -> Cpt:
     cpt = work[plan.target]
     ndim = len(plan.parents) + 1
     if plan.parents:
-        factors = [cpt_factor(work[name]) for name in plan.ancestral]
-        qpi = contract(factors, plan.parents, net.rank, net.cards)
+        qpi = contract(plan.qpi, [work[name].table for name in plan.ancestral])
         joint = qpi[..., None] * cpt.table
     else:
         joint = cpt.table
@@ -284,26 +289,24 @@ def nonlocal_update(sub: LocalSubnet, r: Constraint,
     return LocalSubnet(sub.y, sub.s, new)
 
 
-def _outside_names(net: NetworkSpec, y: tuple[str, ...],
-                   s: tuple[str, ...]) -> tuple[str, ...]:
-    """Variables outside ``y`` whose CPTs can influence a weight over
-    ``(*s, *y)``, in declaration order."""
-    needed = _ancestral(net.parents, s + y, set(net.names) - set(y))
-    return tuple(name for name in net.names if name in needed)
+def _outside_plan(net: NetworkSpec, y: tuple[str, ...], s: tuple[str, ...]
+                  ) -> tuple[tuple[str, ...], Contraction]:
+    """The variables outside ``y`` whose CPTs can influence a weight over
+    ``(*s, *y)``, in declaration order, and the plan contracting them
+    onto ``(*s, *y)``."""
+    return plan_cpt_contraction(net, s + y, set(net.names) - set(y))
 
 
-def _outside_weight(net: NetworkSpec, outside: tuple[str, ...],
-                    keep: tuple[str, ...],
+def _outside_weight(plan: Contraction, outside: tuple[str, ...],
                     cpts: Mapping[str, Cpt]) -> np.ndarray:
-    """Contraction of the CPTs of ``outside`` onto ``keep`` = ``(*s, *y)``.
+    """Contraction of the CPTs of ``outside`` onto ``(*s, *y)``.
 
-    With ``outside`` from ``_outside_names``, pairing this weight with a
-    conditional table for ``y`` gives the exact joint marginal over ``s``
-    and ``y``; it only involves tables of variables outside ``y``, so it
-    is invariant while ``y``'s CPTs move.
+    With ``outside`` and ``plan`` from ``_outside_plan``, pairing this
+    weight with a conditional table for ``y`` gives the exact joint
+    marginal over ``s`` and ``y``; it only involves tables of variables
+    outside ``y``, so it is invariant while ``y``'s CPTs move.
     """
-    factors = [cpt_factor(cpts[name]) for name in outside]
-    return contract(factors, keep, net.rank, net.cards)
+    return contract(plan, [cpts[name].table for name in outside])
 
 
 def extract_subnet_cpts(sub: LocalSubnet, net: NetworkSpec,
@@ -327,7 +330,8 @@ def extract_subnet_cpts(sub: LocalSubnet, net: NetworkSpec,
         )
     table = cpts if cpts is not None else net.cpts
     sy = sub.s + sub.y
-    w = _outside_weight(net, _outside_names(net, sub.y, sub.s), sy, table)
+    names, plan = _outside_plan(net, sub.y, sub.s)
+    w = _outside_weight(plan, names, table)
     joint = sub.cond_table * w
     out: dict[str, Cpt] = {}
     for child in sub.y:
@@ -355,8 +359,8 @@ class _SubnetPlan:
     - ``positive`` and ``target``: the raveled ``y`` cells where the
       constraint is positive, and its values there.
 
-    ``outside`` names the CPTs the context weight contracts
-    (``_outside_names``).
+    ``outside`` names the CPTs the context weight contracts, and
+    ``weight`` is that contraction's plan (``_outside_plan``).
 
     Every ``y`` and ``s`` configuration and every member-table entry occurs
     among the cells, so each ``bincount`` comes out at full length.
@@ -365,6 +369,7 @@ class _SubnetPlan:
     y: tuple[str, ...]
     s: tuple[str, ...]
     outside: tuple[str, ...]
+    weight: Contraction
     y_shape: tuple[int, ...]
     members: tuple[tuple[str, tuple[str, ...], tuple[int, ...]], ...]
     y_cell: np.ndarray
@@ -404,9 +409,11 @@ class _SubnetPlan:
             rows += size // card
         target = _aligned_target(r, y).ravel()
         positive = np.flatnonzero(target > 0.0)
+        outside, weight = _outside_plan(net, y, s)
         return _SubnetPlan(
             y=y, s=s,
-            outside=_outside_names(net, y, s),
+            outside=outside,
+            weight=weight,
             y_shape=shape[len(s):],
             members=tuple(members),
             y_cell=cells(y),
@@ -451,8 +458,10 @@ def _nonlocal_visit(plan: _SubnetPlan, work: dict[str, Cpt], net: NetworkSpec,
     The plain map ``F`` is a proportional step on the subnet conditional
     followed by re-extraction of the member CPTs; the loop stops once a
     plain step moves the conditional by at most ``inner_epsilon``, or
-    after ``inner_cap`` plain maps.  The context weight is computed once;
-    it only involves outside CPTs.
+    after ``inner_cap`` plain maps.  The context weight is computed once,
+    by the plan's compiled contraction; it only involves outside CPTs.
+    ``net`` is not read: it stays so that ``inner_cap`` remains the fifth
+    positional argument, where ``perfbench/tracer.py`` reads it.
 
     ``F`` alone converges linearly and slowly, so once a plain step falls
     below ``SQUAREM_GATE`` the loop extrapolates with SQUAREM (Varadhan &
@@ -472,7 +481,7 @@ def _nonlocal_visit(plan: _SubnetPlan, work: dict[str, Cpt], net: NetworkSpec,
     ``y`` marginal, the per-``s`` row mass and the re-extracted member
     tables.  ``Cpt`` objects are built only once the loop settles.
     """
-    w = _outside_weight(net, plan.outside, plan.s + plan.y, work).ravel()
+    w = _outside_weight(plan.weight, plan.outside, work).ravel()
     family = plan.family.ravel()
     refit = np.empty(plan.family.shape)
     ratio = np.zeros(math.prod(plan.y_shape))
@@ -541,10 +550,11 @@ def run_d_ipfp(net: NetworkSpec, constraints: Sequence[Constraint],
     rescales rows of one CPT, a non-local one runs the subnet iteration of
     ``_nonlocal_visit``.  Convergence is judged on CPT entries (the state
     the solver actually moves) together with the true marginal residuals
-    from variable elimination.  The report's divergence comes from the
-    edited families alone (``network_divergence``), at any network size.
-    Its structural residual is ``None``: the result is a network on the
-    input's DAG, so it factors over that DAG by construction.
+    from variable elimination, each planned once per run.  The report's
+    divergence comes from the edited families alone
+    (``network_divergence``), at any network size.  Its structural
+    residual is ``None``: the result is a network on the input's DAG, so
+    it factors over that DAG by construction.
 
     A non-local visit stops its inner loop at ``stop.epsilon`` or after
     ``INNER_MAX_ITERATIONS`` plain maps; a constraint spanning more than
@@ -576,12 +586,15 @@ def run_d_ipfp(net: NetworkSpec, constraints: Sequence[Constraint],
                 )
             plans.append(_SubnetPlan.build(net, r, cls))
 
+    queries = [plan_cpt_contraction(net, r.scope) for r in constraints]
     work: dict[str, Cpt] = dict(net.cpts)
 
     def current_residuals() -> tuple[float, ...]:
         return tuple(
-            float(np.max(np.abs(marginal(net, r.scope, work) - r.dist.probs)))
-            for r in constraints)
+            float(np.max(np.abs(
+                contract(plan, [work[name].table for name in names])
+                - r.dist.probs)))
+            for r, (names, plan) in zip(constraints, queries))
 
     eps = stop.epsilon
     deltas: deque[float] = deque(maxlen=OSCILLATION_WINDOW)
@@ -594,7 +607,7 @@ def run_d_ipfp(net: NetworkSpec, constraints: Sequence[Constraint],
         snapshot = dict(work)
         for plan in plans:
             if isinstance(plan, _LocalPlan):
-                work[plan.target] = _local_visit(plan, work, net)
+                work[plan.target] = _local_visit(plan, work)
             else:
                 _nonlocal_visit(plan, work, net, eps, INNER_MAX_ITERATIONS)
 

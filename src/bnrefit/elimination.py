@@ -2,35 +2,200 @@
 
 The full joint is never materialized: factors are multiplied together only
 as variables are summed out, so the work is bounded by the largest
-intermediate factor rather than by the table over all variables.  On the
-sparse graphs this package targets, a greedy smallest-intermediate ordering
-keeps those factors small.
+intermediate factor rather than by the table over all variables.
+
+A contraction is split into a plan and its execution.  The plan
+(``plan_contraction``) depends only on the factors' scopes, the kept
+variables, the declaration ranks and the cardinalities, so a caller whose
+structure stays fixed builds it once and executes it on every call with
+new tables.  The order is greedy: eliminate next the hidden variable whose
+intermediate (the union of the factors holding it, less itself) has the
+fewest cells, ties going to the lower declaration rank.  On the sparse
+graphs this package targets, that keeps the intermediates small.  The rule
+is scored incrementally, as in bucket elimination (Dechter 1999, "Bucket
+elimination: a unifying framework for reasoning", Artif. Intell. 113):
+each variable keeps the set of live factors that hold it, and eliminating
+``v`` re-scores only ``v``'s neighbours, the variables whose factor sets it
+changed.  Each step stores its factor group, in the order the factors were
+made, the transpose and reshape that place each pairwise product's two
+operands in their rank-sorted union layout, and the axis summed out.
+
+Execution (``contract``) only applies those views, multiplies and sums, in
+the plan's order; it looks at no variable names.  A plan executed on given
+tables performs the same floating-point operations as an elimination that
+chose its order on the fly by the same rule, so results do not depend on
+when the plan was made.
+
+The solvers build their plans with the objects that live for one run
+(``decomposed._LocalPlan``, ``decomposed._SubnetPlan`` and the residual
+plans of ``run_d_ipfp``); ``marginal`` and ``network_divergence`` build a
+plan and run it once.  Nothing is cached at module level.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Container, Mapping, Sequence
 
 import numpy as np
 
-from .core import Cpt, NetworkSpec, ScopeError, _placed
+from .core import Cpt, NetworkSpec, ScopeError
+
+_View = tuple[tuple[int, ...], tuple[int, ...]]
+"""A transpose order and the shape its result is reshaped to."""
+
+
+def _view(scope: tuple[str, ...], layout: tuple[str, ...],
+          cards: Mapping[str, int]) -> _View:
+    """The view placing a table over ``scope`` on the axes of ``layout``.
+
+    The table's axes are permuted into ``layout`` order, then reshaped with
+    a length-one axis for every ``layout`` variable it lacks (as
+    ``core._placed`` does), so it broadcasts against any table laid out
+    over ``layout``.
+    """
+    axes = [layout.index(v) for v in scope]
+    shape = [1] * len(layout)
+    for a, v in zip(axes, scope):
+        shape[a] = cards[v]
+    return tuple(sorted(range(len(axes)), key=axes.__getitem__)), tuple(shape)
+
+
+def _apply(table: np.ndarray, view: _View) -> np.ndarray:
+    order, shape = view
+    return table.transpose(order).reshape(shape)
 
 
 @dataclass(frozen=True, eq=False)
-class Factor:
-    """A nonnegative table over an ordered tuple of variables."""
+class _Step:
+    """Eliminate ``var``: multiply the factors in ``group`` left to right,
+    the ``k``-th product placing its two operands by ``views[k]``, then sum
+    out ``axis``.  The result takes the next factor slot."""
 
-    vars: tuple[str, ...]
-    table: np.ndarray = field(repr=False)
+    var: str
+    group: tuple[int, ...]
+    views: tuple[tuple[_View, _View], ...]
+    axis: int
 
 
-def cpt_factor(cpt: Cpt) -> Factor:
-    return Factor(cpt.parent_order + (cpt.child,), cpt.table)
+@dataclass(frozen=True, eq=False)
+class Contraction:
+    """A compiled elimination: which factors to multiply and sum, in order.
+
+    Factor slots ``0 .. n_inputs - 1`` are the input tables, in the order
+    given to ``plan_contraction``; each step appends one more.  ``final``
+    lists the factors left at the end, in slot order, each with its view
+    onto the ``keep`` axes, or ``None`` for a scalar factor.
+    """
+
+    keep: tuple[str, ...]
+    shape: tuple[int, ...]
+    n_inputs: int
+    steps: tuple[_Step, ...]
+    final: tuple[tuple[int, _View | None], ...]
+
+    @property
+    def order(self) -> tuple[str, ...]:
+        """The hidden variables in the order they are summed out."""
+        return tuple(step.var for step in self.steps)
+
+
+def plan_contraction(scopes: Sequence[Sequence[str]], keep: Sequence[str],
+                     rank: Mapping[str, int],
+                     cards: Mapping[str, int]) -> Contraction:
+    """Compile the contraction of factors over ``scopes`` onto ``keep``.
+
+    Every variable that some scope mentions and ``keep`` does not is summed
+    out, greedily: next comes the one whose intermediate factor, over the
+    union of the live factors that hold it less itself, has the fewest
+    cells, ties going to the lower ``rank``.  Each hidden variable's score
+    is kept, and only the eliminated variable's neighbours are re-scored
+    after a step, so each step picks the same variable as rescanning every
+    hidden variable against every factor would.
+    """
+    keep = tuple(keep)
+    scopes = [tuple(s) for s in scopes]
+    live = dict(enumerate(scopes))
+    holders: dict[str, set[int]] = {}
+    for i, scope in live.items():
+        for v in scope:
+            holders.setdefault(v, set()).add(i)
+    kept = set(keep)
+
+    def score(v: str) -> tuple[int, int]:
+        union: set[str] = set()
+        for f in holders[v]:
+            union.update(live[f])
+        union.discard(v)
+        size = 1
+        for u in union:
+            size *= cards[u]
+        return size, rank[v]
+
+    scores = {v: score(v) for v in holders if v not in kept}
+    steps: list[_Step] = []
+    while scores:
+        v = min(scores, key=scores.__getitem__)
+        del scores[v]
+        group = tuple(sorted(holders.pop(v)))
+        views = []
+        prod = live.pop(group[0])
+        for f in group[1:]:
+            scope = live.pop(f)
+            union = tuple(sorted(set(prod).union(scope), key=rank.__getitem__))
+            views.append((_view(prod, union, cards), _view(scope, union, cards)))
+            prod = union
+        axis = prod.index(v)
+        steps.append(_Step(v, group, tuple(views), axis))
+        slot = len(scopes) + len(steps) - 1
+        live[slot] = prod[:axis] + prod[axis + 1:]
+        for u in live[slot]:
+            holders[u].difference_update(group)
+            holders[u].add(slot)
+            if u in scores:
+                scores[u] = score(u)
+
+    return Contraction(
+        keep=keep,
+        shape=tuple(cards[v] for v in keep),
+        n_inputs=len(scopes),
+        steps=tuple(steps),
+        final=tuple((f, _view(scope, keep, cards) if scope else None)
+                    for f, scope in sorted(live.items())),
+    )
+
+
+def contract(plan: Contraction, tables: Sequence[np.ndarray]) -> np.ndarray:
+    """Execute ``plan`` on ``tables``: sum its hidden variables out of their
+    product.
+
+    ``tables[i]`` is the factor over the plan's ``i``-th scope.  Returns the
+    table with axes in ``plan.keep`` order; kept variables that appear in
+    no factor broadcast as constant axes.  The result is not normalized; it
+    is whatever the factor product sums to.  Nothing is chosen here: the
+    call applies the plan's views, multiplies and sums, in the plan's order.
+    """
+    slots = list(tables)
+    if len(slots) != plan.n_inputs:
+        raise ScopeError(
+            f"contraction plan takes {plan.n_inputs} tables, got {len(slots)}")
+    for step in plan.steps:
+        prod = slots[step.group[0]]
+        for f, (a, b) in zip(step.group[1:], step.views):
+            prod = _apply(prod, a) * _apply(slots[f], b)
+        slots.append(prod.sum(axis=step.axis))
+    out = np.ones(plan.shape)
+    scale = 1.0
+    for f, view in plan.final:
+        if view is None:
+            scale *= float(slots[f])
+        else:
+            out = out * _apply(slots[f], view)
+    return out * scale
 
 
 def _ancestral(parents: Mapping[str, tuple[str, ...]], targets: Sequence[str],
-               have: set[str]) -> set[str]:
+               have: Container[str]) -> set[str]:
     """Children in ``have`` whose CPTs can influence a marginal over ``targets``.
 
     A conditional table sums to one over its own variable, so the CPT of a
@@ -53,67 +218,19 @@ def _ancestral(parents: Mapping[str, tuple[str, ...]], targets: Sequence[str],
     return needed
 
 
-def _multiply(a: Factor, b: Factor, rank: Mapping[str, int]) -> Factor:
-    union = tuple(sorted(set(a.vars) | set(b.vars), key=rank.__getitem__))
-    pos = {v: i for i, v in enumerate(union)}
-    ta = _placed(a.table, [pos[v] for v in a.vars], len(union))
-    tb = _placed(b.table, [pos[v] for v in b.vars], len(union))
-    return Factor(union, ta * tb)
+def plan_cpt_contraction(net: NetworkSpec, keep: Sequence[str],
+                         have: Container[str] | None = None
+                         ) -> tuple[tuple[str, ...], Contraction]:
+    """The CPTs a contraction onto ``keep`` needs, and its plan.
 
-
-def _sum_out(f: Factor, name: str) -> Factor:
-    ax = f.vars.index(name)
-    return Factor(f.vars[:ax] + f.vars[ax + 1:], f.table.sum(axis=ax))
-
-
-def contract(factors: Sequence[Factor], keep: Sequence[str],
-             rank: Mapping[str, int],
-             cards: Mapping[str, int]) -> np.ndarray:
-    """Sum all variables not in ``keep`` out of the factor product.
-
-    Returns the resulting table with axes in ``keep`` order.  Variables of
-    ``keep`` that appear in no factor broadcast as constant axes.  The
-    result is not normalized; it is whatever the factor product sums to.
+    The CPTs are those of ``_ancestral(net.parents, keep, have)`` (``have``
+    defaults to every variable), in declaration order; the plan takes their
+    tables in that order, each over its parents then its child.
     """
-    keep = tuple(keep)
-    work = list(factors)
-    mentioned: set[str] = set()
-    for f in work:
-        mentioned.update(f.vars)
-    hidden = sorted(mentioned - set(keep), key=rank.__getitem__)
-
-    while hidden:
-        best = None
-        for v in hidden:
-            group_vars: set[str] = set()
-            for f in work:
-                if v in f.vars:
-                    group_vars.update(f.vars)
-            size = 1
-            for g in group_vars - {v}:
-                size *= cards[g]
-            key = (size, rank[v])
-            if best is None or key < best[0]:
-                best = (key, v)
-        v = best[1]
-        group = [f for f in work if v in f.vars]
-        work = [f for f in work if v not in f.vars]
-        prod = group[0]
-        for f in group[1:]:
-            prod = _multiply(prod, f, rank)
-        work.append(_sum_out(prod, v))
-        hidden.remove(v)
-
-    shape = tuple(cards[v] for v in keep)
-    pos = {v: i for i, v in enumerate(keep)}
-    out = np.ones(shape)
-    scale = 1.0
-    for f in work:
-        if f.vars:
-            out = out * _placed(f.table, [pos[v] for v in f.vars], len(keep))
-        else:
-            scale *= float(f.table)
-    return out * scale
+    needed = _ancestral(net.parents, keep, net.rank if have is None else have)
+    names = tuple(sorted(needed, key=net.rank.__getitem__))
+    return names, plan_contraction(
+        [net.parents[n] + (n,) for n in names], keep, net.rank, net.cards)
 
 
 def marginal(net: NetworkSpec, targets: Sequence[str],
@@ -123,7 +240,10 @@ def marginal(net: NetworkSpec, targets: Sequence[str],
     ``cpts`` overrides the network's tables (same children and parent
     orders), which lets a solver query marginals of its working state
     without rebuilding the network object.  Only CPTs of the targets'
-    ancestors enter the contraction; the rest sum out to one.
+    ancestors enter the contraction; the rest sum out to one.  The
+    elimination order is planned here and the plan executed once; a caller
+    that repeats a query on changing tables keeps the plan of
+    ``plan_cpt_contraction`` instead.
     """
     targets = tuple(targets)
     for t in targets:
@@ -132,9 +252,8 @@ def marginal(net: NetworkSpec, targets: Sequence[str],
     if len(set(targets)) != len(targets):
         raise ScopeError(f"marginal targets repeat a variable: {targets}")
     table = cpts if cpts is not None else net.cpts
-    needed = _ancestral(net.parents, targets, set(net.names))
-    factors = [cpt_factor(table[name]) for name in net.names if name in needed]
-    return contract(factors, targets, net.rank, net.cards)
+    names, plan = plan_cpt_contraction(net, targets)
+    return contract(plan, [table[n].table for n in names])
 
 
 def network_divergence(p: NetworkSpec, q: NetworkSpec) -> float:
@@ -143,10 +262,11 @@ def network_divergence(p: NetworkSpec, q: NetworkSpec) -> float:
     Both networks must declare the same variables and parents.  By the
     chain rule the divergence is the sum over families of
     ``P(pa) * KL(P(.|pa) || Q(.|pa))``, so only families whose CPT differs
-    contribute, each needing one marginal of ``p`` over its parents.  Cells
-    where ``P(pa) * p(v|pa)`` is zero contribute nothing, even when ``q``'s
-    entry is zero there; the result is infinite only where ``p`` has mass
-    that ``q`` lacks, exactly as for the dense joints.
+    contribute, each needing one marginal of ``p`` over its parents, planned
+    and executed once.  Cells where ``P(pa) * p(v|pa)`` is zero contribute
+    nothing, even when ``q``'s entry is zero there; the result is infinite
+    only where ``p`` has mass that ``q`` lacks, exactly as for the dense
+    joints.
     """
     if p.variables != q.variables or p.parents != q.parents:
         raise ScopeError(

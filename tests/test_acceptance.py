@@ -244,6 +244,9 @@ INVARIANT_TESTS = {
     "solvers: a contradictory generated instance oscillates": [
         ("test_acceptance", "test_generated_contradiction_oscillates"),
     ],
+    "decomposed: d-ipfp's subnet-large trajectory and output are pinned": [
+        ("test_decomposed", "test_subnet_large_trajectory_is_pinned"),
+    ],
     "decomposed: local update moves the joint by ratio over alpha": [
         ("test_decomposed", "test_local_update_moves_joint_by_ratio_over_alpha"),
     ],

@@ -1,5 +1,7 @@
 """Decomposed solver: subnets, local and non-local updates, full runs."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,7 @@ from bnrefit import (
 )
 from bnrefit.decomposed import (SQUAREM_GATE, LocalSubnet, _extrapolated,
                                 _outside_weight, _SubnetPlan)
+from bnrefit.fileio import serialize_network
 from bnrefit.generate import generate_instance, random_network
 
 
@@ -439,7 +442,7 @@ def _diamond_plan_and_weight():
     net = nets.make_diamond()
     r = nets.diamond_r3(net)
     plan = _SubnetPlan.build(net, r, classify_constraint(net, r))
-    w = _outside_weight(net, plan.outside, plan.s + plan.y, net.cpts)
+    w = _outside_weight(plan.weight, plan.outside, net.cpts)
     return plan, w.ravel()
 
 
@@ -569,3 +572,44 @@ def test_local_update_moves_joint_by_ratio_over_alpha(seed):
     expected = (q0.probs * place(ratio, scope, net)
                 / place(alpha[..., 0], scope[:-1], net))
     assert np.max(np.abs(via_cpt.probs - expected)) <= 1e-12
+
+
+def test_subnet_large_trajectory_is_pinned():
+    # The benchmark's subnet-large instance.  d-ipfp is deterministic, and
+    # its contractions run in a planned order that does not depend on when
+    # the plan was made, so any change to a visit, the elimination order or
+    # a summation order shows up here: the cycle count, the divergence, the
+    # residuals and the written bytes are all pinned exactly.
+    net, constraints = generate_instance(0, n_nodes=120, num_constraints=24)
+    out, report = run_d_ipfp(net, constraints)
+    assert report.termination is Termination.CONVERGED
+    assert report.cycles == 3
+    assert report.final_divergence == 0.050134861454304305
+    assert report.per_constraint_residuals == (
+        5.822101134533852e-11,
+        7.860934125858421e-12,
+        4.55802062759858e-13,
+        3.6258113178533335e-10,
+        2.5248969581781466e-11,
+        2.3015650496560625e-10,
+        3.3073599414734645e-11,
+        2.7755575615628914e-17,
+        5.551115123125783e-17,
+        5.551115123125783e-17,
+        0.0,
+        1.1102230246251565e-16,
+        5.551115123125783e-17,
+        0.0,
+        0.0,
+        0.0,
+        5.551115123125783e-17,
+        0.0,
+        5.551115123125783e-17,
+        1.1102230246251565e-16,
+        0.0,
+        0.0,
+        0.0,
+        1.1102230246251565e-16,
+    )
+    assert hashlib.sha256(serialize_network(out)).hexdigest() == (
+        "0096cc35330e3c9d8ab5f432ed4902886d840ff3cd56a3aac6cd002941135b1d")

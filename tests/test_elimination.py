@@ -1,13 +1,17 @@
 """Variable elimination against dense marginalization."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nets
 from bnrefit import (Cpt, NetworkSpec, VariableDecl, i_divergence,
                      joint_from_network, marginalize, run_d_ipfp)
-from bnrefit.elimination import (Factor, _ancestral, contract, marginal,
-                                 network_divergence)
+from bnrefit.elimination import (_ancestral, contract, marginal,
+                                 network_divergence, plan_contraction)
 from bnrefit.core import ScopeError
 from bnrefit.generate import generate_instance, random_network
 
@@ -64,18 +68,80 @@ def test_ancestral_respects_missing_cpts(diamond_net):
 
 
 def test_contract_broadcasts_missing_keep_variable():
-    f = Factor(("A",), np.array([0.3, 0.7]))
-    out = contract([f], ("A", "B"), {"A": 0, "B": 1}, {"A": 2, "B": 2})
+    plan = plan_contraction([("A",)], ("A", "B"), {"A": 0, "B": 1},
+                            {"A": 2, "B": 2})
+    out = contract(plan, [np.array([0.3, 0.7])])
     assert out.shape == (2, 2)
     assert np.array_equal(out[:, 0], np.array([0.3, 0.7]))
     assert np.array_equal(out[:, 0], out[:, 1])
 
 
 def test_contract_scalar_factor_scales_result():
-    f = Factor((), np.array(0.5))
-    g = Factor(("A",), np.array([0.4, 0.6]))
-    out = contract([f, g], ("A",), {"A": 0}, {"A": 2})
+    plan = plan_contraction([(), ("A",)], ("A",), {"A": 0}, {"A": 2})
+    out = contract(plan, [np.array(0.5), np.array([0.4, 0.6])])
     assert np.allclose(out, [0.2, 0.3], atol=1e-15)
+
+
+def test_contract_rejects_wrong_table_count():
+    plan = plan_contraction([("A",), ("A",)], (), {"A": 0}, {"A": 2})
+    with pytest.raises(ScopeError):
+        contract(plan, [np.array([0.4, 0.6])])
+
+
+@st.composite
+def factor_sets(draw):
+    """Scopes (some empty), a ``keep`` tuple in any order that may name
+    variables no scope holds, ranks, cardinalities and a table seed."""
+    n = draw(st.integers(1, 8))
+    names = [f"V{i}" for i in range(n)]
+    cards = {v: draw(st.integers(2, 4)) for v in names}
+    rank = {v: i for i, v in enumerate(draw(st.permutations(names)))}
+    scope = st.lists(st.sampled_from(names), unique=True, max_size=4)
+    scopes = [tuple(s) for s in draw(st.lists(scope, max_size=7))]
+    keep = tuple(draw(st.lists(st.sampled_from(names), unique=True)))
+    return names, cards, rank, scopes, keep, draw(st.integers(0, 2**32 - 1))
+
+
+def naive_order(scopes, keep, rank, cards):
+    """The greedy rule by full rescans: at every step, score each hidden
+    variable by the cells of the union of the live factors holding it, less
+    itself, ties to the lower rank; the group's product replaces it."""
+    live = [set(s) for s in scopes]
+    hidden = set().union(*live) - set(keep)
+    order = []
+    while hidden:
+        def key(v):
+            union = set().union(*(f for f in live if v in f)) - {v}
+            return math.prod(cards[u] for u in union), rank[v]
+        v = min(hidden, key=key)
+        group = [f for f in live if v in f]
+        live = [f for f in live if v not in f] + [set().union(*group) - {v}]
+        hidden.remove(v)
+        order.append(v)
+    return order
+
+
+@settings(max_examples=300, deadline=None)
+@given(factor_sets())
+def test_contract_matches_dense_einsum_and_naive_order(case):
+    names, cards, rank, scopes, keep, seed = case
+    rng = np.random.default_rng(seed)
+    tables = [rng.random(tuple(cards[v] for v in s)) for s in scopes]
+    plan = plan_contraction(scopes, keep, rank, cards)
+    assert list(plan.order) == naive_order(scopes, keep, rank, cards)
+    got = contract(plan, tables)
+    # The dense reference is one einsum over every variable the factors or
+    # ``keep`` name; a table of ones over ``keep`` gives each kept variable
+    # an axis even where no factor holds it.
+    letter = {v: i for i, v in enumerate(names)}
+    operands = [np.ones(tuple(cards[v] for v in keep)),
+                [letter[v] for v in keep]]
+    for s, t in zip(scopes, tables):
+        operands += [t, [letter[v] for v in s]]
+    want = np.einsum(*operands, [letter[v] for v in keep])
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * max(
+        1.0, float(np.max(np.abs(want), initial=0.0)))
 
 
 def test_marginal_of_root_ignores_descendant_tables(diamond_net):
