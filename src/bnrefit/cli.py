@@ -187,12 +187,17 @@ def _dense_cells(net: NetworkSpec) -> int:
     return math.prod(v.cardinality for v in net.variables)
 
 
+def _power_of_two(cells: int) -> str:
+    """``2^72`` for 64^12 cells, where the integer can run to 300 digits."""
+    return f"2^{math.log2(cells):.4g}"
+
+
 def _require_dense(net: NetworkSpec, what: str) -> None:
     cells = _dense_cells(net)
     if cells > 2 ** DENSE_CEILING:
         raise DenseCeilingError(
-            f"{what} needs the dense joint of {cells} cells over "
-            f"{len(net.variables)} variables; the ceiling is "
+            f"{what} needs the dense joint of {_power_of_two(cells)} cells "
+            f"over {len(net.variables)} variables; the ceiling is "
             f"2^{DENSE_CEILING} cells"
         )
 
@@ -243,9 +248,9 @@ def cmd_check(args: argparse.Namespace) -> int:
         gap = float(np.max(np.abs(q.probs - _reextracted_product(q, net))))
         print(f"structural residual: {gap:.3e}")
     else:
-        print(f"structural residual: skipped ({cells} cells is over the "
-              f"dense ceiling of 2^{DENSE_CEILING}); a network's own joint "
-              f"factors by construction")
+        print(f"structural residual: skipped ({_power_of_two(cells)} cells "
+              f"is over the dense ceiling of 2^{DENSE_CEILING}); a network's "
+              f"own joint factors by construction")
     if violations:
         print(f"result: {violations} of {len(constraints)} constraints "
               f"violated at epsilon {args.epsilon:g}")

@@ -668,6 +668,42 @@ def _ratio(target: np.ndarray, current: np.ndarray,
                      where=current > 0.0)
 
 
+@dataclass(frozen=True, eq=False)
+class _Layout:
+    """The CPT vector that e-ipfp and d-ipfp move and ``_squarem``
+    extrapolates: the tables of ``names`` in that order, each raveled as
+    ``(parents..., child)`` from its shape in ``shapes``.  ``row`` numbers
+    each entry's parent row across the vector, and ``uniform`` is the
+    value a zero-mass row falls back to."""
+
+    names: tuple[str, ...]
+    shapes: tuple[tuple[int, ...], ...]
+    row: np.ndarray
+    uniform: np.ndarray
+
+    @staticmethod
+    def of(net: NetworkSpec, names: Sequence[str]) -> "_Layout":
+        shapes = tuple(tuple(net.cardinality(v)
+                             for v in net.parents[name] + (name,))
+                       for name in names)
+        # The child's cardinality, once per parent row.
+        cards = np.repeat([s[-1] for s in shapes],
+                          [math.prod(s[:-1]) for s in shapes])
+        return _Layout(tuple(names), shapes,
+                       np.repeat(np.arange(cards.size), cards),
+                       np.repeat(1.0 / cards, cards))
+
+    def pack(self, tables: Mapping[str, np.ndarray]) -> np.ndarray:
+        """``tables``' entries for ``names``, as one new vector."""
+        return np.concatenate([tables[name].ravel() for name in self.names])
+
+    def tables(self, theta: np.ndarray) -> dict[str, np.ndarray]:
+        """Each family's table in ``theta``, as a view of it."""
+        ends = np.cumsum([math.prod(shape) for shape in self.shapes])
+        return {name: part.reshape(shape) for name, shape, part in
+                zip(self.names, self.shapes, np.split(theta, ends[:-1]))}
+
+
 SQUAREM_MAX_ALPHA = -1.0
 """Upper clamp on the SQUAREM step length; at -1 the candidate is exactly
 two plain maps, so an accepted step never falls short of them."""
@@ -678,9 +714,8 @@ def _squarem(theta: np.ndarray, t1: np.ndarray, t2: np.ndarray,
     """SQUAREM-S3 candidate from ``theta`` and two plain maps of it
     (Varadhan & Roland 2008, Scand. J. Stat. 35).
 
-    ``theta``, ``t1 = F(theta)`` and ``t2 = F(t1)`` are concatenated
-    conditional tables, raveled; ``row`` gives each entry's parent row,
-    rows numbered from 0 with none skipped.  The candidate
+    ``theta``, ``t1 = F(theta)`` and ``t2 = F(t1)`` are CPT vectors laid
+    out by one ``_Layout``, and ``row`` is that layout's.  The candidate
     ``theta - 2 a r + a^2 v`` uses ``r = t1 - theta``,
     ``v = t2 - 2 t1 + theta`` and the step length ``a = -|r|/|v|``,
     clamped to at most ``SQUAREM_MAX_ALPHA``, and is renormalized per

@@ -24,9 +24,13 @@ thousands of iterations, so per-call overhead, not arithmetic, sets the
 cost.  Each non-local constraint is therefore compiled once per run into
 an index plan (``_SubnetPlan``): flat arrays that map every cell of the
 C-order enumeration of ``(S, Y)`` to its ``y`` and ``s`` configuration and
-to its entry in each member CPT.  An inner iteration is then a fixed
-handful of gathers and ``bincount`` sums on 1-D arrays, whatever the
-number of members or their parent order.
+to its entry in the member-CPT vector (``core._Layout``, as in e-ipfp).
+An inner iteration is then a fixed handful of gathers and ``bincount``
+sums on 1-D arrays, whatever the number of members or their parent order.
+
+The working state is plain CPT arrays, computed from validated tables, so
+no visit validates; a ``Cpt`` is built once per run for each changed
+family, when ``run_d_ipfp`` assembles its result.
 
 That plain inner map converges linearly, at rates that can lie within 1e-4
 of one, so once its step falls below ``SQUAREM_GATE`` the loop accelerates
@@ -65,6 +69,7 @@ from .core import (
     NonLocal,
     ScopeError,
     ValidationError,
+    _Layout,
     _conditional,
     _cpt_product,
     _dominance_error,
@@ -74,6 +79,7 @@ from .core import (
     _ratio,
     _squarem,
     classify_constraint,
+    classify_scope,
 )
 # Unused here; perfbench/tracer.py wraps these names in this module.
 from .core import _reextracted_product, i_divergence, joint_from_network
@@ -202,9 +208,11 @@ def local_update(cpt: Cpt, r: Constraint, net: NetworkSpec,
             f"CPT parent order {cpt.parent_order} differs from the network's "
             f"{parents}"
         )
-    working = dict(cpts if cpts is not None else net.cpts)
-    working[cpt.child] = cpt
-    return _local_visit(_LocalPlan.build(net, r, cls), working)
+    working = {name: c.table
+               for name, c in (cpts if cpts is not None else net.cpts).items()}
+    working[cpt.child] = cpt.table
+    return Cpt(cpt.child, parents,
+               _local_visit(_LocalPlan.build(net, r, cls), working))
 
 
 @dataclass
@@ -233,20 +241,20 @@ class _LocalPlan:
                           y_axes, _aligned_target(r, y_order))
 
 
-def _local_visit(plan: _LocalPlan, work: Mapping[str, Cpt]) -> Cpt:
-    cpt = work[plan.target]
+def _local_visit(plan: _LocalPlan, work: Mapping[str, np.ndarray]
+                 ) -> np.ndarray:
+    table = work[plan.target]
     ndim = len(plan.parents) + 1
     if plan.parents:
-        qpi = contract(plan.qpi, [work[name].table for name in plan.ancestral])
-        joint = qpi[..., None] * cpt.table
+        qpi = contract(plan.qpi, [work[name] for name in plan.ancestral])
+        joint = qpi[..., None] * table
     else:
-        joint = cpt.table
+        joint = table
     drop = tuple(i for i in range(ndim) if i not in set(plan.y_axes))
     qy = joint.sum(axis=drop) if drop else joint
     ratio = _ratio(plan.target_table, qy, plan.y_order)
-    new = _scaled_rows(cpt.table, _placed(ratio, list(plan.y_axes), ndim),
-                       (ndim - 1,), cpt.table)
-    return Cpt(plan.target, plan.parents, new)
+    return _scaled_rows(table, _placed(ratio, list(plan.y_axes), ndim),
+                        (ndim - 1,), table)
 
 
 def nonlocal_update(sub: LocalSubnet, r: Constraint,
@@ -298,7 +306,7 @@ def _outside_plan(net: NetworkSpec, y: tuple[str, ...], s: tuple[str, ...]
 
 
 def _outside_weight(plan: Contraction, outside: tuple[str, ...],
-                    cpts: Mapping[str, Cpt]) -> np.ndarray:
+                    tables: Mapping[str, np.ndarray]) -> np.ndarray:
     """Contraction of the CPTs of ``outside`` onto ``(*s, *y)``.
 
     With ``outside`` and ``plan`` from ``_outside_plan``, pairing this
@@ -306,7 +314,7 @@ def _outside_weight(plan: Contraction, outside: tuple[str, ...],
     marginal over ``s`` and ``y``; it only involves tables of variables
     outside ``y``, so it is invariant while ``y``'s CPTs move.
     """
-    return contract(plan, [cpts[name].table for name in outside])
+    return contract(plan, [tables[name] for name in outside])
 
 
 def extract_subnet_cpts(sub: LocalSubnet, net: NetworkSpec,
@@ -331,7 +339,8 @@ def extract_subnet_cpts(sub: LocalSubnet, net: NetworkSpec,
     table = cpts if cpts is not None else net.cpts
     sy = sub.s + sub.y
     names, plan = _outside_plan(net, sub.y, sub.s)
-    w = _outside_weight(plan, names, table)
+    w = _outside_weight(plan, names, {name: table[name].table
+                                      for name in names})
     joint = sub.cond_table * w
     out: dict[str, Cpt] = {}
     for child in sub.y:
@@ -352,10 +361,8 @@ class _SubnetPlan:
     - ``y_cell`` and ``s_cell``: the raveled ``y`` and ``s`` configuration
       of each cell;
     - ``family``: one row per member, in ``y`` order, holding each cell's
-      entry in that member's raveled table (``parents..., child``), offset
-      so that all member tables share one concatenated vector;
-    - ``row`` and ``uniform``: for each entry of that vector, the index of
-      its parent row and the value a zero-mass row falls back to;
+      entry in the member-CPT vector that ``layout`` (a ``core._Layout``
+      over ``y``) lays out;
     - ``positive`` and ``target``: the raveled ``y`` cells where the
       constraint is positive, and its values there.
 
@@ -371,12 +378,10 @@ class _SubnetPlan:
     outside: tuple[str, ...]
     weight: Contraction
     y_shape: tuple[int, ...]
-    members: tuple[tuple[str, tuple[str, ...], tuple[int, ...]], ...]
+    layout: _Layout
     y_cell: np.ndarray
     s_cell: np.ndarray
     family: np.ndarray
-    row: np.ndarray
-    uniform: np.ndarray
     positive: np.ndarray
     target: np.ndarray
 
@@ -394,19 +399,11 @@ class _SubnetPlan:
             placed = _placed(index, [axis[v] for v in names], len(sy))
             return np.broadcast_to(placed, shape).ravel()
 
-        members, family, row, uniform = [], [], [], []
-        entries = rows = 0
-        for child in y:
-            parents = net.parents[child]
-            table_shape = tuple(net.cardinality(v) for v in parents + (child,))
-            size = math.prod(table_shape)
-            card = table_shape[-1]
-            members.append((child, parents, table_shape))
-            family.append(cells(parents + (child,), entries))
-            row.append(np.arange(size) // card + rows)
-            uniform.append(np.full(size, 1.0 / card))
-            entries += size
-            rows += size // card
+        layout = _Layout.of(net, y)
+        family, entries = [], 0
+        for child, table_shape in zip(y, layout.shapes):
+            family.append(cells(net.parents[child] + (child,), entries))
+            entries += math.prod(table_shape)
         target = _aligned_target(r, y).ravel()
         positive = np.flatnonzero(target > 0.0)
         outside, weight = _outside_plan(net, y, s)
@@ -415,12 +412,10 @@ class _SubnetPlan:
             outside=outside,
             weight=weight,
             y_shape=shape[len(s):],
-            members=tuple(members),
+            layout=layout,
             y_cell=cells(y),
             s_cell=cells(s),
             family=np.stack(family),
-            row=np.concatenate(row),
-            uniform=np.concatenate(uniform),
             positive=positive,
             target=target[positive],
         )
@@ -435,14 +430,14 @@ def _extrapolated(theta: np.ndarray, t1: np.ndarray, t2: np.ndarray,
                   plan: _SubnetPlan, w: np.ndarray) -> np.ndarray | None:
     """SQUAREM-S3 candidate from ``theta`` and two plain maps of it.
 
-    ``theta``, ``t1 = F(theta)`` and ``t2 = F(t1)`` are concatenated
-    member-CPT vectors laid out as in ``plan``; ``w`` is the raveled
+    ``theta``, ``t1 = F(theta)`` and ``t2 = F(t1)`` are member-CPT
+    vectors laid out by ``plan.layout``; ``w`` is the raveled
     context weight.  The candidate is ``core._squarem``'s, which clamps the
     step length and renormalizes rows.  Returns ``None`` (reject) when that
     rejects it, or when the candidate leaves a cell the constraint puts
     mass on without mass, where the next plain map would fail.
     """
-    candidate = _squarem(theta, t1, t2, plan.row)
+    candidate = _squarem(theta, t1, t2, plan.layout.row)
     if candidate is None:
         return None
     cond = candidate[plan.family].prod(axis=0)
@@ -451,17 +446,16 @@ def _extrapolated(theta: np.ndarray, t1: np.ndarray, t2: np.ndarray,
     return candidate
 
 
-def _nonlocal_visit(plan: _SubnetPlan, work: dict[str, Cpt], net: NetworkSpec,
+def _nonlocal_visit(plan: _SubnetPlan, work: dict[str, np.ndarray],
                     inner_epsilon: float, inner_cap: int) -> int:
-    """Fit one non-local constraint in place; returns plain maps used.
+    """Fit one non-local constraint's member tables in ``work``, in place;
+    returns plain maps used.
 
     The plain map ``F`` is a proportional step on the subnet conditional
     followed by re-extraction of the member CPTs; the loop stops once a
     plain step moves the conditional by at most ``inner_epsilon``, or
     after ``inner_cap`` plain maps.  The context weight is computed once,
     by the plan's compiled contraction; it only involves outside CPTs.
-    ``net`` is not read: it stays so that ``inner_cap`` remains the fifth
-    positional argument, where ``perfbench/tracer.py`` reads it.
 
     ``F`` alone converges linearly and slowly, so once a plain step falls
     below ``SQUAREM_GATE`` the loop extrapolates with SQUAREM (Varadhan &
@@ -476,13 +470,14 @@ def _nonlocal_visit(plan: _SubnetPlan, work: dict[str, Cpt], net: NetworkSpec,
     stop test is always a plain map's step.
 
     Each map is a fixed handful of calls on 1-D arrays through the plan's
-    indices: the member tables live in one concatenated vector, a gather
-    through ``family`` forms their product, and ``bincount`` gives the
-    ``y`` marginal, the per-``s`` row mass and the re-extracted member
-    tables.  ``Cpt`` objects are built only once the loop settles.
+    indices: the member tables are packed into one vector by the plan's
+    layout, a gather through ``family`` forms their product, and
+    ``bincount`` gives the ``y`` marginal, the per-``s`` row mass and the
+    re-extracted member tables.
     """
     w = _outside_weight(plan.weight, plan.outside, work).ravel()
     family = plan.family.ravel()
+    row, uniform = plan.layout.row, plan.layout.uniform
     refit = np.empty(plan.family.shape)
     ratio = np.zeros(math.prod(plan.y_shape))
 
@@ -503,12 +498,11 @@ def _nonlocal_visit(plan: _SubnetPlan, work: dict[str, Cpt], net: NetworkSpec,
         newcond = np.divide(scaled, alpha, out=cond.copy(), where=alpha > 0.0)
         np.multiply(newcond, w, out=refit)
         m = np.bincount(family, refit.ravel())
-        denom = np.bincount(plan.row, m)[plan.row]
-        return (np.divide(m, denom, out=plan.uniform.copy(), where=denom > 0.0),
+        denom = np.bincount(row, m)[row]
+        return (np.divide(m, denom, out=uniform.copy(), where=denom > 0.0),
                 float(np.abs(newcond - cond).max()))
 
-    theta = np.concatenate([work[child].table.ravel()
-                            for child, _, _ in plan.members])
+    theta = plan.layout.pack(work)
     delta = float("inf")
     maps = 0
     while maps < inner_cap:
@@ -527,12 +521,7 @@ def _nonlocal_visit(plan: _SubnetPlan, work: dict[str, Cpt], net: NetworkSpec,
         theta = theta_next
         if delta <= inner_epsilon:
             break
-    start = 0
-    for child, parents, shape in plan.members:
-        size = math.prod(shape)
-        work[child] = Cpt(child, parents,
-                          theta[start:start + size].reshape(shape))
-        start += size
+    work.update(plan.layout.tables(theta))
     if delta > inner_epsilon:
         logger.warning(
             "constraint over %s: inner loop hit its cap of %d iterations "
@@ -559,6 +548,7 @@ def run_d_ipfp(net: NetworkSpec, constraints: Sequence[Constraint],
     A non-local visit stops its inner loop at ``stop.epsilon`` or after
     ``INNER_MAX_ITERATIONS`` plain maps; a constraint spanning more than
     ``SUBNET_BUDGET`` variables raises ``SubnetSizeError`` before any work.
+    A family the run did not change keeps the input's ``Cpt`` object.
     """
     t0 = time.perf_counter()
     stop = stop or StopPolicy()
@@ -566,7 +556,7 @@ def run_d_ipfp(net: NetworkSpec, constraints: Sequence[Constraint],
 
     plans: list[_LocalPlan | _SubnetPlan] = []
     for r in constraints:
-        cls = classify_constraint(net, r)
+        cls = classify_scope(net, r.scope)
         if isinstance(cls, Local):
             span = {cls.target} | set(net.parents[cls.target])
             if len(span) > SUBNET_BUDGET:
@@ -587,12 +577,12 @@ def run_d_ipfp(net: NetworkSpec, constraints: Sequence[Constraint],
             plans.append(_SubnetPlan.build(net, r, cls))
 
     queries = [plan_cpt_contraction(net, r.scope) for r in constraints]
-    work: dict[str, Cpt] = dict(net.cpts)
+    work = {name: cpt.table for name, cpt in net.cpts.items()}
 
     def current_residuals() -> tuple[float, ...]:
         return tuple(
             float(np.max(np.abs(
-                contract(plan, [work[name].table for name in names])
+                contract(plan, [work[name] for name in names])
                 - r.dist.probs)))
             for r, (names, plan) in zip(constraints, queries))
 
@@ -609,13 +599,14 @@ def run_d_ipfp(net: NetworkSpec, constraints: Sequence[Constraint],
             if isinstance(plan, _LocalPlan):
                 work[plan.target] = _local_visit(plan, work)
             else:
-                _nonlocal_visit(plan, work, net, eps, INNER_MAX_ITERATIONS)
+                _nonlocal_visit(plan, work, eps,
+                                inner_cap=INNER_MAX_ITERATIONS)
 
         delta = 0.0
-        for name, cpt in work.items():
-            before = snapshot[name].table
-            if cpt.table is not before:
-                delta = max(delta, float(np.max(np.abs(cpt.table - before))))
+        for name, table in work.items():
+            before = snapshot[name]
+            if table is not before:
+                delta = max(delta, float(np.max(np.abs(table - before))))
 
         # Residuals come from variable elimination, which costs more than a
         # whole cycle of CPT updates; verify them only when the cheap delta
@@ -650,7 +641,11 @@ def run_d_ipfp(net: NetworkSpec, constraints: Sequence[Constraint],
     if residuals is None:
         residuals = current_residuals()
 
-    result = NetworkSpec(net.variables, net.parents, work) if cycles else net
+    # Each changed family is validated once, here; the rest keep their Cpt.
+    result = net if not cycles else NetworkSpec(net.variables, net.parents, {
+        name: cpt if work[name] is cpt.table
+        else Cpt(name, cpt.parent_order, work[name])
+        for name, cpt in net.cpts.items()})
     report = RunReport(
         algorithm="d-ipfp",
         cycles=cycles,

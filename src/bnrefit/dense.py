@@ -15,11 +15,12 @@ then renormalization.  For e-ipfp that map converges linearly and can
 crawl for thousands of cycles, so once a plain map's joint step,
 ``max|q_out - q_in|``, is at or below ``SQUAREM_JOINT_GATE`` the loop
 extrapolates with SQUAREM (Varadhan & Roland 2008, Scand. J. Stat. 35,
-scheme S3) on the vector of all CPT entries: two plain maps, the
-``core._squarem`` candidate from the CPTs read off the start joint and
-the two mapped joints (step length clamped to at most
-``core.SQUAREM_MAX_ALPHA``, rows renormalized), its product, then one
-plain map on that product to stabilize it.  A candidate with a negative
+scheme S3) on the vector of all CPT entries, laid out by ``core._Layout``
+as d-ipfp's member CPTs are: two plain maps, the ``core._squarem``
+candidate from the CPTs read off the start joint and the two mapped
+joints (step length clamped to at most ``core.SQUAREM_MAX_ALPHA``, rows
+renormalized), its product, then one plain map on that product to
+stabilize it.  A candidate with a negative
 entry or a row without mass is rejected, and so is one whose stabilizing
 map raises ``DominanceError``; either way the step ends on the second
 plain map's joint.  The gate stays open once the step is at or below
@@ -65,6 +66,7 @@ from .core import (
     JointTable,
     NetworkSpec,
     ValidationError,
+    _Layout,
     _block_shape,
     _blocked,
     _computed,
@@ -200,46 +202,6 @@ points: at 1e-6 criterion-1 seed 9's divergence moved by 2.9e-3 relative,
 at 1e-7 by 1.2e-5."""
 
 
-@dataclass(frozen=True)
-class _Theta:
-    """Layout of the vector of every CPT entry of ``net``, families in
-    declaration order, each raveled as ``(parents..., child)``; ``row``
-    gives each entry's parent row, as ``core._squarem`` takes it."""
-
-    net: NetworkSpec
-    shapes: tuple[tuple[int, ...], ...]
-    row: np.ndarray
-
-    @staticmethod
-    def build(net: NetworkSpec) -> "_Theta":
-        shapes, row = [], []
-        rows = 0
-        for name in net.names:
-            shape = tuple(net.cardinality(v)
-                          for v in net.parents[name] + (name,))
-            size = math.prod(shape)
-            shapes.append(shape)
-            row.append(np.arange(size) // shape[-1] + rows)
-            rows += size // shape[-1]
-        return _Theta(net, tuple(shapes), np.concatenate(row))
-
-    def read(self, q: JointTable) -> np.ndarray:
-        """The CPTs ``q`` induces on the DAG, as one vector."""
-        return np.concatenate([t.ravel()
-                               for t in _conditionals(q, self.net).values()])
-
-    def joint(self, theta: np.ndarray) -> JointTable:
-        """The dense product of the CPTs in ``theta``."""
-        net = self.net
-        tables, start = {}, 0
-        for name, shape in zip(net.names, self.shapes):
-            size = math.prod(shape)
-            tables[name] = theta[start:start + size].reshape(shape)
-            start += size
-        return _computed(net.variables,
-                         _cpt_product(net.variables, tables, net.parents))
-
-
 def _plain_map(q: JointTable, constraints: Sequence[Constraint],
                net: NetworkSpec, structural: bool,
                current: np.ndarray | None) -> JointTable:
@@ -272,7 +234,13 @@ def _run_dense(net: NetworkSpec, constraints: Sequence[Constraint],
     t0 = time.perf_counter()
     constraints = _prepared(net, constraints)
     q0 = q = joint_from_network(net)
-    layout = _Theta.build(net) if structural else None
+    layout = _Layout.of(net, net.names) if structural else None
+
+    def product(theta: np.ndarray) -> JointTable:
+        """The dense product of the CPTs laid out in ``theta``."""
+        return _computed(net.variables, _cpt_product(
+            net.variables, layout.tables(theta), net.parents))
+
     eps = stop.epsilon
     deltas: deque[float] = deque(maxlen=OSCILLATION_WINDOW)
     worsts: deque[float] = deque(maxlen=OSCILLATION_WINDOW)
@@ -288,23 +256,23 @@ def _run_dense(net: NetworkSpec, constraints: Sequence[Constraint],
         # before dropping it, then maps the product of the candidate.
         extrapolate = gate_open and cycles + 3 <= budget
         if extrapolate:
-            theta0 = layout.read(q)
+            theta0 = layout.pack(_conditionals(q, net))
             q = _plain_map(q, constraints, net, True, current)
-            theta1 = layout.read(q)
+            theta1 = layout.pack(_conditionals(q, net))
             current = None
         previous, q = q, _plain_map(q, constraints, net, structural, current)
         delta, maps = _step(q, previous), 2 if extrapolate else 1
         del previous
         if extrapolate:
-            theta2 = layout.read(q)
+            theta2 = layout.pack(_conditionals(q, net))
             candidate = _squarem(theta0, theta1, theta2, layout.row)
             if candidate is not None:
-                q = layout.joint(candidate)
+                q = product(candidate)
                 try:
                     previous, q = q, _plain_map(q, constraints, net, True,
                                                 None)
                 except DominanceError:
-                    q = layout.joint(theta2)
+                    q = product(theta2)
                 else:
                     delta, maps = _step(q, previous), 3
                     del previous

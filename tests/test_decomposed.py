@@ -270,6 +270,26 @@ def test_d_ipfp_nonlocal_constraint_edits_only_y(diamond_net, diamond_r3):
                                   diamond_net.cpts[name].table)
 
 
+def test_d_ipfp_validates_each_changed_cpt_once(monkeypatch):
+    # Visits work on plain arrays; a Cpt (copied and scanned on
+    # construction) is built only for each family the run changed, when
+    # the result is assembled.  Every other family keeps its input Cpt.
+    net, constraints = generate_instance(0, n_nodes=120, num_constraints=24)
+    built = 0
+    validate = Cpt.__post_init__
+
+    def counting(self):
+        nonlocal built
+        built += 1
+        validate(self)
+
+    monkeypatch.setattr(Cpt, "__post_init__", counting)
+    out, _ = run_d_ipfp(net, constraints)
+    changed = sum(out.cpts[name] is not net.cpts[name] for name in net.names)
+    assert changed == 31
+    assert built == changed
+
+
 def test_d_ipfp_desk_instance(diamond_net, diamond_r3):
     out, report = run_d_ipfp(diamond_net, [diamond_r3])
     q = joint_from_network(out)
@@ -291,7 +311,7 @@ def test_d_ipfp_diamond_divergence_independent_of_inner_epsilon(
     visit = decomposed._nonlocal_visit
     monkeypatch.setattr(
         decomposed, "_nonlocal_visit",
-        lambda plan, work, net, _, cap: visit(plan, work, net, 1e-14, cap))
+        lambda plan, work, _, inner_cap: visit(plan, work, 1e-14, inner_cap))
     _, tight = run_d_ipfp(diamond_net, [diamond_r3])
     assert abs(default.final_divergence - tight.final_divergence) <= 1e-10
 
@@ -442,7 +462,8 @@ def _diamond_plan_and_weight():
     net = nets.make_diamond()
     r = nets.diamond_r3(net)
     plan = _SubnetPlan.build(net, r, classify_constraint(net, r))
-    w = _outside_weight(plan.weight, plan.outside, net.cpts)
+    w = _outside_weight(plan.weight, plan.outside,
+                        {name: cpt.table for name, cpt in net.cpts.items()})
     return plan, w.ravel()
 
 
@@ -482,7 +503,7 @@ def test_extrapolated_candidate_rows_are_distributions():
     candidate = _extrapolated(theta, t1, t2, plan, w)
     assert candidate is not None
     assert candidate.min() >= 0.0
-    sums = np.bincount(plan.row, candidate)
+    sums = np.bincount(plan.layout.row, candidate)
     assert np.max(np.abs(sums - 1.0)) <= 1e-12
     assert candidate[0] > t2[0]
 
