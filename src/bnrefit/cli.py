@@ -35,6 +35,7 @@ from .core import (
     DominanceError,
     NetworkSpec,
     ValidationError,
+    _power_of_two,
     _reextracted_product,
     extract_cpts,
     i_divergence,
@@ -185,11 +186,6 @@ def _read(path: str) -> bytes:
 
 def _dense_cells(net: NetworkSpec) -> int:
     return math.prod(v.cardinality for v in net.variables)
-
-
-def _power_of_two(cells: int) -> str:
-    """``2^72`` for 64^12 cells, where the integer can run to 300 digits."""
-    return f"2^{math.log2(cells):.4g}"
 
 
 def _require_dense(net: NetworkSpec, what: str) -> None:

@@ -652,6 +652,11 @@ def _dominance_error(names: tuple[str, ...], mass: float,
     )
 
 
+def _power_of_two(cells: int) -> str:
+    """``2^72`` for 64^12 cells, where the integer can run to 300 digits."""
+    return f"2^{math.log2(cells):.4g}"
+
+
 def _ratio(target: np.ndarray, current: np.ndarray,
            names: tuple[str, ...]) -> np.ndarray:
     """Cellwise ``target / current``, the factor of a proportional step.
@@ -699,9 +704,11 @@ class _Layout:
 
     def tables(self, theta: np.ndarray) -> dict[str, np.ndarray]:
         """Each family's table in ``theta``, as a view of it."""
-        ends = np.cumsum([math.prod(shape) for shape in self.shapes])
-        return {name: part.reshape(shape) for name, shape, part in
-                zip(self.names, self.shapes, np.split(theta, ends[:-1]))}
+        out, end = {}, 0
+        for name, shape in zip(self.names, self.shapes):
+            start, end = end, end + math.prod(shape)
+            out[name] = theta[start:end].reshape(shape)
+        return out
 
 
 SQUAREM_MAX_ALPHA = -1.0

@@ -1,49 +1,51 @@
 """Structure-preserving fitting without the full joint table.
 
 A constraint only ever forces changes in the CPTs of the variables it
-mentions.  A local constraint (one variable plus some of its parents) is
-absorbed by rescaling single rows of that variable's CPT.  A non-local
-constraint over a set ``Y`` is handled inside a local subnet: the
-conditional table of ``Y`` given the outside parents ``S``, iterated
-against the constraint and re-factored until it settles.  Either way the
+mentions.  Every constraint is handled inside a local subnet: the
+conditional table of a variable set ``Y`` given its outside parents ``S``,
+scaled by target over current marginal and re-factored into member CPTs.
+A local constraint (one variable plus some of its parents) is the
+one-member case, ``Y = (target,)`` with ``S`` its parents, and takes one
+such step per visit, which rescales rows of the target's CPT.  A
+non-local constraint iterates the step until it settles.  Either way the
 work is bounded by subnet size, not by the number of network variables,
 and the result factors over the original DAG by construction.
 
 The marginal a constraint is matched against is always the network's true
-marginal ``Q(y)``, obtained by variable elimination; inside a subnet it is
-computed from the factored form ``cond(y | s) * w(y, s)``, where ``w`` is
-the contraction of every CPT outside ``Y`` onto ``S`` and ``Y``.  ``w``
-does not change while only ``Y``'s tables are updated.  The DAG and every
-scope stay fixed for a run, so each of these contractions (a non-local
-constraint's ``w``, a local constraint's parent marginal, each residual
-marginal) is planned once per run (``elimination.plan_contraction``), and
-a visit only executes its plan.
+marginal, obtained by variable elimination; inside a subnet it is computed
+from the factored form ``cond(y | s) * w(y, s)``, where ``w`` is the
+contraction of every CPT outside ``Y`` onto ``S`` and ``Y``.  ``w`` does
+not change while only ``Y``'s tables are updated.  The DAG and every scope
+stay fixed for a run, so each of these contractions (a subnet's ``w``,
+each residual marginal) is planned once per run
+(``elimination.plan_contraction``), and a visit only executes its plan.
 
 Subnets are small (a few dozen cells) but their inner loops run for
 thousands of iterations, so per-call overhead, not arithmetic, sets the
-cost.  Each non-local constraint is therefore compiled once per run into
-an index plan (``_SubnetPlan``): flat arrays that map every cell of the
-C-order enumeration of ``(S, Y)`` to its ``y`` and ``s`` configuration and
-to its entry in the member-CPT vector (``core._Layout``, as in e-ipfp).
-An inner iteration is then a fixed handful of gathers and ``bincount``
-sums on 1-D arrays, whatever the number of members or their parent order.
+cost.  Each constraint is therefore compiled once per run into one index
+plan (``_SubnetPlan``): flat arrays that map every cell of the C-order
+enumeration of ``(S, Y)`` to its configuration of the constraint's scope
+and of ``S``, and to its entry in the member-CPT vector (``core._Layout``,
+as in e-ipfp).  One map (``_plain_map``) serves both kinds of constraint:
+a fixed handful of gathers and ``bincount`` sums on 1-D arrays, whatever
+the number of members or their parent order.
 
 The working state is plain CPT arrays, computed from validated tables, so
 no visit validates; a ``Cpt`` is built once per run for each changed
 family, when ``run_d_ipfp`` assembles its result.
 
-That plain inner map converges linearly, at rates that can lie within 1e-4
-of one, so once its step falls below ``SQUAREM_GATE`` the loop accelerates
-it with gated SQUAREM (Varadhan & Roland 2008, "Simple and globally
-convergent methods for accelerating the convergence of any EM algorithm",
-Scand. J. Stat. 35, scheme S3) on the vector of member CPT entries.
-The extrapolation arithmetic is ``core._squarem``, shared with e-ipfp: the
-step length is clamped to at most ``core.SQUAREM_MAX_ALPHA``, the
-candidate is renormalized per parent row, and a candidate with a negative
-entry or no mass on a cell the constraint needs is replaced by two plain
-maps.  The map's fixed points form a continuum, so where a visit lands
-depends on its path.  Long steps taken far from that set can land far
-from where plain maps would; the gate keeps extrapolation to the final
+The plain map converges linearly, at rates that can lie within 1e-4 of
+one, so once its step falls below ``SQUAREM_GATE`` the non-local loop
+accelerates it with gated SQUAREM (Varadhan & Roland 2008, "Simple and
+globally convergent methods for accelerating the convergence of any EM
+algorithm", Scand. J. Stat. 35, scheme S3) on the vector of member CPT
+entries.  The extrapolation arithmetic is ``core._squarem``, shared with
+e-ipfp: the step length is clamped to at most ``core.SQUAREM_MAX_ALPHA``,
+the candidate is renormalized per parent row, and a candidate with a
+negative entry or no mass on a cell the constraint needs is replaced by
+two plain maps.  The map's fixed points form a continuum, so where a visit
+lands depends on its path.  Long steps taken far from that set can land
+far from where plain maps would; the gate keeps extrapolation to the final
 approach, where it reaches a limit the plain map only crawls toward, so
 the result barely depends on the inner tolerance.
 """
@@ -55,7 +57,7 @@ import math
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -75,6 +77,7 @@ from .core import (
     _dominance_error,
     _outside_parents,
     _placed,
+    _power_of_two,
     _project,
     _ratio,
     _squarem,
@@ -91,8 +94,9 @@ from .elimination import (Contraction, contract, network_divergence,
 logger = logging.getLogger("bnrefit")
 
 SUBNET_BUDGET = 20
-"""Largest variable count (constrained set plus outside parents) a single
-constraint may span; beyond it the run aborts instead of degrading."""
+"""Base-2 logarithm of the most cells one constraint's subnet may hold (the
+product of the cardinalities of its constrained set and outside parents);
+beyond it the run aborts, before allocating, instead of degrading."""
 
 INNER_MAX_ITERATIONS = 1000
 """Plain maps one non-local visit may make before it hands the constraint
@@ -100,7 +104,7 @@ back to the outer cycle, which revisits it."""
 
 
 class SubnetSizeError(BnError):
-    """A constraint's subnet spans more variables than the budget allows."""
+    """A constraint's subnet holds more cells than the budget allows."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,18 +155,6 @@ def _aligned_target(r: Constraint, order: tuple[str, ...]) -> np.ndarray:
     return np.transpose(r.dist.probs, [r.scope.index(v) for v in order])
 
 
-def _scaled_rows(table: np.ndarray, ratio_placed: np.ndarray,
-                 row_axes: tuple[int, ...], fallback: np.ndarray) -> np.ndarray:
-    """Scale ``table`` cellwise, then renormalize over ``row_axes``.
-
-    Rows left with zero mass carry no information; they keep ``fallback``.
-    """
-    scaled = table * ratio_placed
-    alpha = scaled.sum(axis=row_axes, keepdims=True)
-    safe = np.where(alpha > 0.0, alpha, 1.0)
-    return np.where(alpha > 0.0, scaled / safe, fallback)
-
-
 def build_local_subnet(net: NetworkSpec, y_vars: Sequence[str],
                        cpts: Mapping[str, Cpt] | None = None) -> LocalSubnet:
     """Conditional table of ``y_vars`` given their outside parents.
@@ -195,7 +187,11 @@ def local_update(cpt: Cpt, r: Constraint, net: NetworkSpec,
     current marginal, renormalized, so the network's joint absorbs exactly
     the proportional-fitting step for ``r`` while only this table changes.
     The current marginal over the parents comes from variable elimination
-    against ``net`` (or ``cpts`` when given).
+    against ``net`` (or ``cpts`` when given).  This is the visit d-ipfp
+    makes (``_local_visit``): one plain map of the subnet whose only member
+    is ``cpt.child``.  A row whose parent configuration has no mass fills
+    uniformly, and a constraint the tables already meet exactly leaves the
+    table as it is.
     """
     cls = classify_constraint(net, r)
     if not isinstance(cls, Local) or cls.target != cpt.child:
@@ -211,50 +207,8 @@ def local_update(cpt: Cpt, r: Constraint, net: NetworkSpec,
     working = {name: c.table
                for name, c in (cpts if cpts is not None else net.cpts).items()}
     working[cpt.child] = cpt.table
-    return Cpt(cpt.child, parents,
-               _local_visit(_LocalPlan.build(net, r, cls), working))
-
-
-@dataclass
-class _LocalPlan:
-    """One local constraint, compiled once per run: ``qpi`` contracts the
-    CPTs of ``ancestral`` onto the target's parents."""
-
-    target: str
-    parents: tuple[str, ...]
-    ancestral: tuple[str, ...]
-    qpi: Contraction
-    y_order: tuple[str, ...]
-    y_axes: tuple[int, ...]
-    target_table: np.ndarray
-
-    @staticmethod
-    def build(net: NetworkSpec, r: Constraint, cls: Local) -> "_LocalPlan":
-        parents = net.parents[cls.target]
-        ancestral, qpi = plan_cpt_contraction(net, parents)
-        in_z = set(cls.constrained_parents)
-        y_order = tuple(p for p in parents if p in in_z) + (cls.target,)
-        y_axes = tuple(
-            [parents.index(p) for p in y_order[:-1]] + [len(parents)]
-        )
-        return _LocalPlan(cls.target, parents, ancestral, qpi, y_order,
-                          y_axes, _aligned_target(r, y_order))
-
-
-def _local_visit(plan: _LocalPlan, work: Mapping[str, np.ndarray]
-                 ) -> np.ndarray:
-    table = work[plan.target]
-    ndim = len(plan.parents) + 1
-    if plan.parents:
-        qpi = contract(plan.qpi, [work[name] for name in plan.ancestral])
-        joint = qpi[..., None] * table
-    else:
-        joint = table
-    drop = tuple(i for i in range(ndim) if i not in set(plan.y_axes))
-    qy = joint.sum(axis=drop) if drop else joint
-    ratio = _ratio(plan.target_table, qy, plan.y_order)
-    return _scaled_rows(table, _placed(ratio, list(plan.y_axes), ndim),
-                        (ndim - 1,), table)
+    _local_visit(_SubnetPlan.build(net, r, cls), working)
+    return Cpt(cpt.child, parents, working[cpt.child])
 
 
 def nonlocal_update(sub: LocalSubnet, r: Constraint,
@@ -291,10 +245,11 @@ def nonlocal_update(sub: LocalSubnet, r: Constraint,
     if total > 0.0:
         qy = qy / total
     ratio = _ratio(target, qy, sub.y)
-    new = _scaled_rows(sub.cond_table,
-                       _placed(ratio, list(y_axes), len(shape)),
-                       y_axes, sub.cond_table)
-    return LocalSubnet(sub.y, sub.s, new)
+    scaled = sub.cond_table * _placed(ratio, list(y_axes), len(shape))
+    # Rows left with zero mass carry no information; they keep their values.
+    alpha = scaled.sum(axis=y_axes, keepdims=True)
+    return LocalSubnet(sub.y, sub.s, np.divide(
+        scaled, alpha, out=sub.cond_table.copy(), where=alpha > 0.0))
 
 
 def _outside_plan(net: NetworkSpec, y: tuple[str, ...], s: tuple[str, ...]
@@ -352,73 +307,149 @@ def extract_subnet_cpts(sub: LocalSubnet, net: NetworkSpec,
 
 @dataclass
 class _SubnetPlan:
-    """Flat index plan for one non-local constraint, built once per run.
+    """Flat index plan for one constraint, built once per run.
 
-    The subnet's cells are the C-order enumeration of ``(*s, *y)``.  Each
-    array below maps those cells, or the entries of the member tables, to
-    the index they gather from or ``bincount`` into:
+    The subnet is ``y`` (a local constraint's target alone) given its
+    outside parents ``s``, and its cells are the C-order enumeration of
+    ``(*s, *y)``.  Each array below maps those cells, or the entries of the
+    member tables, to the index they gather from or ``bincount`` into:
 
-    - ``y_cell`` and ``s_cell``: the raveled ``y`` and ``s`` configuration
-      of each cell;
+    - ``scope_cell`` and ``s_cell``: the raveled configuration of each cell
+      over ``scope`` (the constraint's scope in declaration order, shaped
+      ``scope_shape``; a non-local constraint's is ``y``) and over ``s``;
     - ``family``: one row per member, in ``y`` order, holding each cell's
       entry in the member-CPT vector that ``layout`` (a ``core._Layout``
       over ``y``) lays out;
-    - ``positive`` and ``target``: the raveled ``y`` cells where the
+    - ``positive`` and ``target``: the raveled ``scope`` cells where the
       constraint is positive, and its values there.
 
     ``outside`` names the CPTs the context weight contracts, and
     ``weight`` is that contraction's plan (``_outside_plan``).
 
-    Every ``y`` and ``s`` configuration and every member-table entry occurs
-    among the cells, so each ``bincount`` comes out at full length.
+    Every ``scope`` and ``s`` configuration and every member-table entry
+    occurs among the cells, so each ``bincount`` comes out at full length.
     """
 
     y: tuple[str, ...]
     s: tuple[str, ...]
     outside: tuple[str, ...]
     weight: Contraction
-    y_shape: tuple[int, ...]
+    scope: tuple[str, ...]
+    scope_shape: tuple[int, ...]
     layout: _Layout
-    y_cell: np.ndarray
+    scope_cell: np.ndarray
     s_cell: np.ndarray
     family: np.ndarray
     positive: np.ndarray
     target: np.ndarray
 
     @staticmethod
-    def build(net: NetworkSpec, r: Constraint, cls: NonLocal) -> "_SubnetPlan":
-        y, s = cls.y, cls.s
+    def build(net: NetworkSpec, r: Constraint,
+              cls: Local | NonLocal) -> "_SubnetPlan":
+        y = (cls.target,) if isinstance(cls, Local) else cls.y
+        s = _outside_parents(net, y)
         sy = s + y
-        axis = {v: i for i, v in enumerate(sy)}
         shape = tuple(net.cardinality(v) for v in sy)
+        size = math.prod(shape)
+        if size > 2 ** SUBNET_BUDGET:  # checked before anything is allocated
+            raise SubnetSizeError(
+                f"constraint over {r.scope}: its subnet (y={y}, s={s}) holds "
+                f"{_power_of_two(size)} cells, over the budget of "
+                f"2^{SUBNET_BUDGET}")
+        axis = {v: i for i, v in enumerate(sy)}
 
-        def cells(names: tuple[str, ...], offset: int = 0) -> np.ndarray:
-            """Index of every subnet cell in a raveled table over ``names``."""
-            sub = tuple(net.cardinality(v) for v in names)
-            index = np.arange(offset, offset + math.prod(sub)).reshape(sub)
-            placed = _placed(index, [axis[v] for v in names], len(sy))
-            return np.broadcast_to(placed, shape).ravel()
+        def strides(names: tuple[str, ...]) -> list[int]:
+            """Each subnet axis's stride in a table over ``names``, or 0."""
+            out, step = [0] * len(sy), 1
+            for v in reversed(names):
+                out[axis[v]] = step
+                step *= net.cardinality(v)
+            return out
 
         layout = _Layout.of(net, y)
-        family, entries = [], 0
-        for child, table_shape in zip(y, layout.shapes):
-            family.append(cells(net.parents[child] + (child,), entries))
-            entries += math.prod(table_shape)
-        target = _aligned_target(r, y).ravel()
+        scope = tuple(sorted(r.scope, key=net.axis))
+        # A raveled table index is linear in the cell's coordinates, so one
+        # product indexes every member's family, then ``scope``, then ``s``.
+        index = np.array([strides(net.parents[v] + (v,)) for v in y]
+                         + [strides(scope), strides(s)], dtype=np.intp
+                         ) @ np.unravel_index(np.arange(size), shape)
+        entries = np.cumsum([0] + [math.prod(t) for t in layout.shapes[:-1]])
+        target = _aligned_target(r, scope).ravel()
         positive = np.flatnonzero(target > 0.0)
         outside, weight = _outside_plan(net, y, s)
         return _SubnetPlan(
             y=y, s=s,
             outside=outside,
             weight=weight,
-            y_shape=shape[len(s):],
+            scope=scope,
+            scope_shape=tuple(net.cardinality(v) for v in scope),
             layout=layout,
-            y_cell=cells(y),
-            s_cell=cells(s),
-            family=np.stack(family),
+            scope_cell=index[-2],
+            s_cell=index[-1],
+            family=index[:-2] + entries[:, None],
             positive=positive,
             target=target[positive],
         )
+
+
+def _plain_map(plan: _SubnetPlan, w: np.ndarray
+               ) -> Callable[[np.ndarray], tuple[np.ndarray, float]]:
+    """The plain map ``F`` of ``plan``'s constraint under the raveled
+    context weight ``w``, with its buffers made once a visit.
+
+    ``F`` maps a member-CPT vector (``plan.layout``) to the next, and
+    returns the largest change it made to the subnet conditional: a
+    proportional step on the conditional, whose rows left without mass
+    keep their values, then re-extraction of the member CPTs, whose rows
+    without mass fill uniformly.  Each map is a gather through ``family``
+    and a few ``bincount`` sums through the plan's other indices.
+    """
+    family = plan.family.ravel()
+    row, uniform = plan.layout.row, plan.layout.uniform
+    refit = np.empty(plan.family.shape)
+    ratio = np.zeros(math.prod(plan.scope_shape))
+
+    def plain_map(theta: np.ndarray) -> tuple[np.ndarray, float]:
+        cond = theta[plan.family].prod(axis=0)
+        qy = np.bincount(plan.scope_cell, cond * w)
+        total = qy.sum()
+        if total > 0.0:
+            qy /= total
+        current = qy[plan.positive]
+        if not current.all():
+            i = int(np.flatnonzero(current == 0.0)[0])
+            raise _dominance_error(
+                plan.scope, plan.target[i],
+                np.unravel_index(int(plan.positive[i]), plan.scope_shape))
+        ratio[plan.positive] = plan.target / current
+        scaled = cond * ratio[plan.scope_cell]
+        alpha = np.bincount(plan.s_cell, scaled)[plan.s_cell]
+        newcond = np.divide(scaled, alpha, out=cond.copy(), where=alpha > 0.0)
+        np.multiply(newcond, w, out=refit)
+        m = np.bincount(family, refit.ravel())
+        denom = np.bincount(row, m)[row]
+        return (np.divide(m, denom, out=uniform.copy(), where=denom > 0.0),
+                float(np.abs(newcond - cond).max()))
+
+    return plain_map
+
+
+def _met(plan: _SubnetPlan, theta: np.ndarray, w: np.ndarray) -> bool:
+    """Whether the member CPTs ``theta`` already give the constraint's
+    marginal exactly, where a step could only add rounding."""
+    current = np.bincount(plan.scope_cell, theta[plan.family].prod(axis=0) * w)
+    return (np.array_equal(current[plan.positive], plan.target)
+            and np.count_nonzero(current) == plan.positive.size)
+
+
+def _local_visit(plan: _SubnetPlan, work: dict[str, np.ndarray]) -> None:
+    """Fit one local constraint's target CPT in ``work``, in place, by one
+    plain map; a constraint the tables already meet exactly leaves them
+    untouched."""
+    w = _outside_weight(plan.weight, plan.outside, work).ravel()
+    theta = plan.layout.pack(work)
+    if not _met(plan, theta, w):
+        work.update(plan.layout.tables(_plain_map(plan, w)(theta)[0]))
 
 
 SQUAREM_GATE = 1e-4
@@ -441,7 +472,7 @@ def _extrapolated(theta: np.ndarray, t1: np.ndarray, t2: np.ndarray,
     if candidate is None:
         return None
     cond = candidate[plan.family].prod(axis=0)
-    if not np.bincount(plan.y_cell, cond * w)[plan.positive].all():
+    if not np.bincount(plan.scope_cell, cond * w)[plan.positive].all():
         return None
     return candidate
 
@@ -451,11 +482,11 @@ def _nonlocal_visit(plan: _SubnetPlan, work: dict[str, np.ndarray],
     """Fit one non-local constraint's member tables in ``work``, in place;
     returns plain maps used.
 
-    The plain map ``F`` is a proportional step on the subnet conditional
-    followed by re-extraction of the member CPTs; the loop stops once a
-    plain step moves the conditional by at most ``inner_epsilon``, or
-    after ``inner_cap`` plain maps.  The context weight is computed once,
-    by the plan's compiled contraction; it only involves outside CPTs.
+    The loop applies ``_plain_map``'s ``F`` until a plain step moves the
+    conditional by at most ``inner_epsilon``, or ``inner_cap`` times.  The
+    context weight is computed once, by the plan's compiled contraction;
+    it only involves outside CPTs.  A constraint the tables already meet
+    exactly leaves them untouched, after no map.
 
     ``F`` alone converges linearly and slowly, so once a plain step falls
     below ``SQUAREM_GATE`` the loop extrapolates with SQUAREM (Varadhan &
@@ -468,41 +499,12 @@ def _nonlocal_visit(plan: _SubnetPlan, work: dict[str, np.ndarray],
     map, so ``DominanceError`` only ever comes from a plain map.  An
     extrapolation starts only when its maps fit under the cap, and the
     stop test is always a plain map's step.
-
-    Each map is a fixed handful of calls on 1-D arrays through the plan's
-    indices: the member tables are packed into one vector by the plan's
-    layout, a gather through ``family`` forms their product, and
-    ``bincount`` gives the ``y`` marginal, the per-``s`` row mass and the
-    re-extracted member tables.
     """
     w = _outside_weight(plan.weight, plan.outside, work).ravel()
-    family = plan.family.ravel()
-    row, uniform = plan.layout.row, plan.layout.uniform
-    refit = np.empty(plan.family.shape)
-    ratio = np.zeros(math.prod(plan.y_shape))
-
-    def plain_map(theta: np.ndarray) -> tuple[np.ndarray, float]:
-        cond = theta[plan.family].prod(axis=0)
-        qy = np.bincount(plan.y_cell, cond * w)
-        total = qy.sum()
-        if total > 0.0:
-            qy /= total
-        current = qy[plan.positive]
-        if not current.all():
-            i = int(np.flatnonzero(current == 0.0)[0])
-            raise _dominance_error(plan.y, plan.target[i], np.unravel_index(
-                int(plan.positive[i]), plan.y_shape))
-        ratio[plan.positive] = plan.target / current
-        scaled = cond * ratio[plan.y_cell]
-        alpha = np.bincount(plan.s_cell, scaled)[plan.s_cell]
-        newcond = np.divide(scaled, alpha, out=cond.copy(), where=alpha > 0.0)
-        np.multiply(newcond, w, out=refit)
-        m = np.bincount(family, refit.ravel())
-        denom = np.bincount(row, m)[row]
-        return (np.divide(m, denom, out=uniform.copy(), where=denom > 0.0),
-                float(np.abs(newcond - cond).max()))
-
     theta = plan.layout.pack(work)
+    if _met(plan, theta, w):
+        return 0
+    plain_map = _plain_map(plan, w)
     delta = float("inf")
     maps = 0
     while maps < inner_cap:
@@ -536,8 +538,9 @@ def run_d_ipfp(net: NetworkSpec, constraints: Sequence[Constraint],
     """Structure-preserving fit that never materializes the joint.
 
     Each cycle visits the constraints in list order; a local constraint
-    rescales rows of one CPT, a non-local one runs the subnet iteration of
-    ``_nonlocal_visit``.  Convergence is judged on CPT entries (the state
+    takes one plain map of its one-member subnet (``_local_visit``), which
+    rescales rows of one CPT, and a non-local one iterates the map
+    (``_nonlocal_visit``).  Convergence is judged on CPT entries (the state
     the solver actually moves) together with the true marginal residuals
     from variable elimination, each planned once per run.  The report's
     divergence comes from the edited families alone
@@ -546,36 +549,17 @@ def run_d_ipfp(net: NetworkSpec, constraints: Sequence[Constraint],
     it factors over that DAG by construction.
 
     A non-local visit stops its inner loop at ``stop.epsilon`` or after
-    ``INNER_MAX_ITERATIONS`` plain maps; a constraint spanning more than
-    ``SUBNET_BUDGET`` variables raises ``SubnetSizeError`` before any work.
+    ``INNER_MAX_ITERATIONS`` plain maps; a constraint whose subnet holds
+    more than ``2 ** SUBNET_BUDGET`` cells raises ``SubnetSizeError``
+    before any work.
     A family the run did not change keeps the input's ``Cpt`` object.
     """
     t0 = time.perf_counter()
     stop = stop or StopPolicy()
     constraints = _prepared(net, constraints)
 
-    plans: list[_LocalPlan | _SubnetPlan] = []
-    for r in constraints:
-        cls = classify_scope(net, r.scope)
-        if isinstance(cls, Local):
-            span = {cls.target} | set(net.parents[cls.target])
-            if len(span) > SUBNET_BUDGET:
-                raise SubnetSizeError(
-                    f"constraint over {r.scope}: the family of "
-                    f"{cls.target!r} spans {len(span)} variables, over the "
-                    f"budget of {SUBNET_BUDGET}"
-                )
-            plans.append(_LocalPlan.build(net, r, cls))
-        else:
-            span = len(cls.y) + len(cls.s)
-            if span > SUBNET_BUDGET:
-                raise SubnetSizeError(
-                    f"constraint over {r.scope}: subnet spans {span} "
-                    f"variables (y={cls.y}, s={cls.s}), over the budget "
-                    f"of {SUBNET_BUDGET}"
-                )
-            plans.append(_SubnetPlan.build(net, r, cls))
-
+    plans = [_SubnetPlan.build(net, r, classify_scope(net, r.scope))
+             for r in constraints]
     queries = [plan_cpt_contraction(net, r.scope) for r in constraints]
     work = {name: cpt.table for name, cpt in net.cpts.items()}
 
@@ -596,8 +580,9 @@ def run_d_ipfp(net: NetworkSpec, constraints: Sequence[Constraint],
     for cycle in range(1, cycles + 1):
         snapshot = dict(work)
         for plan in plans:
-            if isinstance(plan, _LocalPlan):
-                work[plan.target] = _local_visit(plan, work)
+            # Only a local constraint's subnet has a single member.
+            if len(plan.y) == 1:
+                _local_visit(plan, work)
             else:
                 _nonlocal_visit(plan, work, eps,
                                 inner_cap=INNER_MAX_ITERATIONS)

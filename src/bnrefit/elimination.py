@@ -27,9 +27,9 @@ chose its order on the fly by the same rule, so results do not depend on
 when the plan was made.
 
 The solvers build their plans with the objects that live for one run
-(``decomposed._LocalPlan``, ``decomposed._SubnetPlan`` and the residual
-plans of ``run_d_ipfp``); ``marginal`` and ``network_divergence`` build a
-plan and run it once.  Nothing is cached at module level.
+(``decomposed._SubnetPlan``, one per constraint, and the residual plans of
+``run_d_ipfp``); ``marginal`` and ``network_divergence`` build a plan and
+run it once.  Nothing is cached at module level.
 """
 
 from __future__ import annotations

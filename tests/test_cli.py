@@ -198,6 +198,36 @@ def test_exit_subnet_budget(tmp_path, monkeypatch, diamond_net, diamond_r3):
     assert code == cli.EXIT_SUBNET_BUDGET
 
 
+def many_state_subnet_net(card=16):
+    """Eight ``card``-state variables with ``A <- R1,R2,R3``, ``B <- A`` and
+    ``D <- B,Q1,Q2``: the pair (A, D) spans a subnet of all eight."""
+    parents = {"A": ("R1", "R2", "R3"), "B": ("A",), "D": ("B", "Q1", "Q2")}
+    names = ("R1", "R2", "R3", "A", "B", "Q1", "Q2", "D")
+    cpts = {}
+    for name in names:
+        shape = (card,) * (len(parents.get(name, ())) + 1)
+        cpts[name] = Cpt(name, parents.get(name, ()), np.full(shape, 1 / card))
+    return NetworkSpec(tuple(VariableDecl(n, card) for n in names), parents,
+                       cpts)
+
+
+def test_exit_subnet_budget_counts_cells(tmp_path, capsys):
+    # Eight variables are under a budget of 20, but 16^8 = 2^32 cells are
+    # not: the run must refuse the subnet before allocating it.
+    net = many_state_subnet_net()
+    net_path = write_net(tmp_path, net)
+    cons_path = write_cons(tmp_path, [
+        nets.constraint_over(net, ("A", "D"), np.full((16, 16), 1 / 256)),
+    ])
+    code = cli.main(["run", "--network", net_path, "--constraints", cons_path,
+                     "--algorithm", "d-ipfp",
+                     "--out", str(tmp_path / "out.json")])
+    assert code == cli.EXIT_SUBNET_BUDGET
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "2^32 cells" in err
+
+
 def test_exit_dense_ceiling_run(tmp_path):
     net = long_chain(26)
     net_path = write_net(tmp_path, net)

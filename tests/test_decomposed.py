@@ -162,6 +162,30 @@ def test_local_update_rows_still_normalize(diamond_net):
     assert np.max(np.abs(rows.sum(axis=1) - 1.0)) <= 1e-12
 
 
+@pytest.mark.parametrize("scope, values", [
+    (("B",), [0.4, 0.6]),
+    (("A", "B"), [[0.4, 0.6], [0.0, 0.0]]),
+], ids=["B", "A-B"])
+def test_local_visit_fills_zero_mass_rows_uniformly(scope, values):
+    # A never takes state 1, so B's row for A=1 carries no mass.  The visit
+    # fills it uniformly, as extract_cpt and the non-local kernel do; the
+    # row is invisible in the joint, so the joint, the residuals and the
+    # divergence are those of keeping the input's row.
+    net = nets.diamond_without_a1()
+    r = nets.constraint_over(net, scope, values)
+    expected = np.array([[0.4, 0.6], [0.5, 0.5]])
+    assert np.array_equal(local_update(net.cpts["B"], r, net).table, expected)
+    out, report = run_d_ipfp(net, [r])
+    assert np.array_equal(out.cpts["B"].table, expected)
+    kept = NetworkSpec(net.variables, net.parents, dict(out.cpts, B=Cpt(
+        "B", ("A",), np.array([[0.4, 0.6], net.cpts["B"].table[1]]))))
+    assert np.array_equal(joint_from_network(out).probs,
+                          joint_from_network(kept).probs)
+    assert report.termination is Termination.CONVERGED
+    assert report.per_constraint_residuals == (0.0,)
+    assert report.final_divergence == 0.022582421084357485
+
+
 # nonlocal_update
 
 
@@ -568,12 +592,30 @@ def place(arr, names, net):
     return moved.reshape(shape)
 
 
-@pytest.mark.parametrize("seed", [0, 3, 9])
-def test_local_update_moves_joint_by_ratio_over_alpha(seed):
+def reversed_parents(net, child):
+    """``net`` with ``child``'s CPT listing its parents in reverse
+    declaration order."""
+    cpt = net.cpts[child]
+    k = len(cpt.parent_order)
+    order = cpt.parent_order[::-1]
+    table = np.transpose(cpt.table, tuple(reversed(range(k))) + (k,))
+    return NetworkSpec(net.variables, dict(net.parents, **{child: order}),
+                       dict(net.cpts, **{child: Cpt(child, order, table)}))
+
+
+@pytest.mark.parametrize("seed, cardinality, reverse", [
+    (0, 2, False), (3, 2, False), (9, 2, False), (0, 3, False),
+    (5, 3, True), (9, 2, True),
+], ids=["0", "3", "9", "card3-0", "card3-reversed-5", "reversed-9"])
+def test_local_update_moves_joint_by_ratio_over_alpha(seed, cardinality,
+                                                      reverse):
     rng = np.random.default_rng(seed)
-    net = random_network(rng, 6, 2, 3)
+    net = random_network(rng, 6, cardinality, 3)
+    child = next(n for n in reversed(net.names)
+                 if len(net.parents[n]) >= (2 if reverse else 1))
+    if reverse:
+        net = reversed_parents(net, child)
     q0 = joint_from_network(net)
-    child = next(n for n in reversed(net.names) if net.parents[n])
     scope = tuple(net.parents[child]) + (child,)
     target = marginalize(q0, scope).probs
     bump = np.random.default_rng(seed + 100).uniform(0.8, 1.2, target.shape)
@@ -605,25 +647,25 @@ def test_subnet_large_trajectory_is_pinned():
     out, report = run_d_ipfp(net, constraints)
     assert report.termination is Termination.CONVERGED
     assert report.cycles == 3
-    assert report.final_divergence == 0.050134861454304305
+    assert report.final_divergence == 0.05013486145438556
     assert report.per_constraint_residuals == (
-        5.822101134533852e-11,
-        7.860934125858421e-12,
-        4.55802062759858e-13,
+        5.822317628023654e-11,
+        7.85516096613037e-12,
+        4.56024107364783e-13,
         3.6258113178533335e-10,
-        2.5248969581781466e-11,
+        2.530292642077825e-11,
         2.3015650496560625e-10,
-        3.3073599414734645e-11,
+        3.306932505608984e-11,
         2.7755575615628914e-17,
         5.551115123125783e-17,
-        5.551115123125783e-17,
+        2.7755575615628914e-17,
         0.0,
         1.1102230246251565e-16,
         5.551115123125783e-17,
         0.0,
         0.0,
         0.0,
-        5.551115123125783e-17,
+        0.0,
         0.0,
         5.551115123125783e-17,
         1.1102230246251565e-16,
@@ -633,4 +675,4 @@ def test_subnet_large_trajectory_is_pinned():
         1.1102230246251565e-16,
     )
     assert hashlib.sha256(serialize_network(out)).hexdigest() == (
-        "0096cc35330e3c9d8ab5f432ed4902886d840ff3cd56a3aac6cd002941135b1d")
+        "1c8d6c9708d50439a41ceb1ab1bd2cc828b9285c0c856efae3054e0c4d13c224")
