@@ -16,9 +16,11 @@ marginal, obtained by variable elimination; inside a subnet it is computed
 from the factored form ``cond(y | s) * w(y, s)``, where ``w`` is the
 contraction of every CPT outside ``Y`` onto ``S`` and ``Y``.  ``w`` does
 not change while only ``Y``'s tables are updated.  The DAG and every scope
-stay fixed for a run, so each of these contractions (a subnet's ``w``,
-each residual marginal) is planned once per run
+stay fixed for a run, so each subnet's ``w`` is planned once per run
 (``elimination.plan_contraction``), and a visit only executes its plan.
+The same plan also gives a constraint's residual (its marginal, summed from
+``cond * w``) and every member family's mass ``P(pa, v)`` for the report's
+divergence, so a run plans one contraction per constraint and no more.
 
 Subnets are small (a few dozen cells) but their inner loops run for
 thousands of iterations, so per-call overhead, not arithmetic, sets the
@@ -88,7 +90,7 @@ from .core import (
 from .core import _reextracted_product, i_divergence, joint_from_network
 from .dense import (OSCILLATION_WINDOW, RunReport, StopPolicy, Termination,
                     _prepared)
-from .elimination import (Contraction, contract, network_divergence,
+from .elimination import (Contraction, _family_divergence, contract,
                           plan_cpt_contraction)
 
 logger = logging.getLogger("bnrefit")
@@ -321,7 +323,8 @@ class _SubnetPlan:
       entry in the member-CPT vector that ``layout`` (a ``core._Layout``
       over ``y``) lays out;
     - ``positive`` and ``target``: the raveled ``scope`` cells where the
-      constraint is positive, and its values there.
+      constraint is positive, and its whole table over ``scope``, zero
+      cells included.
 
     ``outside`` names the CPTs the context weight contracts, and
     ``weight`` is that contraction's plan (``_outside_plan``).
@@ -388,7 +391,7 @@ class _SubnetPlan:
             s_cell=index[-1],
             family=index[:-2] + entries[:, None],
             positive=positive,
-            target=target[positive],
+            target=target,
         )
 
 
@@ -406,6 +409,7 @@ def _plain_map(plan: _SubnetPlan, w: np.ndarray
     """
     family = plan.family.ravel()
     row, uniform = plan.layout.row, plan.layout.uniform
+    target = plan.target[plan.positive]
     refit = np.empty(plan.family.shape)
     ratio = np.zeros(math.prod(plan.scope_shape))
 
@@ -419,9 +423,9 @@ def _plain_map(plan: _SubnetPlan, w: np.ndarray
         if not current.all():
             i = int(np.flatnonzero(current == 0.0)[0])
             raise _dominance_error(
-                plan.scope, plan.target[i],
+                plan.scope, target[i],
                 np.unravel_index(int(plan.positive[i]), plan.scope_shape))
-        ratio[plan.positive] = plan.target / current
+        ratio[plan.positive] = target / current
         scaled = cond * ratio[plan.scope_cell]
         alpha = np.bincount(plan.s_cell, scaled)[plan.s_cell]
         newcond = np.divide(scaled, alpha, out=cond.copy(), where=alpha > 0.0)
@@ -434,12 +438,28 @@ def _plain_map(plan: _SubnetPlan, w: np.ndarray
     return plain_map
 
 
+def _marginal(plan: _SubnetPlan, theta: np.ndarray,
+              w: np.ndarray) -> np.ndarray:
+    """The network's marginal over the constraint's scope, raveled as
+    ``plan.target``, when its member CPTs are ``theta`` and its context
+    weight is ``w``: the subnet joint ``cond * w`` summed per scope cell."""
+    return np.bincount(plan.scope_cell, theta[plan.family].prod(axis=0) * w)
+
+
+def _family_mass(plan: _SubnetPlan, theta: np.ndarray,
+                 w: np.ndarray) -> dict[str, np.ndarray]:
+    """Each member's family mass ``P(pa, v)``, shaped as its CPT, when the
+    member CPTs are ``theta`` and the context weight is ``w``: the subnet
+    joint summed per member-table entry, the ``m`` of ``_plain_map``."""
+    joint = theta[plan.family].prod(axis=0) * w
+    return plan.layout.tables(
+        np.bincount(plan.family.ravel(), np.tile(joint, len(plan.y))))
+
+
 def _met(plan: _SubnetPlan, theta: np.ndarray, w: np.ndarray) -> bool:
     """Whether the member CPTs ``theta`` already give the constraint's
     marginal exactly, where a step could only add rounding."""
-    current = np.bincount(plan.scope_cell, theta[plan.family].prod(axis=0) * w)
-    return (np.array_equal(current[plan.positive], plan.target)
-            and np.count_nonzero(current) == plan.positive.size)
+    return np.array_equal(_marginal(plan, theta, w), plan.target)
 
 
 def _local_visit(plan: _SubnetPlan, work: dict[str, np.ndarray]) -> None:
@@ -471,8 +491,7 @@ def _extrapolated(theta: np.ndarray, t1: np.ndarray, t2: np.ndarray,
     candidate = _squarem(theta, t1, t2, plan.layout.row)
     if candidate is None:
         return None
-    cond = candidate[plan.family].prod(axis=0)
-    if not np.bincount(plan.scope_cell, cond * w)[plan.positive].all():
+    if not _marginal(plan, candidate, w)[plan.positive].all():
         return None
     return candidate
 
@@ -533,6 +552,32 @@ def _nonlocal_visit(plan: _SubnetPlan, work: dict[str, np.ndarray],
     return maps
 
 
+def _divergence(net: NetworkSpec, work: Mapping[str, np.ndarray],
+                plans: Sequence[_SubnetPlan],
+                weights: Sequence[np.ndarray]) -> float:
+    """I-divergence of the network with tables ``work`` from ``net``.
+
+    The chain rule of ``elimination.network_divergence``, summed over the
+    changed families in declaration order, with each family's mass read off
+    the subnet of the last plan that has it as a member; ``weights`` are
+    the plans' raveled context weights at ``work``.  Only a plan's members
+    change, so every changed family has one.
+    """
+    owner = {name: (plan, w) for plan, w in zip(plans, weights)
+             for name in plan.y}
+    mass: dict[str, np.ndarray] = {}
+    total = 0.0
+    for name in net.names:
+        a, b = work[name], net.cpts[name].table
+        if a is b or np.array_equal(a, b):
+            continue
+        if name not in mass:
+            plan, w = owner[name]
+            mass.update(_family_mass(plan, plan.layout.pack(work), w))
+        total += _family_divergence(mass[name], a, b)
+    return total
+
+
 def run_d_ipfp(net: NetworkSpec, constraints: Sequence[Constraint],
                stop: StopPolicy | None = None) -> tuple[NetworkSpec, RunReport]:
     """Structure-preserving fit that never materializes the joint.
@@ -541,12 +586,14 @@ def run_d_ipfp(net: NetworkSpec, constraints: Sequence[Constraint],
     takes one plain map of its one-member subnet (``_local_visit``), which
     rescales rows of one CPT, and a non-local one iterates the map
     (``_nonlocal_visit``).  Convergence is judged on CPT entries (the state
-    the solver actually moves) together with the true marginal residuals
-    from variable elimination, each planned once per run.  The report's
-    divergence comes from the edited families alone
-    (``network_divergence``), at any network size.  Its structural
-    residual is ``None``: the result is a network on the input's DAG, so
-    it factors over that DAG by construction.
+    the solver actually moves) together with the true marginal residuals,
+    each summed from its constraint's subnet (``_marginal``) under the
+    context weight its plan contracts at the current tables.  The report's
+    divergence (``_divergence``) comes from the edited families alone, by
+    the chain rule of ``network_divergence``, at any network size, with
+    each family's mass ``P(pa, v)`` read off a subnet it belongs to.
+    Its structural residual is ``None``: the result is a network on the
+    input's DAG, so it factors over that DAG by construction.
 
     A non-local visit stops its inner loop at ``stop.epsilon`` or after
     ``INNER_MAX_ITERATIONS`` plain maps; a constraint whose subnet holds
@@ -560,21 +607,25 @@ def run_d_ipfp(net: NetworkSpec, constraints: Sequence[Constraint],
 
     plans = [_SubnetPlan.build(net, r, classify_scope(net, r.scope))
              for r in constraints]
-    queries = [plan_cpt_contraction(net, r.scope) for r in constraints]
     work = {name: cpt.table for name, cpt in net.cpts.items()}
 
-    def current_residuals() -> tuple[float, ...]:
-        return tuple(
+    def measure() -> tuple[list[np.ndarray], tuple[float, ...]]:
+        """Each plan's raveled context weight at the current tables, and
+        each constraint's residual: the largest distance of its marginal
+        from its target, over every cell of its scope."""
+        weights = [contract(plan.weight, [work[name] for name in plan.outside]
+                            ).ravel() for plan in plans]
+        return weights, tuple(
             float(np.max(np.abs(
-                contract(plan, [work[name] for name in names])
-                - r.dist.probs)))
-            for r, (names, plan) in zip(constraints, queries))
+                _marginal(plan, plan.layout.pack(work), w) - plan.target)))
+            for plan, w in zip(plans, weights))
 
     eps = stop.epsilon
     deltas: deque[float] = deque(maxlen=OSCILLATION_WINDOW)
     worsts: deque[float] = deque(maxlen=OSCILLATION_WINDOW)
     termination = Termination.MAX_CYCLES if constraints else Termination.CONVERGED
     cycles = stop.max_cycles if constraints else 0
+    weights: list[np.ndarray] = []
     residuals: tuple[float, ...] | None = None
 
     for cycle in range(1, cycles + 1):
@@ -598,7 +649,7 @@ def run_d_ipfp(net: NetworkSpec, constraints: Sequence[Constraint],
         # signal says the run may be done, or has stalled.
         residuals = None
         if delta <= eps:
-            residuals = current_residuals()
+            weights, residuals = measure()
             if max(residuals) <= eps:
                 termination = Termination.CONVERGED
                 cycles = cycle
@@ -607,7 +658,7 @@ def run_d_ipfp(net: NetworkSpec, constraints: Sequence[Constraint],
         deltas.append(delta)
         if len(deltas) == deltas.maxlen and deltas[-1] >= 0.9 * deltas[0]:
             if residuals is None:
-                residuals = current_residuals()
+                weights, residuals = measure()
             worsts.append(max(residuals))
             if (len(worsts) == worsts.maxlen
                     and worsts[-1] >= 0.99 * worsts[0]):
@@ -624,7 +675,7 @@ def run_d_ipfp(net: NetworkSpec, constraints: Sequence[Constraint],
             worsts.clear()
 
     if residuals is None:
-        residuals = current_residuals()
+        weights, residuals = measure()
 
     # Each changed family is validated once, here; the rest keep their Cpt.
     result = net if not cycles else NetworkSpec(net.variables, net.parents, {
@@ -635,7 +686,7 @@ def run_d_ipfp(net: NetworkSpec, constraints: Sequence[Constraint],
         algorithm="d-ipfp",
         cycles=cycles,
         wall_time=time.perf_counter() - t0,
-        final_divergence=network_divergence(result, net),
+        final_divergence=_divergence(net, work, plans, weights),
         per_constraint_residuals=residuals,
         structural_residual=None,
         termination=termination,

@@ -26,9 +26,10 @@ tables performs the same floating-point operations as an elimination that
 chose its order on the fly by the same rule, so results do not depend on
 when the plan was made.
 
-The solvers build their plans with the objects that live for one run
-(``decomposed._SubnetPlan``, one per constraint, and the residual plans of
-``run_d_ipfp``); ``marginal`` and ``network_divergence`` build a plan and
+The solvers build their plans with the objects that live for one run: each
+constraint's ``decomposed._SubnetPlan`` holds the one plan d-ipfp makes for
+it, and ``run_d_ipfp`` reads its residuals and its report's divergence off
+those plans too.  ``marginal`` and ``network_divergence`` build a plan and
 run it once.  Nothing is cached at module level.
 """
 
@@ -256,6 +257,22 @@ def marginal(net: NetworkSpec, targets: Sequence[str],
     return contract(plan, [table[n].table for n in names])
 
 
+def _family_divergence(mass: np.ndarray, a: np.ndarray,
+                       b: np.ndarray) -> float:
+    """One family's chain-rule term of the I-divergence of a network ``P``
+    from a network ``Q`` with the same parents.
+
+    ``a`` and ``b`` are the family's CPTs in ``P`` and ``Q``, and ``mass``
+    is ``P``'s ``P(pa, v) = P(pa) * a``, all of one shape.  Cells without
+    mass contribute nothing; the term is infinite where a cell with mass
+    has ``b == 0``.
+    """
+    mask = mass > 0.0
+    if np.any(b[mask] == 0.0):
+        return float("inf")
+    return float((mass[mask] * np.log(a[mask] / b[mask])).sum())
+
+
 def network_divergence(p: NetworkSpec, q: NetworkSpec) -> float:
     """I-divergence (natural log) of ``p``'s joint from ``q``'s, factored.
 
@@ -266,7 +283,8 @@ def network_divergence(p: NetworkSpec, q: NetworkSpec) -> float:
     and executed once.  Cells where ``P(pa) * p(v|pa)`` is zero contribute
     nothing, even when ``q``'s entry is zero there; the result is infinite
     only where ``p`` has mass that ``q`` lacks, exactly as for the dense
-    joints.
+    joints.  Each family's term is ``_family_divergence``, which d-ipfp's
+    report also sums, with each mass read off a constraint's subnet.
     """
     if p.variables != q.variables or p.parents != q.parents:
         raise ScopeError(
@@ -279,9 +297,6 @@ def network_divergence(p: NetworkSpec, q: NetworkSpec) -> float:
         if a is b or np.array_equal(a, b):
             continue
         parents = p.parents[name]
-        mass = marginal(p, parents)[..., None] * a if parents else a
-        mask = mass > 0.0
-        if np.any(b[mask] == 0.0):
-            return float("inf")
-        total += float((mass[mask] * np.log(a[mask] / b[mask])).sum())
+        total += _family_divergence(
+            marginal(p, parents)[..., None] * a if parents else a, a, b)
     return total

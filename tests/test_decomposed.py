@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import bnrefit.decomposed as decomposed
+import bnrefit.elimination as elimination
 import nets
 from bnrefit import (
     Constraint,
@@ -38,6 +39,7 @@ from bnrefit import (
 )
 from bnrefit.decomposed import (SQUAREM_GATE, LocalSubnet, _extrapolated,
                                 _outside_weight, _SubnetPlan)
+from bnrefit.elimination import marginal, network_divergence
 from bnrefit.fileio import serialize_network
 from bnrefit.generate import generate_instance, random_network
 
@@ -312,6 +314,83 @@ def test_d_ipfp_validates_each_changed_cpt_once(monkeypatch):
     changed = sum(out.cpts[name] is not net.cpts[name] for name in net.names)
     assert changed == 31
     assert built == changed
+
+
+def test_d_ipfp_plans_one_contraction_per_constraint(monkeypatch):
+    # Each constraint's subnet plan compiles its outside weight once per
+    # run; the residuals and the report's divergence are read off those
+    # plans, so the run plans no other contraction.
+    net, constraints = generate_instance(0, n_nodes=120, num_constraints=24)
+    planned = 0
+    plan = elimination.plan_contraction
+
+    def counting(*args, **kwargs):
+        nonlocal planned
+        planned += 1
+        return plan(*args, **kwargs)
+
+    monkeypatch.setattr(elimination, "plan_contraction", counting)
+    run_d_ipfp(net, constraints)
+    assert planned == len(constraints) == 24
+
+
+def children_first_instance():
+    """The children-first network with two local constraints and a
+    non-local one.  Their targets are the marginals of the network with
+    the CPTs of their members (V5 and V4 locally, V5, V3 and V0 jointly)
+    redrawn, so the solver can meet them all."""
+    net = nets.children_first()
+    rng = np.random.default_rng(1)
+    redrawn = NetworkSpec(net.variables, net.parents, {
+        name: Cpt(name, cpt.parent_order,
+                  rng.dirichlet(np.full(cpt.table.shape[-1], 2.0),
+                                size=cpt.table.shape[:-1]))
+        if name in ("V0", "V3", "V4", "V5") else cpt
+        for name, cpt in net.cpts.items()})
+    return net, [Constraint.over(net, scope, marginal(redrawn, scope))
+                 for scope in (("V5", "V0"), ("V1", "V4"), ("V0", "V3", "V5"))]
+
+
+def equivalence_case(name):
+    """A network and its constraints, for the report equivalence test."""
+    kind, _, seed = name.partition("-")
+    if kind == "subnet":
+        return generate_instance(int(seed), n_nodes=120, num_constraints=24)
+    if kind == "criterion1":
+        seed = int(seed)
+        return generate_instance(seed, n_nodes=10 + seed % 6,
+                                 num_constraints=4 + seed % 3)
+    if kind == "ternary":
+        return generate_instance(0, n_nodes=8, num_constraints=4,
+                                 cardinality=3)
+    if kind == "childrenfirst":
+        return children_first_instance()
+    net = nets.diamond_without_a1()
+    if seed == "B":
+        return net, [nets.constraint_over(net, ("B",), [0.4, 0.6])]
+    return net, [nets.constraint_over(net, ("A", "B"),
+                                      [[0.4, 0.6], [0.0, 0.0]])]
+
+
+@pytest.mark.parametrize("name", [
+    *(f"subnet-{seed}" for seed in range(5)),
+    *(f"criterion1-{seed}" for seed in range(20)),
+    "ternary", "childrenfirst", "zeromass-B", "zeromass-AB",
+])
+def test_d_ipfp_report_matches_variable_elimination(name):
+    # The report's residuals and divergence are read off each constraint's
+    # subnet plan at the final tables; they must agree with a fresh
+    # variable elimination of the output network to rounding.
+    net, constraints = equivalence_case(name)
+    out, report = run_d_ipfp(net, constraints)
+    assert report.termination is Termination.CONVERGED
+    for r, got in zip(constraints, report.per_constraint_residuals,
+                      strict=True):
+        want = float(np.max(np.abs(marginal(out, r.scope) - r.dist.probs)))
+        assert abs(got - want) <= 1e-15
+    want = network_divergence(out, net)
+    assert 0.0 < want < np.inf
+    assert report.final_divergence == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_d_ipfp_desk_instance(diamond_net, diamond_r3):
@@ -649,14 +728,14 @@ def test_subnet_large_trajectory_is_pinned():
     assert report.cycles == 3
     assert report.final_divergence == 0.05013486145438556
     assert report.per_constraint_residuals == (
-        5.822317628023654e-11,
-        7.85516096613037e-12,
-        4.56024107364783e-13,
+        5.822314852466093e-11,
+        7.855271988432833e-12,
+        4.560796185160143e-13,
         3.6258113178533335e-10,
         2.530292642077825e-11,
         2.3015650496560625e-10,
-        3.306932505608984e-11,
-        2.7755575615628914e-17,
+        3.3069269544938606e-11,
+        5.551115123125783e-17,
         5.551115123125783e-17,
         2.7755575615628914e-17,
         0.0,
@@ -666,7 +745,7 @@ def test_subnet_large_trajectory_is_pinned():
         0.0,
         0.0,
         0.0,
-        0.0,
+        1.3877787807814457e-17,
         5.551115123125783e-17,
         1.1102230246251565e-16,
         0.0,
