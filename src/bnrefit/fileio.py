@@ -60,6 +60,14 @@ def _canon(value, indent: int) -> str:
     if isinstance(value, (list, tuple)):
         if not len(value):
             return "[]"
+        if set(map(type, value)) == {float}:
+            # Flat float lists (CPTs, distributions): a finite float is
+            # written as the scalar branch writes it.  A non-finite one
+            # formats as "inf" or "nan", whose "n" sends the list on to the
+            # scalar branch, which writes it as JSON does.
+            flat = ", ".join([format(v, ".17g") for v in value])
+            if "n" not in flat:
+                return "[" + flat + "]"
         if all(_scalar(v) for v in value):
             return "[" + ", ".join(_canon(v, 0) for v in value) + "]"
         rows = ",\n".join(f"{pad}  {_canon(v, indent + 1)}" for v in value)

@@ -611,6 +611,126 @@ def test_extrapolated_candidate_rows_are_distributions():
     assert candidate[0] > t2[0]
 
 
+def reference_plain_map(plan, w):
+    """The plain map spelled with the ndarray reduction wrappers and two
+    masked divides: the reference ``decomposed._plain_map``, which avoids
+    their per-call overhead, must match bit for bit."""
+    family = plan.family.ravel()
+    row, uniform = plan.layout.row, plan.layout.uniform
+    target = plan.target[plan.positive]
+    refit = np.empty(plan.family.shape)
+    ratio = np.zeros(int(np.prod(plan.scope_shape)))
+
+    def plain_map(theta):
+        cond = theta[plan.family].prod(axis=0)
+        qy = np.bincount(plan.scope_cell, cond * w)
+        total = qy.sum()
+        if total > 0.0:
+            qy /= total
+        current = qy[plan.positive]
+        assert current.all()
+        ratio[plan.positive] = target / current
+        scaled = cond * ratio[plan.scope_cell]
+        alpha = np.bincount(plan.s_cell, scaled)[plan.s_cell]
+        newcond = np.divide(scaled, alpha, out=cond.copy(), where=alpha > 0.0)
+        np.multiply(newcond, w, out=refit)
+        m = np.bincount(family, refit.ravel())
+        denom = np.bincount(row, m)[row]
+        return (np.divide(m, denom, out=uniform.copy(), where=denom > 0.0),
+                float(np.abs(newcond - cond).max()))
+
+    return plain_map
+
+
+def assert_maps_match_reference(net, r, maps=50):
+    """``maps`` successive plain maps of ``r``'s plan, from ``net``'s
+    tables, equal the reference's bit for bit, step sizes included."""
+    plan = _SubnetPlan.build(net, r, classify_constraint(net, r))
+    work = {name: cpt.table for name, cpt in net.cpts.items()}
+    w = _outside_weight(plan.weight, plan.outside, work).ravel()
+    kernel, reference = decomposed._plain_map(plan, w), reference_plain_map(
+        plan, w)
+    theta = plan.layout.pack(work)
+    for _ in range(maps):
+        got, got_step = kernel(theta)
+        want, want_step = reference(theta)
+        assert np.array_equal(got, want)
+        assert got_step == want_step
+        theta = want
+    return plan
+
+
+def test_plain_map_matches_reference_on_subnet_large():
+    net, constraints = generate_instance(0, n_nodes=120, num_constraints=24)
+    for r in constraints:
+        assert_maps_match_reference(net, r)
+
+
+def zero_mass_cases(name):
+    """A network and a constraint whose plain map meets a row without
+    mass, and which kind of row: a subnet ``s`` row or a member's parent
+    row."""
+    if name == "zero-target-s-row":
+        # Local over (A, B) with no mass at A=1: every cell of the s row
+        # A=1 is scaled by 0.
+        net = nets.make_chain()
+        return net, nets.constraint_over(
+            net, ("A", "B"), [[0.5, 0.5], [0.0, 0.0]]), "s"
+    if name == "zero-mass-parent-row-local":
+        # P(A=1) = 0, so B's CPT row A=1 carries no mass.
+        net = nets.diamond_without_a1()
+        return net, nets.constraint_over(net, ("B",), [0.4, 0.6]), "row"
+    # B is never 1, so in the non-local (A, D) subnet D's CPT rows with
+    # B=1 carry no mass.
+    net = nets.make_diamond()
+    never = Cpt("B", ("A",), np.array([[1.0, 0.0], [1.0, 0.0]]))
+    net = NetworkSpec(net.variables, net.parents, dict(net.cpts, B=never))
+    return net, nets.diamond_r3(net), "row"
+
+
+@pytest.mark.parametrize("name", ["zero-target-s-row",
+                                  "zero-mass-parent-row-local",
+                                  "zero-mass-parent-row-nonlocal"])
+def test_plain_map_fallback_matches_reference(monkeypatch, name):
+    # The kernel divides plainly when every row has mass and falls back to
+    # the masked divide otherwise; each case must reach its fallback.
+    net, r, kind = zero_mass_cases(name)
+    reached = []
+    normalized = decomposed._row_normalized
+
+    def spy(values, sums, rows, fallback):
+        if np.count_nonzero(sums) < sums.size:
+            reached.append(rows)
+        return normalized(values, sums, rows, fallback)
+
+    monkeypatch.setattr(decomposed, "_row_normalized", spy)
+    plan = assert_maps_match_reference(net, r)
+    rows = plan.s_cell if kind == "s" else plan.layout.row
+    assert reached and all(got is rows for got in reached)
+
+
+def test_nonlocal_visit_stops_when_the_map_is_fixed(monkeypatch, caplog):
+    # Two independent roots cannot carry a dependent pair: after one map
+    # the member CPTs are fixed bit for bit while the conditional's step
+    # stays large, so the visit stops instead of running to its cap, and
+    # the outer loop still calls the run oscillating.
+    net, r = visit_case("empty-s")
+    maps = []
+    visit = decomposed._nonlocal_visit
+
+    def counted(*args, **kwargs):
+        maps.append(visit(*args, **kwargs))
+        return maps[-1]
+
+    monkeypatch.setattr(decomposed, "_nonlocal_visit", counted)
+    with caplog.at_level("WARNING", logger="bnrefit"):
+        _, report = run_d_ipfp(net, [r])
+    assert report.termination is Termination.OSCILLATING
+    assert maps and max(maps) <= 2
+    assert "left the member CPTs unchanged" in caplog.text
+    assert "hit its cap" not in caplog.text
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 def test_d_ipfp_n200_converges_in_few_cycles(seed):
     # Beyond dense reach: 200 variables, 40 constraints.  Plain maps alone

@@ -6,6 +6,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import nets
 from bnrefit import (
@@ -23,7 +25,7 @@ from bnrefit import (
     serialize_constraints,
     serialize_network,
 )
-from bnrefit.fileio import write_atomic
+from bnrefit.fileio import _canon, write_atomic
 from bnrefit.generate import random_network
 
 MINIMAL = b"""{
@@ -211,6 +213,25 @@ def test_parse_constraint_rejects_wrong_length(chain_net):
 
 def test_serialize_is_deterministic(diamond_net):
     assert serialize_network(diamond_net) == serialize_network(diamond_net)
+
+
+EDGE_FLOATS = [-0.0, 5e-324, 2.225073858507201e-308, 1e-300, 0.1,
+               float("inf"), float("-inf"), float("nan")]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats() | st.sampled_from(EDGE_FLOATS), min_size=1))
+@example(EDGE_FLOATS[:5])
+@example([0.1, float("inf")])
+@example([float("nan")])
+def test_float_list_writer_matches_generic_path(values):
+    # A flat list of floats takes the writer's fast path unless an entry
+    # is not finite; either way it writes the bytes the per-scalar path
+    # writes, and a non-finite entry keeps its JSON spelling.
+    got = _canon(values, 0)
+    assert got == "[" + ", ".join(_canon(v, 0) for v in values) + "]"
+    if not all(np.isfinite(values)):
+        assert "Infinity" in got or "NaN" in got
 
 
 def test_parse_serialize_parse_is_identity(diamond_net):
