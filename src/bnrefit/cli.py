@@ -35,6 +35,7 @@ from .core import (
     DominanceError,
     NetworkSpec,
     ValidationError,
+    _max_gap,
     _power_of_two,
     _reextracted_product,
     extract_cpts,
@@ -62,7 +63,9 @@ DENSE_CEILING = 25
 """Base-2 logarithm of the most cells a dense joint may hold (2^25 cells
 puts a quarter-gigabyte table on the floor; past that only d-ipfp and check
 make sense).  The cell count is the product of the cardinalities, so a few
-many-state variables can exceed it."""
+many-state variables can exceed it.  Building one dense product (a joint,
+a structural projection or a re-extraction) holds up to 1.5 joints at its
+peak: the table and a scratch table of the level below it."""
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -241,7 +244,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     cells = _dense_cells(net)
     if cells <= 2 ** DENSE_CEILING:
         q = joint_from_network(net)
-        gap = float(np.max(np.abs(q.probs - _reextracted_product(q, net))))
+        gap = _max_gap(_reextracted_product(q, net), q.probs)
         print(f"structural residual: {gap:.3e}")
     else:
         print(f"structural residual: skipped ({_power_of_two(cells)} cells "

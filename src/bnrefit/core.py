@@ -448,6 +448,24 @@ def _blocked(table: np.ndarray, axes: Sequence[int],
         head + blocks[-1:])
 
 
+def _blocked_by_state(table: np.ndarray, axes: Sequence[int],
+                      shape: Sequence[int]) -> np.ndarray:
+    """``_blocked`` factors of ``table`` at each state of its highest axis.
+
+    ``axes`` places ``table`` as in ``_placed``; its highest entry is
+    ``len(shape)``, one past the axes of ``shape``.  Item ``x`` of the
+    result is ``table`` taken at state ``x`` of that axis, broadcastable
+    over the ``_block_shape(shape)`` view of a table of ``shape``.
+    """
+    blocks = _block_shape(shape)
+    k = len(shape)
+    placed = _placed(table, [0 if a == k else a + 1 for a in axes], k + 1)
+    head = placed.shape[:len(blocks)]
+    out = np.empty(head + blocks[-1:])
+    out.reshape(head + tuple(shape[len(head) - 1:]))[...] = placed
+    return out
+
+
 def _cpt_product(variables: Sequence[VariableDecl],
                  tables: Mapping[str, np.ndarray],
                  parents: Mapping[str, tuple[str, ...]]) -> np.ndarray:
@@ -457,25 +475,38 @@ def _cpt_product(variables: Sequence[VariableDecl],
     ``parents[child]`` plus the child; ``variables`` must hold every child
     and parent named.
 
-    The product runs on the ``_block_shape`` view of the output: head axes,
-    then one contiguous block of at least ``_BLOCK`` cells, so no multiply
-    runs numpy's inner loop over a short axis (``_BLOCK`` gives the
-    measured cost of that loop).  Families whose axes all lie in the head
-    are multiplied by a recursive call on the head variables, whose table
-    is broadcast once into the output; only the families that touch the
-    block make full-size passes, each by its ``_blocked`` factor.  On the
-    20-variable ``dense-ceiling`` instance 8 families touch the block, so
-    the product makes 9 full-size passes where multiplying each CPT into
-    the whole table made 20, each of those slowed by short inner loops.
+    Multiplies run on ``_block_shape`` views, whose last axis is one
+    contiguous block of at least ``_BLOCK`` cells, so no multiply runs
+    numpy's inner loop over a short axis (``_BLOCK`` gives the measured
+    cost of that loop).  A table of one block is a table of ones with
+    each family multiplied in by its ``_blocked`` factor.  A larger table
+    has head axes in front of its block: the families whose axes all lie
+    in the head are multiplied by a recursive call on the head variables,
+    and the table is grown from that head product one declared axis at a
+    time.  Level ``k + 1``, the product over the first ``k + 1``
+    variables, holds at state ``x`` of axis ``k`` one strided slice: level
+    ``k`` in its block view, times each family whose last (highest)
+    axis is ``k``, taken at ``x``.
 
     Each cell's factors are multiplied left to right starting from one:
-    the head families, recursively in this same order, then the block
-    families, each group in ``tables`` order.  When ``tables`` lists the
-    families with their last axes in non-decreasing order, as the callers
-    do for a network declared in topological order, no head family follows
-    a block family, this is ``tables`` order, and the result is
+    the head families, recursively in this same order, then the grown
+    families by last axis, families with the same last axis in ``tables``
+    order.  When ``tables`` lists the families with their last axes in
+    non-decreasing order, as the callers do for a network declared in
+    topological order, this is ``tables`` order, and the result is
     bit-identical to multiplying each factor in turn into a table of ones.
     Otherwise it can differ from that by rounding.
+
+    Level ``k + 1`` writes its cells once and reads level ``k`` once per
+    state of axis ``k``, so the grown levels cost about one read and one
+    write of their own cells each; on length-2 axes they sum to under
+    twice the output.  On the 20-variable ``dense-ceiling`` instance that
+    is about two full-size passes, where broadcasting the head product
+    and multiplying each of the 8 families that touch the block into the
+    whole table made 9.  The levels alternate between the output and one
+    scratch array of the level below the output (at most half its cells),
+    both allocated once, and the last level lands in the output, so the
+    product holds up to 1.5 times the output's cells at its peak.
     """
     shape = tuple(v.cardinality for v in variables)
     blocks = _block_shape(shape)
@@ -483,14 +514,36 @@ def _cpt_product(variables: Sequence[VariableDecl],
     axis = {v.name: i for i, v in enumerate(variables)}
     axes = {child: [axis[p] for p in parents[child]] + [axis[child]]
             for child in tables}
+    if not head:
+        out = np.empty(blocks)
+        out[...] = 1.0
+        for child, table in tables.items():
+            out *= _blocked(table, axes[child], shape)
+        return out.reshape(shape)
     inner = {child: table for child, table in tables.items()
              if max(axes[child]) < head}
-    out = np.empty(blocks)
-    out[...] = (_cpt_product(variables[:head], inner, parents)[..., None]
-                if head else 1.0)
-    for child, table in tables.items():
+    by_last: dict[int, list[str]] = {}
+    for child in tables:
         if child not in inner:
-            out *= _blocked(table, axes[child], shape)
+            by_last.setdefault(max(axes[child]), []).append(child)
+    level = _cpt_product(variables[:head], inner, parents)
+    n = len(shape)
+    out = np.empty(math.prod(shape))
+    scratch = np.empty(out.size // shape[-1]) if n - head > 1 else None
+    for k in range(head, n):
+        grown = (out if (n - k) % 2 else scratch)[:level.size * shape[k]]
+        below = _block_shape(shape[:k])
+        previous = level.reshape(below)
+        view = grown.reshape(below + (shape[k],))
+        factors = [_blocked_by_state(tables[child], axes[child], shape[:k])
+                   for child in by_last.get(k, ())]
+        for x in range(shape[k]):
+            cell = view[..., x]
+            if not factors:
+                cell[...] = previous
+            for i, factor in enumerate(factors):
+                np.multiply(cell if i else previous, factor[x], out=cell)
+        level = grown
     return out.reshape(shape)
 
 
@@ -637,10 +690,21 @@ def _reextracted_product(q: JointTable, net: NetworkSpec) -> np.ndarray:
     return _cpt_product(net.variables, tables, net.parents)
 
 
+def _max_gap(product: np.ndarray, probs: np.ndarray) -> float:
+    """Largest absolute cell difference between ``product`` and ``probs``.
+
+    ``product`` is a freshly built array, such as ``_reextracted_product``
+    returns; the difference is taken in its memory, which it overwrites,
+    so no temporary of the table's size is allocated.
+    """
+    np.subtract(product, probs, out=product)
+    np.abs(product, out=product)
+    return float(product.max())
+
+
 def is_structurally_consistent(q: JointTable, net: NetworkSpec) -> bool:
     """Whether ``q`` equals its re-extracted product within ``TAU_NORM``."""
-    gap = np.max(np.abs(q.probs - _reextracted_product(q, net)))
-    return bool(gap <= TAU_NORM)
+    return _max_gap(_reextracted_product(q, net), q.probs) <= TAU_NORM
 
 
 def _dominance_error(names: tuple[str, ...], mass: float,
@@ -758,11 +822,15 @@ def i_divergence(p: JointTable, q: JointTable) -> float:
         raise ScopeError(
             f"divergence needs identical scopes, got {p.names} and {q.names}"
         )
-    mask = p.probs > 0.0
-    if np.any(mask & (q.probs <= 0.0)):
-        return float("inf")
-    terms = np.divide(p.probs, q.probs, out=np.ones(p.probs.shape),
-                      where=mask)
+    if p.probs.min() > 0.0 and q.probs.min() > 0.0:
+        # No zero cell: the masked divide would give this same array.
+        terms = p.probs / q.probs
+    else:
+        mask = p.probs > 0.0
+        if np.any(mask & (q.probs <= 0.0)):
+            return float("inf")
+        terms = np.divide(p.probs, q.probs, out=np.ones(p.probs.shape),
+                          where=mask)
     np.log(terms, out=terms)
     terms *= p.probs
     return float(terms.sum())

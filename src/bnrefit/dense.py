@@ -72,6 +72,7 @@ from .core import (
     _computed,
     _conditionals,
     _cpt_product,
+    _max_gap,
     _ratio,
     _reextracted_product,
     _residual,
@@ -306,8 +307,8 @@ def _run_dense(net: NetworkSpec, constraints: Sequence[Constraint],
         wall_time=time.perf_counter() - t0,
         final_divergence=i_divergence(q, q0),
         per_constraint_residuals=residuals,
-        structural_residual=None if structural else float(
-            np.max(np.abs(q.probs - _reextracted_product(q, net)))),
+        structural_residual=None if structural else _max_gap(
+            _reextracted_product(q, net), q.probs),
         termination=termination,
     )
     return q, report

@@ -111,6 +111,40 @@ def children_first() -> NetworkSpec:
     return NetworkSpec(decls, parents, cpts)
 
 
+def parents_first(seed: int, cards) -> NetworkSpec:
+    """A random DAG declared parents first, variable ``i`` with
+    ``cards[i]`` states and up to three parents among the earlier ones."""
+    rng = np.random.default_rng(seed)
+    names = [f"V{i:02d}" for i in range(len(cards))]
+    parents: dict[str, tuple[str, ...]] = {}
+    cpts: dict[str, Cpt] = {}
+    for i, name in enumerate(names):
+        k = int(rng.integers(0, min(i, 3) + 1))
+        ps = tuple(names[j] for j in sorted(rng.permutation(i)[:k]))
+        parents[name] = ps
+        shape = tuple(cards[names.index(p)] for p in ps) + (cards[i],)
+        rows = rng.dirichlet(np.full(cards[i], 2.0),
+                             size=int(np.prod(shape[:-1])))
+        cpts[name] = Cpt(name, ps, rows.reshape(shape))
+    decls = tuple(VariableDecl(name, c) for name, c in zip(names, cards))
+    return NetworkSpec(decls, parents, cpts)
+
+
+def chain_children_first(n: int) -> NetworkSpec:
+    """A binary chain ``C0 -> C1 -> ... -> C(n-1)`` declared last child
+    first, so every family's last axis is its parent's."""
+    rng = np.random.default_rng(n)
+    names = [f"C{i:02d}" for i in range(n)]
+    parents = {name: (names[i - 1],) if i else ()
+               for i, name in enumerate(names)}
+    cpts = {name: Cpt(name, parents[name],
+                      rng.dirichlet([2.0, 2.0], size=2 if i else 1).reshape(
+                          (2, 2) if i else (2,)))
+            for i, name in enumerate(names)}
+    decls = tuple(VariableDecl(name, 2) for name in reversed(names))
+    return NetworkSpec(decls, parents, cpts)
+
+
 def wide(n: int = 64) -> NetworkSpec:
     """``n`` independent binary variables: a full-scope table has 2^n cells."""
     decls = tuple(VariableDecl(f"X{i:02d}", 2) for i in range(n))

@@ -1,5 +1,8 @@
 """Table primitives: joints, marginals, extraction, divergence, residuals."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,7 +32,8 @@ from bnrefit import (
     marginalize,
     validate_constraint,
 )
-from bnrefit.core import _squarem
+from bnrefit.core import (_block_shape, _blocked, _cpt_product, _max_gap,
+                          _squarem)
 from bnrefit.generate import random_network
 
 
@@ -225,6 +229,119 @@ def test_extract_joint_roundtrip(case):
         assert np.max(np.abs(got.table - net.cpts[name].table)) <= 1e-12
 
 
+# the dense product
+
+
+def reference_cpt_product(variables, tables, parents):
+    """The product that broadcast its head product into the whole table and
+    then multiplied in each family touching the block, one full-size pass
+    each: ``core._cpt_product``, which grows the table one axis at a time,
+    must match it bit for bit when the families come with non-decreasing
+    last axes."""
+    shape = tuple(v.cardinality for v in variables)
+    blocks = _block_shape(shape)
+    head = len(blocks) - 1
+    axis = {v.name: i for i, v in enumerate(variables)}
+    axes = {child: [axis[p] for p in parents[child]] + [axis[child]]
+            for child in tables}
+    inner = {child: table for child, table in tables.items()
+             if max(axes[child]) < head}
+    out = np.empty(blocks)
+    out[...] = (reference_cpt_product(variables[:head], inner, parents)[
+        ..., None] if head else 1.0)
+    for child, table in tables.items():
+        if child not in inner:
+            out *= _blocked(table, axes[child], shape)
+    return out.reshape(shape)
+
+
+def both_products(net):
+    tables = {name: cpt.table for name, cpt in net.cpts.items()}
+    return (_cpt_product(net.variables, tables, net.parents),
+            reference_cpt_product(net.variables, tables, net.parents))
+
+
+def grown_levels(net):
+    """How many levels the top call grows past its head product."""
+    shape = tuple(v.cardinality for v in net.variables)
+    return len(shape) - len(_block_shape(shape)) + 1
+
+
+@pytest.mark.parametrize("n, card", [(12, 2), (16, 2), (17, 2), (20, 2),
+                                     (22, 2), (8, 3), (11, 3), (6, 4),
+                                     (9, 4)])
+def test_cpt_product_matches_reference(n, card):
+    got, want = both_products(random_net(n, n, cardinality=card))
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("cards, levels", [
+    # Seven grown levels: the first lands in the output, the last is read
+    # from the scratch table.
+    ((2,) * 12 + (4,), 7),
+    ((3,) * 4 + (2,) * 5 + (4, 2, 2), 7),
+    # Eight and six: the first lands in the scratch table.
+    ((2,) * 13 + (3,), 8),
+    ((2,) * 6 + (3,) * 6, 6),
+    # One: the head product is read straight into the output.
+    ((2,) * 5 + (256,), 1),
+])
+def test_cpt_product_matches_reference_on_both_buffer_parities(cards,
+                                                               levels):
+    net = nets.parents_first(len(cards), cards)
+    assert grown_levels(net) == levels
+    got, want = both_products(net)
+    assert np.array_equal(got, want)
+
+
+def test_cpt_product_on_children_first_chain():
+    # Not topological, and 2^18 cells span many blocks: each family's
+    # last axis is its parent's.
+    net = nets.chain_children_first(18)
+    assert grown_levels(net) == 8
+    got, want = both_products(net)
+    assert np.all(np.abs(got - want) <= 1e-15 * want)
+
+
+@pytest.mark.parametrize("case", [3, 4, "children-first"])
+def test_cpt_product_order_free_within_rounding(case):
+    # Declared in reverse, a network's families come with decreasing last
+    # axes, so the grown product multiplies each cell's factors in
+    # another order; two orders of m factors differ by at most 2(m - 1)
+    # units of roundoff, eps / 2 each.
+    net = case_net(case, 14)
+    reverse = NetworkSpec(net.variables[::-1], net.parents, net.cpts)
+    got, want = both_products(reverse)
+    bound = (len(net.names) - 1) * np.finfo(float).eps
+    assert np.all(np.abs(got - want) <= bound * want)
+    assert np.allclose(np.transpose(got, list(range(got.ndim))[::-1]),
+                       joint_from_network(net).probs, rtol=bound, atol=0.0)
+
+
+def test_joint_holds_under_two_tables_at_its_peak():
+    # The product holds its output and a scratch table of the level below,
+    # half the output on binary axes.
+    net = random_net(0, 20)
+    joint_bytes = 8 * 2 ** 20
+    tracemalloc.start()
+    try:
+        q = joint_from_network(net)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert q.probs.nbytes == joint_bytes
+    assert peak < 1.6 * joint_bytes
+
+
+def test_max_gap_matches_the_max_abs_difference():
+    # Both signs: the product falls short of q on its largest cells.
+    q = joint_from_network(random_net(5, 10))
+    product = np.where(q.probs > np.median(q.probs), 0.5, 1.25) * q.probs
+    want = np.max(np.abs(q.probs - product))
+    assert want == np.max(q.probs) / 2
+    assert _max_gap(product, q.probs) == want
+
+
 # i_divergence
 
 
@@ -244,6 +361,43 @@ def test_divergence_infinite_when_dominance_fails():
     decl = (VariableDecl("A", 2),)
     p = JointTable(decl, np.array([0.5, 0.5]))
     q = JointTable(decl, np.array([1.0, 0.0]))
+    assert i_divergence(p, q) == float("inf")
+
+
+def reference_i_divergence(p, q):
+    """I-divergence by one masked divide, with no zero-free fast path."""
+    mask = p > 0.0
+    if np.any(mask & (q <= 0.0)):
+        return float("inf")
+    terms = np.divide(p, q, out=np.ones(p.shape), where=mask)
+    np.log(terms, out=terms)
+    terms *= p
+    return float(terms.sum())
+
+
+def divergence_pair(p_zeros, q_zeros):
+    """Two 2^12-cell joints over one scope; ``p_zeros`` and ``q_zeros``
+    name flat cells to empty before renormalizing."""
+    scope = random_net(1, 12).variables
+    tables = []
+    for seed, zeros in ((1, p_zeros), (2, q_zeros)):
+        probs = joint_from_network(random_net(seed, 12)).probs.ravel().copy()
+        probs[list(zeros)] = 0.0
+        tables.append(JointTable(scope, probs / probs.sum()))
+    return tables
+
+
+@pytest.mark.parametrize("p_zeros, q_zeros", [((), ()), ((3, 700), ()),
+                                              ((5, 9), (5, 9))])
+def test_divergence_matches_masked_reference(p_zeros, q_zeros):
+    p, q = divergence_pair(p_zeros, q_zeros)
+    got = i_divergence(p, q)
+    assert math.isfinite(got)
+    assert got == reference_i_divergence(p.probs, q.probs)
+
+
+def test_divergence_infinite_where_q_is_empty_under_p():
+    p, q = divergence_pair((), (4000,))
     assert i_divergence(p, q) == float("inf")
 
 
