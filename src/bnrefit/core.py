@@ -498,13 +498,12 @@ def _cpt_product(variables: Sequence[VariableDecl],
     Otherwise it can differ from that by rounding.
 
     Level ``k + 1`` writes its cells once and reads level ``k`` once per
-    state of axis ``k``, so the grown levels cost about one read and one
-    write of their own cells each; on length-2 axes they sum to under
-    twice the output.  On the 20-variable ``dense-ceiling`` instance that
-    is about two full-size passes, where broadcasting the head product
-    and multiplying each of the 8 families that touch the block into the
-    whole table made 9.  The levels alternate between the output and one
-    scratch array of the level below the output (at most half its cells),
+    state of axis ``k``; a second family with the same last axis adds one
+    in-place pass over the level.  On length-2 axes the grown levels sum
+    to under twice the output, so a topologically declared network costs
+    about two passes over a table of the output's size, however many
+    families touch the block.  The levels alternate between the output
+    and one scratch array of the level below it (at most half its cells),
     both allocated once, and the last level lands in the output, so the
     product holds up to 1.5 times the output's cells at its peak.
     """

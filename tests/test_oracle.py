@@ -85,7 +85,7 @@ def test_random_networks_match_vectorized_joint(seed):
     # order, children sit in the head with parents in the block.  The
     # direct _cpt_product cases are build_local_subnet's call (tables for
     # y only, over s + y) and a product where no table reaches the block,
-    # so the head product is only broadcast.
+    # so the head product is only copied into each grown level.
     rng = np.random.default_rng(seed)
     card = 2 + seed % 2
     n = 3 + seed % (10 if card == 2 else 7)
