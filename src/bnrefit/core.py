@@ -849,12 +849,8 @@ def validate_constraint(net: NetworkSpec, r: Constraint) -> None:
 
 def constraint_residual(q: JointTable, r: Constraint) -> float:
     """Max-abs difference between ``q``'s marginal over ``r.scope`` and ``r``."""
-    return _residual(marginalize(q, r.scope).probs, r)
-
-
-def _residual(current: np.ndarray, r: Constraint) -> float:
-    """``constraint_residual`` from the marginal over ``r.scope``, given."""
-    return float(np.max(np.abs(current - r.dist.probs)))
+    m = marginalize(q, r.scope)
+    return float(np.max(np.abs(m.probs - r.dist.probs)))
 
 
 def _outside_parents(net: NetworkSpec, members: Iterable[str]) -> tuple[str, ...]:

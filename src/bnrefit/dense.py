@@ -11,12 +11,22 @@ structure.
 
 One plain cycle is a map on the joint: a proportional step per
 constraint, in list order, then (for e-ipfp) the structural projection,
-then renormalization.  For e-ipfp that map converges linearly and can
-crawl for thousands of cycles, so once a plain map's joint step,
-``max|q_out - q_in|``, is at or below ``SQUAREM_JOINT_GATE`` the loop
-extrapolates with SQUAREM (Varadhan & Roland 2008, Scand. J. Stat. 35,
-scheme S3) on the vector of all CPT entries, laid out by ``core._Layout``
-as d-ipfp's member CPTs are: two plain maps, the ``core._squarem``
+then renormalization.  Every step's ratio depends only on the variables
+some constraint names, so the steps run on the joint's marginal over the
+union of the constraint scopes (in declaration order), and the joint is
+then rescaled once, by the fitted marginal over the one it started from
+(Jirousek & Preucil 1995, Comput. Stat. Data Anal. 19).  A map thus sums
+the joint down to the union once and multiplies it once, and the
+residuals after it are read off that union marginal of its result, which
+the next map starts from.  When the union is every variable the fitted
+table is the joint itself and no rescale is needed.
+
+For e-ipfp the map converges linearly and can crawl for thousands of
+cycles, so once a plain map's joint step, ``max|q_out - q_in|``, is at or
+below ``SQUAREM_JOINT_GATE`` the loop extrapolates with SQUAREM
+(Varadhan & Roland 2008, Scand. J. Stat. 35, scheme S3) on the vector of
+all CPT entries, laid out by ``core._Layout`` as d-ipfp's member CPTs
+are: two plain maps, the ``core._squarem``
 candidate from the CPTs read off the start joint and the two mapped
 joints (step length clamped to at most ``core.SQUAREM_MAX_ALPHA``, rows
 renormalized), its product, then one plain map on that product to
@@ -75,7 +85,6 @@ from .core import (
     _max_gap,
     _ratio,
     _reextracted_product,
-    _residual,
     _squarem,
     constraint_residual,
     extract_cpts,
@@ -155,21 +164,22 @@ class RunReport:
     termination: Termination
 
 
-def ipfp_step(q: JointTable, r: Constraint, *,
-              current: np.ndarray | None = None) -> JointTable:
+def ipfp_step(q: JointTable, r: Constraint) -> JointTable:
     """One proportional-fitting step: after it, ``q``'s marginal over
     ``r.scope`` equals ``r.dist`` exactly (up to rounding).
 
-    ``current`` is that marginal before the step, when the caller already
-    has it; by default it is summed here.  Cells where the current marginal
-    and the target are both zero stay zero.  A target that is positive
-    where the marginal is zero raises ``DominanceError`` naming the cell
-    (see ``core._ratio``).
+    Cells where the current marginal and the target are both zero stay
+    zero.  A target that is positive where the marginal is zero raises
+    ``DominanceError`` naming the cell (see ``core._ratio``).
     """
-    if current is None:
-        current = marginalize(q, r.scope).probs
-    ratio = _ratio(r.dist.probs, current, r.scope)
-    axes = [q.axis(n) for n in r.scope]
+    current = marginalize(q, r.scope).probs
+    return _rescaled(q, _ratio(r.dist.probs, current, r.scope), r.scope)
+
+
+def _rescaled(q: JointTable, ratio: np.ndarray,
+              names: Sequence[str]) -> JointTable:
+    """``q`` times ``ratio``, whose axes are ``q``'s axes ``names``."""
+    axes = [q.axis(n) for n in names]
     shape = q.probs.shape
     return _computed(q.scope, np.multiply(
         q.probs.reshape(_block_shape(shape)),
@@ -203,16 +213,34 @@ points: at 1e-6 criterion-1 seed 9's divergence moved by 2.9e-3 relative,
 at 1e-7 by 1.2e-5."""
 
 
+def _union(net: NetworkSpec,
+           constraints: Sequence[Constraint]) -> tuple[str, ...]:
+    """The variables some constraint names, in declaration order."""
+    named = {n for r in constraints for n in r.scope}
+    return tuple(n for n in net.names if n in named)
+
+
 def _plain_map(q: JointTable, constraints: Sequence[Constraint],
                net: NetworkSpec, structural: bool,
-               current: np.ndarray | None) -> JointTable:
+               current: JointTable | None) -> JointTable:
     """One plain cycle: a proportional step per constraint in list order,
     the structural projection when ``structural``, then renormalization.
-    ``current``, when given, is ``q``'s marginal over the first
-    constraint's scope."""
-    q = ipfp_step(q, constraints[0], current=current)
-    for r in constraints[1:]:
-        q = ipfp_step(q, r)
+
+    Every step's ratio lives on the union of the constraint scopes, so the
+    steps run on ``current``, ``q``'s marginal over that union (summed here
+    when not given), and ``q`` is rescaled once, by the ratio of the
+    fitted marginal to ``current``.  When the union is every variable the
+    fitted table is the joint itself and no rescale is needed."""
+    union = _union(net, constraints)
+    if current is None:
+        current = marginalize(q, union)
+    fitted = current
+    for r in constraints:
+        fitted = ipfp_step(fitted, r)
+    if len(union) == len(q.scope):
+        q = fitted
+    else:
+        q = _rescaled(q, _ratio(fitted.probs, current.probs, union), union)
     if structural:
         q = structural_projection(q, net)
     total = float(q.probs.sum())
@@ -250,6 +278,7 @@ def _run_dense(net: NetworkSpec, constraints: Sequence[Constraint],
     residuals: tuple[float, ...] = ()
     cycles = 0
     gate_open = False
+    union = _union(net, constraints)
     current = None
 
     while cycles < budget:
@@ -279,9 +308,8 @@ def _run_dense(net: NetworkSpec, constraints: Sequence[Constraint],
                     del previous
         cycles += maps
 
-        current = marginalize(q, constraints[0].scope).probs
-        residuals = (_residual(current, constraints[0]),) + tuple(
-            constraint_residual(q, r) for r in constraints[1:])
+        current = marginalize(q, union)
+        residuals = tuple(constraint_residual(current, r) for r in constraints)
         worst = max(residuals)
         if worst <= eps and delta <= eps:
             termination = Termination.CONVERGED

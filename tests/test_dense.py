@@ -9,6 +9,7 @@ import pytest
 import nets
 from bnrefit import (
     Constraint,
+    Cpt,
     DominanceError,
     JointTable,
     NetworkSpec,
@@ -29,7 +30,8 @@ from bnrefit import (
     run_ipfp,
     structural_projection,
 )
-from bnrefit.core import extract_cpts
+from bnrefit import dense
+from bnrefit.core import _computed, extract_cpts
 from bnrefit.generate import generate_instance, random_network
 
 
@@ -236,6 +238,133 @@ def test_computed_tables_are_read_only(diamond_net, diamond_r3):
         assert not table.probs.flags.writeable
 
 
+# the plain map
+
+
+def reference_plain_map(q, constraints, net, structural):
+    """One plain cycle on the joint itself: an ``ipfp_step`` per
+    constraint in list order, the projection, then renormalization."""
+    for r in constraints:
+        q = ipfp_step(q, r)
+    if structural:
+        q = structural_projection(q, net)
+    total = float(q.probs.sum())
+    if total != 1.0:
+        q = _computed(q.scope, q.probs / total)
+    return q
+
+
+def reweighted_constraints(net, scopes, seed):
+    """Constraints over ``scopes``, each the marginal of one reweighting of
+    ``net``'s joint by positive noise: jointly satisfiable, and zero
+    wherever the joint's own marginal is."""
+    q = joint_from_network(net)
+    w = q.probs * np.random.default_rng(seed).uniform(0.5, 1.5, q.probs.shape)
+    p = JointTable(q.scope, w / w.sum())
+    return [Constraint.over(net, scope, marginalize(p, scope).probs)
+            for scope in scopes]
+
+
+def children_first_with_zero():
+    """``nets.children_first`` with CPTs redrawn and P(V3=0 | V2=1) = 0,
+    so the joint's marginal over (V5, V3, V2, V1) has empty cells."""
+    net = nets.children_first()
+    rng = np.random.default_rng(4)
+    cpts = {}
+    for name, cpt in net.cpts.items():
+        table = rng.dirichlet(np.full(cpt.table.shape[-1], 1.0),
+                              size=cpt.table.size // cpt.table.shape[-1])
+        cpts[name] = Cpt(name, net.parents[name],
+                         table.reshape(cpt.table.shape))
+    table = cpts["V3"].table.copy()  # axes (V2, V3)
+    table[1] = (0.0, 1.0)
+    cpts["V3"] = Cpt("V3", ("V2",), table)
+    net = NetworkSpec(net.variables, net.parents, cpts)
+    return net, reweighted_constraints(
+        net, [("V3", "V2"), ("V5",), ("V1", "V2")], seed=5)
+
+
+MAP_CASES = {
+    "dense-fit": lambda: generate_instance(0, n_nodes=16, num_constraints=6),
+    "cardinality-3": lambda: generate_instance(0, 9, 4, cardinality=3),
+    "cardinality-4": lambda: generate_instance(0, 7, 4, cardinality=4),
+    "children-first-zero": children_first_with_zero,
+}
+
+
+@pytest.mark.parametrize("structural", [False, True])
+@pytest.mark.parametrize("case", sorted(MAP_CASES))
+def test_plain_map_matches_steps_on_the_joint(case, structural):
+    # The map runs its steps on the union marginal and rescales the joint
+    # once; the reference steps the joint itself.  Only the summation order
+    # differs, so ten chained maps agree cell by cell within 1e-13
+    # relative.  Every other map is handed the union marginal, as the
+    # solver loop hands it, and the rest sum it themselves.
+    net, constraints = MAP_CASES[case]()
+    union = dense._union(net, constraints)
+    q = joint_from_network(net)
+    assert len(union) < len(q.scope)
+    if case == "children-first-zero":
+        assert np.any(marginalize(q, union).probs == 0.0)
+    got = want = q
+    for i in range(10):
+        current = marginalize(got, union) if i % 2 else None
+        got = dense._plain_map(got, constraints, net, structural, current)
+        want = reference_plain_map(want, constraints, net, structural)
+        assert got.scope == want.scope
+        assert np.array_equal(got.probs == 0.0, want.probs == 0.0)
+        assert np.all(np.abs(got.probs - want.probs)
+                      <= 1e-13 * want.probs), (case, i)
+
+
+@pytest.mark.parametrize("structural", [False, True])
+def test_plain_map_over_every_variable_is_the_reference(
+        diamond_net, structural):
+    # The union marginal is the joint itself, so the steps run on it and
+    # nothing is rescaled: the arithmetic is the reference's.
+    constraints = reweighted_constraints(
+        diamond_net, [("A", "D"), ("B", "C"), ("D",)], seed=2)
+    got = want = joint_from_network(diamond_net)
+    for _ in range(10):
+        got = dense._plain_map(got, constraints, diamond_net, structural,
+                               None)
+        want = reference_plain_map(want, constraints, diamond_net,
+                                   structural)
+        assert np.array_equal(got.probs, want.probs)
+
+
+def test_plain_map_unreachable_target_raises_like_the_reference():
+    # P(A=1) = 0, so after the step on B the target over (A, D), which
+    # needs mass at A=1, cannot be reached; C is outside the union.
+    net = nets.diamond_without_a1()
+    constraints = [nets.constraint_over(net, ("B",), [0.3, 0.7]),
+                   nets.diamond_r3(net)]
+    assert dense._union(net, constraints) == ("A", "B", "D")
+    q = joint_from_network(net)
+    with pytest.raises(DominanceError) as want:
+        reference_plain_map(q, constraints, net, False)
+    with pytest.raises(DominanceError) as got:
+        dense._plain_map(q, constraints, net, False, None)
+    assert str(got.value) == str(want.value)
+    assert "constraint over ('A', 'D')" in str(got.value)
+
+
+def test_plain_map_sums_the_joint_once(monkeypatch):
+    # On the dense-fit instance the six steps run on a 128-cell union
+    # marginal, so the only full-table sum is the one that makes it.
+    net, constraints = generate_instance(0, n_nodes=16, num_constraints=6)
+    q = joint_from_network(net)
+    full = []
+
+    def spy(table, target):
+        full.append(table.probs.size == q.probs.size)
+        return marginalize(table, target)
+
+    monkeypatch.setattr(dense, "marginalize", spy)
+    dense._plain_map(q, constraints, net, False, None)
+    assert sum(full) == 1
+
+
 # run_ipfp
 
 
@@ -409,13 +538,6 @@ def test_dense_fit_trajectories_are_pinned():
                                                    abs=1e-12)
 
 
-def test_step_with_given_marginal_is_bit_identical(diamond_net, diamond_r3):
-    q = joint_from_network(diamond_net)
-    current = marginalize(q, diamond_r3.scope).probs
-    assert np.array_equal(ipfp_step(q, diamond_r3, current=current).probs,
-                          ipfp_step(q, diamond_r3).probs)
-
-
 def test_run_e_ipfp_budget_bounds_extrapolated_maps():
     # The criterion-6 instance ends on its cycle budget while plain maps
     # still crawl; on the dense-fit instance the gate opens after map 6, so
@@ -439,7 +561,6 @@ def test_run_e_ipfp_falls_back_when_candidate_map_fails(
     # (A, D) needs some, makes its stabilizing map raise DominanceError;
     # each extrapolation then ends on its second plain map, so the run
     # still converges, near the plain map's own limit.
-    from bnrefit import dense
     calls = []
 
     def failing(theta, t1, t2, row):
