@@ -16,7 +16,8 @@ Exit codes:
   5  run hit the cycle budget before converging
   6  a constraint demands mass where the distribution has none
   7  a constraint's subnet exceeds the size budget
-  8  a dense operation was asked for over the cell ceiling
+  8  a table too large: a dense joint over the ceiling, or an allocation
+     that failed
 """
 
 from __future__ import annotations
@@ -32,11 +33,11 @@ import numpy as np
 
 from .core import (
     BnError,
+    DenseCeilingError,
     DominanceError,
     NetworkSpec,
     ValidationError,
     _max_gap,
-    _power_of_two,
     _reextracted_product,
     extract_cpts,
     i_divergence,
@@ -59,14 +60,6 @@ from .generate import generate_instance
 
 logger = logging.getLogger("bnrefit")
 
-DENSE_CEILING = 25
-"""Base-2 logarithm of the most cells a dense joint may hold (2^25 cells
-puts a quarter-gigabyte table on the floor; past that only d-ipfp and check
-make sense).  The cell count is the product of the cardinalities, so a few
-many-state variables can exceed it.  Building one dense product (a joint,
-a structural projection or a re-extraction) holds up to 1.5 joints at its
-peak: the table and a scratch table of the level below it."""
-
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
@@ -82,10 +75,6 @@ _TERMINATION_EXIT = {
     Termination.OSCILLATING: EXIT_OSCILLATING,
     Termination.MAX_CYCLES: EXIT_MAX_CYCLES,
 }
-
-
-class DenseCeilingError(BnError):
-    """A dense joint was requested over more cells than the ceiling."""
 
 
 def _positive_float(text: str) -> float:
@@ -134,10 +123,12 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--constraints", required=True, help="input constraint file")
     run.add_argument("--algorithm", choices=["ipfp", "e-ipfp", "d-ipfp"],
                      default="e-ipfp")
-    run.add_argument("--epsilon", type=_positive_float, default=1e-9,
-                     help="convergence tolerance (default 1e-9)")
-    run.add_argument("--max-cycles", type=_positive_int, default=10_000,
-                     dest="max_cycles", help="cycle budget (default 10000)")
+    run.add_argument("--epsilon", type=_positive_float,
+                     default=StopPolicy.epsilon,
+                     help="convergence tolerance (default %(default)s)")
+    run.add_argument("--max-cycles", type=_positive_int,
+                     default=StopPolicy.max_cycles, dest="max_cycles",
+                     help="cycle budget (default %(default)s)")
     run.add_argument("--out", required=True, help="output network file")
     run.add_argument("--report", help="optional run report file")
     run.set_defaults(func=cmd_run)
@@ -151,7 +142,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     check.add_argument("--network", required=True)
     check.add_argument("--constraints", required=True)
-    check.add_argument("--epsilon", type=_positive_float, default=1e-9)
+    check.add_argument("--epsilon", type=_positive_float,
+                       default=StopPolicy.epsilon,
+                       help="residual tolerance (default %(default)s)")
     check.set_defaults(func=cmd_check)
 
     div = sub.add_parser(
@@ -187,20 +180,6 @@ def _read(path: str) -> bytes:
     return Path(path).read_bytes()
 
 
-def _dense_cells(net: NetworkSpec) -> int:
-    return math.prod(v.cardinality for v in net.variables)
-
-
-def _require_dense(net: NetworkSpec, what: str) -> None:
-    cells = _dense_cells(net)
-    if cells > 2 ** DENSE_CEILING:
-        raise DenseCeilingError(
-            f"{what} needs the dense joint of {_power_of_two(cells)} cells "
-            f"over {len(net.variables)} variables; the ceiling is "
-            f"2^{DENSE_CEILING} cells"
-        )
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     net = parse_network(_read(args.network))
     constraints = parse_constraints(_read(args.constraints), net)
@@ -210,10 +189,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.algorithm == "d-ipfp":
         out_net, report = run_d_ipfp(net, constraints, stop)
     elif args.algorithm == "e-ipfp":
-        _require_dense(net, "e-ipfp")
         out_net, report = run_e_ipfp(net, constraints, stop)
     else:
-        _require_dense(net, "ipfp")
         q, report = run_ipfp(net, constraints, stop)
         out_net = net if report.cycles == 0 else NetworkSpec(
             net.variables, net.parents, extract_cpts(q, net))
@@ -241,15 +218,14 @@ def cmd_check(args: argparse.Namespace) -> int:
         scope = ", ".join(r.scope)
         print(f"constraint {i} over ({scope}): residual {residual:.3e} "
               f"{'ok' if ok else 'VIOLATED'}")
-    cells = _dense_cells(net)
-    if cells <= 2 ** DENSE_CEILING:
+    try:
         q = joint_from_network(net)
+    except DenseCeilingError as e:
+        print(f"structural residual: skipped ({e}); a network's own joint "
+              f"factors by construction")
+    else:
         gap = _max_gap(_reextracted_product(q, net), q.probs)
         print(f"structural residual: {gap:.3e}")
-    else:
-        print(f"structural residual: skipped ({_power_of_two(cells)} cells "
-              f"is over the dense ceiling of 2^{DENSE_CEILING}); a network's "
-              f"own joint factors by construction")
     if violations:
         print(f"result: {violations} of {len(constraints)} constraints "
               f"violated at epsilon {args.epsilon:g}")
@@ -267,7 +243,6 @@ def cmd_divergence(args: argparse.Namespace) -> int:
             "the two networks declare different variables; divergence needs "
             "identical declarations"
         )
-    _require_dense(first, "divergence")
     value = i_divergence(joint_from_network(first), joint_from_network(second))
     print(format(value, ".17g"))
     return EXIT_OK
@@ -309,6 +284,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_DOMINANCE
     except DenseCeilingError as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_DENSE_CEILING
+    except MemoryError as e:
+        print(f"error: allocation failed: {str(e) or 'out of memory'}",
+              file=sys.stderr)
         return EXIT_DENSE_CEILING
     except (BnError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -31,6 +31,14 @@ TAU_NORM = 1e-9
 Rows and distributions must sum to one within this bound; nothing is
 renormalized silently on ingest."""
 
+DENSE_CEILING = 25
+"""Base-2 logarithm of the most cells a dense joint may hold (2^25 cells
+puts a quarter-gigabyte table on the floor; past that only d-ipfp and check
+make sense).  The cell count is the product of the cardinalities, so a few
+many-state variables can exceed it.  Building one dense product (a joint,
+a structural projection or a re-extraction) holds up to 1.5 joints at its
+peak: the table and a scratch table of the level below it."""
+
 
 class BnError(Exception):
     """Base class for every error raised by this package."""
@@ -50,6 +58,10 @@ class NormalizationError(ValidationError):
 
 class ScopeError(BnError):
     """An operation was asked to relate tables over incompatible scopes."""
+
+
+class DenseCeilingError(BnError):
+    """A dense joint was requested over more cells than the ceiling."""
 
 
 class DominanceError(BnError):
@@ -549,10 +561,17 @@ def _cpt_product(variables: Sequence[VariableDecl],
 def joint_from_network(net: NetworkSpec) -> JointTable:
     """Dense joint distribution of ``net``, axes in declaration order.
 
-    The product of valid CPTs sums to one by construction, so this cannot
-    fail on a constructed ``NetworkSpec``; cyclic graphs and non-normalized
-    rows are rejected earlier, when the network object is built.
+    The product of valid CPTs sums to one by construction; cyclic graphs
+    and non-normalized rows are rejected earlier, when the network object
+    is built.  A joint of more than ``2 ** DENSE_CEILING`` cells raises
+    ``DenseCeilingError`` before anything is allocated.
     """
+    cells = math.prod(net.cards.values())
+    if cells > 2 ** DENSE_CEILING:
+        raise DenseCeilingError(
+            f"the dense joint of {_power_of_two(cells)} cells over "
+            f"{len(net.variables)} variables is over the ceiling of "
+            f"2^{DENSE_CEILING} cells")
     tables = {name: cpt.table for name, cpt in net.cpts.items()}
     return _computed(net.variables,
                      _cpt_product(net.variables, tables, net.parents))

@@ -157,6 +157,23 @@ def _aligned_target(r: Constraint, order: tuple[str, ...]) -> np.ndarray:
     return np.transpose(r.dist.probs, [r.scope.index(v) for v in order])
 
 
+def _subnet_shape(net: NetworkSpec, y: tuple[str, ...], s: tuple[str, ...],
+                  prefix: str) -> tuple[int, ...]:
+    """The shape of the subnet over ``(*s, *y)``.
+
+    A subnet of more than ``2 ** SUBNET_BUDGET`` cells raises
+    ``SubnetSizeError``, whose message starts with ``prefix``, before
+    anything is allocated.
+    """
+    shape = tuple(net.cardinality(v) for v in s + y)
+    size = math.prod(shape)
+    if size > 2 ** SUBNET_BUDGET:
+        raise SubnetSizeError(
+            f"{prefix}subnet (y={y}, s={s}) holds {_power_of_two(size)} "
+            f"cells, over the budget of 2^{SUBNET_BUDGET}")
+    return shape
+
+
 def build_local_subnet(net: NetworkSpec, y_vars: Sequence[str],
                        cpts: Mapping[str, Cpt] | None = None) -> LocalSubnet:
     """Conditional table of ``y_vars`` given their outside parents.
@@ -164,7 +181,8 @@ def build_local_subnet(net: NetworkSpec, y_vars: Sequence[str],
     ``y`` and ``s`` come out in network declaration order.  The table is
     the product of the member CPTs, so for every outside configuration it
     is exactly the distribution of ``y`` the network prescribes given
-    ``s``.  ``cpts`` overrides the network's tables.
+    ``s``.  ``cpts`` overrides the network's tables.  A subnet over the
+    budget raises ``SubnetSizeError``, as in ``run_d_ipfp``.
     """
     members = set(y_vars)
     if not members:
@@ -174,6 +192,7 @@ def build_local_subnet(net: NetworkSpec, y_vars: Sequence[str],
             raise ScopeError(f"variable {v!r} is not declared in this network")
     y = tuple(sorted(members, key=net.axis))
     s = _outside_parents(net, y)
+    _subnet_shape(net, y, s, "")
     table = cpts if cpts is not None else net.cpts
     return LocalSubnet(y, s, _cpt_product([net.decl(v) for v in s + y],
                                           {v: table[v].table for v in y},
@@ -352,13 +371,8 @@ class _SubnetPlan:
         y = (cls.target,) if isinstance(cls, Local) else cls.y
         s = _outside_parents(net, y)
         sy = s + y
-        shape = tuple(net.cardinality(v) for v in sy)
+        shape = _subnet_shape(net, y, s, f"constraint over {r.scope}: its ")
         size = math.prod(shape)
-        if size > 2 ** SUBNET_BUDGET:  # checked before anything is allocated
-            raise SubnetSizeError(
-                f"constraint over {r.scope}: its subnet (y={y}, s={s}) holds "
-                f"{_power_of_two(size)} cells, over the budget of "
-                f"2^{SUBNET_BUDGET}")
         axis = {v: i for i, v in enumerate(sy)}
 
         def strides(names: tuple[str, ...]) -> list[int]:
@@ -693,7 +707,10 @@ def run_d_ipfp(net: NetworkSpec, constraints: Sequence[Constraint],
                 break
 
         deltas.append(delta)
-        if len(deltas) == deltas.maxlen and deltas[-1] >= 0.9 * deltas[0]:
+        # A delta at or below epsilon is rounding noise once the CPTs sit
+        # at a fixed point, so it counts as a plateau whatever its ratio.
+        if len(deltas) == deltas.maxlen and (
+                delta <= eps or delta >= 0.9 * deltas[0]):
             if residuals is None:
                 weights, residuals = measure()
             worsts.append(max(residuals))

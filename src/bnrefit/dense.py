@@ -111,7 +111,8 @@ OSCILLATION_WINDOW = 20
 """How many recent cycles the plateau detectors look at; a run is declared
 oscillating only when, over a full window, the newest delta fails to fall
 below 0.9 times the oldest and the worst residual has also improved by
-less than one percent."""
+less than one percent.  d-ipfp also counts a delta at or below epsilon as
+a plateau."""
 
 
 @dataclass(frozen=True)

@@ -102,7 +102,8 @@ def _load(data: bytes | str):
             raise FormatError(f"document is not UTF-8: {e}") from None
     try:
         return json.loads(data)
-    except json.JSONDecodeError as e:
+    except ValueError as e:
+        # JSONDecodeError, or an integer literal past Python's digit limit.
         raise FormatError(f"document is not valid JSON: {e}") from None
     except RecursionError:
         raise FormatError("document nests too deeply to parse") from None
@@ -139,7 +140,26 @@ def _number(value, where: str) -> float:
         isinstance(value, (int, float)) and not isinstance(value, bool),
         f"{where}: expected a number",
     )
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise FormatError(f"{where}: number out of range") from None
+
+
+def _table(obj: dict, key: str, where: str, shape: tuple[int, ...],
+           of: str) -> np.ndarray:
+    """``obj[key]``, a flat list of numbers, as an array of ``shape``;
+    ``of`` ends the message of a wrong entry count."""
+    _expect(key in obj, f"{where}: missing {key}")
+    raw = _array(obj[key], f"{where}: {key}")
+    values = [_number(v, f"{where}: {key}[{k}]") for k, v in enumerate(raw)]
+    expected = math.prod(shape)
+    _expect(
+        len(values) == expected,
+        f"{where}: {key} has {len(values)} entries, expected {expected} "
+        f"{of}",
+    )
+    return np.asarray(values).reshape(shape)
 
 
 def _no_extras(obj: dict, allowed: set[str], where: str) -> None:
@@ -200,17 +220,9 @@ def parse_network(data: bytes | str) -> NetworkSpec:
             _expect(p in cardinalities, f"{where}: parent {p!r} is not declared")
         parents[name] = ps
 
-        _expect("cpt" in obj, f"{where}: missing cpt")
-        raw_cpt = _array(obj["cpt"], f"{where}: cpt")
-        values = [_number(v, f"{where}: cpt[{k}]") for k, v in enumerate(raw_cpt)]
         shape = tuple(cardinalities[p] for p in ps) + (cardinalities[name],)
-        expected = math.prod(shape)
-        _expect(
-            len(values) == expected,
-            f"{where}: cpt has {len(values)} entries, expected {expected} "
-            f"for shape {shape}",
-        )
-        cpts[name] = Cpt(name, ps, np.asarray(values).reshape(shape))
+        cpts[name] = Cpt(name, ps, _table(obj, "cpt", where, shape,
+                                          f"for shape {shape}"))
 
     return NetworkSpec(tuple(decls), parents, cpts)
 
@@ -250,19 +262,10 @@ def parse_constraints(data: bytes | str, net: NetworkSpec) -> list[Constraint]:
                 f"{where}: scope repeats a variable")
         for v in scope:
             _expect(v in net.names, f"{where}: unknown variable {v!r}")
-        _expect("dist" in obj, f"{where}: missing dist")
-        raw_dist = _array(obj["dist"], f"{where}: dist")
-        values = [_number(v, f"{where}: dist[{k}]")
-                  for k, v in enumerate(raw_dist)]
         shape = tuple(net.cardinality(v) for v in scope)
-        expected = math.prod(shape)
-        _expect(
-            len(values) == expected,
-            f"{where}: dist has {len(values)} entries, expected {expected} "
-            f"for scope {scope}",
-        )
         decls = tuple(net.decl(v) for v in scope)
-        out.append(Constraint(scope, JointTable(decls, np.asarray(values).reshape(shape))))
+        out.append(Constraint(scope, JointTable(decls, _table(
+            obj, "dist", where, shape, f"for scope {scope}"))))
     return out
 
 

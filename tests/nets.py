@@ -152,6 +152,15 @@ def wide(n: int = 64) -> NetworkSpec:
                                    for d in decls})
 
 
+def many_state_net(n: int = 12, card: int = 64) -> NetworkSpec:
+    """Independent ``card``-state variables: few variables, card**n cells."""
+    decls = tuple(VariableDecl(f"V{i:02d}", card) for i in range(n))
+    row = np.arange(1.0, card + 1.0)
+    row = row / row.sum()
+    return NetworkSpec(decls, {}, {d.name: Cpt(d.name, (), row)
+                                   for d in decls})
+
+
 def constraint_over(net: NetworkSpec, names, values) -> Constraint:
     return Constraint.over(net, names, np.asarray(values, dtype=float))
 

@@ -262,15 +262,6 @@ def test_d_ipfp_clears_the_ceiling(tmp_path, capsys):
     assert 0.0 < float(out.split("divergence ")[1].split(";")[0]) < np.inf
 
 
-def many_state_net(n=12, card=64):
-    """Independent ``card``-state variables: few variables, card**n cells."""
-    decls = tuple(VariableDecl(f"V{i:02d}", card) for i in range(n))
-    row = np.arange(1.0, card + 1.0)
-    row = row / row.sum()
-    return NetworkSpec(decls, {}, {d.name: Cpt(d.name, (), row)
-                                   for d in decls})
-
-
 @pytest.mark.parametrize("command, expected", [
     ("check", cli.EXIT_OK),
     ("divergence", cli.EXIT_DENSE_CEILING),
@@ -282,7 +273,7 @@ def test_dense_ceiling_counts_cells(tmp_path, capsys, command, expected):
     # Twelve 64-state variables are few, but their joint has 64^12 cells:
     # every dense gate must refuse it by cell count, before allocating.
     # The count prints as a power of two, never as a long integer.
-    net = many_state_net()
+    net = nets.many_state_net()
     net_path = write_net(tmp_path, net)
     cons_path = write_cons(tmp_path, [
         nets.constraint_over(net, ("V00",), net.cpts["V00"].table),
@@ -301,7 +292,8 @@ def test_dense_ceiling_counts_cells(tmp_path, capsys, command, expected):
     assert "Traceback" not in captured.err
     assert not re.search(r"\d{20}", captured.out + captured.err)
     if command == "check":
-        assert "structural residual: skipped (2^72 cells" in captured.out
+        assert "structural residual: skipped (the dense joint of 2^72 cells" \
+            in captured.out
     elif command == "d-ipfp":
         report = json.loads(report_path.read_text())
         assert report["final_divergence"] == 0.0
@@ -324,6 +316,46 @@ def test_exit_invalid_input(tmp_path, capsys, chain_net):
                          "--out", str(tmp_path / "o.json")]) \
             == cli.EXIT_INVALID_INPUT
         assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("digits", [400, 5000])
+@pytest.mark.parametrize("document", ["network", "constraints"])
+def test_exit_invalid_input_on_huge_integer_literal(tmp_path, capsys,
+                                                    document, digits):
+    # A 400-digit integer overflows a float, and a 5,000-digit one is past
+    # the digit limit of Python's int parser; neither is a probability.
+    net_path = str(tmp_path / "net.json")
+    cons_path = str(tmp_path / "cons.json")
+    assert cli.main(["gen", "--seed", "0", "--nodes", "4",
+                     "--network", net_path, "--constraints", cons_path]) == 0
+    path, key = ((net_path, "cpt") if document == "network"
+                 else (cons_path, "dist"))
+    with open(path) as f:
+        text = f.read()
+    text = re.sub(rf'("{key}": \[)[^,\]]+', rf"\g<1>{'9' * digits}", text,
+                  count=1)
+    with open(path, "w") as f:
+        f.write(text)
+    capsys.readouterr()
+    code = cli.main(["check", "--network", net_path,
+                     "--constraints", cons_path])
+    assert code == cli.EXIT_INVALID_INPUT
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if digits == 400:
+        assert f"{key}[0]: number out of range" in err
+
+
+def test_memory_error_exits_8(monkeypatch, capsys):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_divergence", exhausted)
+    assert cli.main(["divergence", "p.json", "q.json"]) \
+        == cli.EXIT_DENSE_CEILING
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err == "error: allocation failed: out of memory\n"
 
 
 @pytest.mark.parametrize("document", ["network", "constraints"])

@@ -126,6 +126,17 @@ def test_build_subnet_size_is_exponential_bound(diamond_net):
     assert sub.cond_table.size <= 2 ** (len(sub.s) + len(sub.y))
 
 
+def test_build_subnet_budget_enforced(monkeypatch, diamond_net):
+    # (A, D) and its outside parents (B, C) span 2^4 cells, over a budget
+    # of 2^3, so the subnet is refused before its product is built; D alone
+    # given (B, C) spans 2^3 and is built.
+    monkeypatch.setattr(decomposed, "SUBNET_BUDGET", 3)
+    with pytest.raises(SubnetSizeError,
+                       match=r"holds 2\^4 cells, over the budget of 2\^3"):
+        build_local_subnet(diamond_net, ("A", "D"))
+    assert build_local_subnet(diamond_net, ("D",)).cond_table.size == 8
+
+
 # local_update
 
 
@@ -765,6 +776,29 @@ def test_d_ipfp_contradictory_constraints_oscillate(chain_net):
     ]
     _, report = run_d_ipfp(chain_net, rs)
     assert report.termination is Termination.OSCILLATING
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_d_ipfp_stops_at_a_fixed_point_within_60_cycles(seed):
+    # Targets read off the children-first DAG with every CPT redrawn: the
+    # local constraint on V4 cannot move P(V1), so the set is unmeetable.
+    # Once the CPTs stop moving, their cycle deltas are rounding noise at
+    # or below epsilon.  Counted as a plateau, they stop the run once the
+    # delta and residual windows have filled (39 to 47 cycles); a ratio
+    # test on the noise alone took 264 to 1,698.
+    net = nets.children_first()
+    rng = np.random.default_rng(seed)
+    redrawn = NetworkSpec(net.variables, net.parents, {
+        name: Cpt(name, cpt.parent_order,
+                  rng.dirichlet(np.full(cpt.table.shape[-1], 2.0),
+                                size=cpt.table.shape[:-1]))
+        for name, cpt in net.cpts.items()})
+    rs = [Constraint.over(net, scope, marginal(redrawn, scope))
+          for scope in (("V1", "V4"), ("V0", "V3", "V5"))]
+    _, report = run_d_ipfp(net, rs)
+    assert report.termination is Termination.OSCILLATING
+    assert report.cycles <= 60
+    assert max(report.per_constraint_residuals) > 0.01
 
 
 def test_d_ipfp_mixed_constraints_converge(diamond_net, diamond_r3):

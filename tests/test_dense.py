@@ -2,14 +2,17 @@
 
 import dataclasses
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import nets
 from bnrefit import (
+    BnError,
     Constraint,
     Cpt,
+    DenseCeilingError,
     DominanceError,
     JointTable,
     NetworkSpec,
@@ -576,3 +579,26 @@ def test_run_e_ipfp_falls_back_when_candidate_map_fails(
     assert max(report.per_constraint_residuals) <= 1e-9
     assert report.final_divergence == pytest.approx(
         nets.DIAMOND_E_DIVERGENCE, abs=1e-8)
+
+
+@pytest.mark.parametrize("solve", [
+    joint_from_network,
+    lambda net: run_ipfp(net, [nets.constraint_over(
+        net, ("V00",), net.cpts["V00"].table)]),
+    lambda net: run_e_ipfp(net, [nets.constraint_over(
+        net, ("V00",), net.cpts["V00"].table)]),
+], ids=["joint_from_network", "ipfp", "e-ipfp"])
+def test_dense_ceiling_refuses_before_allocating(solve):
+    # Twelve 64-state variables span 2^72 cells.  Every dense path starts
+    # at joint_from_network, which must refuse by cell count before it
+    # allocates anything like a table.
+    net = nets.many_state_net()
+    assert issubclass(DenseCeilingError, BnError)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DenseCeilingError, match=r"2\^72 cells"):
+            solve(net)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
