@@ -12,7 +12,8 @@ Exit codes:
   1  check found violated constraints
   2  usage error
   3  unreadable or invalid input (syntax, schema, validation)
-  4  run ended oscillating (constraints look contradictory)
+  4  run ended oscillating (constraints look contradictory, or out of
+     reach of the CPTs they name)
   5  run hit the cycle budget before converging
   6  a constraint demands mass where the distribution has none
   7  a constraint's subnet exceeds the size budget

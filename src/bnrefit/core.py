@@ -600,8 +600,16 @@ def _sum_out(table: np.ndarray, drop: Sequence[int]) -> np.ndarray:
 def _project(table: np.ndarray, axes_vars: Sequence[str],
              keep: Sequence[str]) -> np.ndarray:
     """Sum ``table``, whose axes are named by ``axes_vars``, down to
-    ``keep`` and put the axes in ``keep`` order."""
-    keep_axes = [axes_vars.index(v) for v in keep]
+    ``keep`` and put the axes in ``keep`` order.
+
+    A name in ``keep`` that ``axes_vars`` lacks raises ``ScopeError``;
+    ``keep`` must not repeat a name."""
+    try:
+        keep_axes = [axes_vars.index(v) for v in keep]
+    except ValueError:
+        missing = [v for v in keep if v not in axes_vars]
+        raise ScopeError(f"variables {missing} are not in scope "
+                         f"{tuple(axes_vars)}") from None
     kept = set(keep_axes)
     drop = [i for i in range(len(axes_vars)) if i not in kept]
     kept_sorted = sorted(keep_axes)
@@ -617,11 +625,8 @@ def marginalize(q: JointTable, target: Sequence[str]) -> JointTable:
     if len(set(target)) != len(target):
         raise ScopeError(f"marginalization target repeats a variable: {target}")
     names = q.names
-    missing = [t for t in target if t not in names]
-    if missing:
-        raise ScopeError(f"variables {missing} are not in scope {names}")
-    return _computed(tuple(q.scope[names.index(t)] for t in target),
-                     _project(q.probs, names, target))
+    probs = _project(q.probs, names, target)
+    return _computed(tuple(q.scope[names.index(t)] for t in target), probs)
 
 
 def _conditional(m: np.ndarray) -> np.ndarray:
@@ -867,9 +872,14 @@ def validate_constraint(net: NetworkSpec, r: Constraint) -> None:
 
 
 def constraint_residual(q: JointTable, r: Constraint) -> float:
-    """Max-abs difference between ``q``'s marginal over ``r.scope`` and ``r``."""
-    m = marginalize(q, r.scope)
-    return float(np.max(np.abs(m.probs - r.dist.probs)))
+    """Max-abs difference between ``q``'s marginal over ``r.scope`` and ``r``.
+
+    ``r``'s scope is non-empty and repeats no variable since it was built,
+    so the marginal is summed without ``marginalize``'s re-check of that;
+    a variable that ``q`` lacks raises ``ScopeError``.
+    """
+    m = _project(q.probs, q.names, r.scope)
+    return float(np.max(np.abs(m - r.dist.probs)))
 
 
 def _outside_parents(net: NetworkSpec, members: Iterable[str]) -> tuple[str, ...]:

@@ -719,7 +719,8 @@ def run_d_ipfp(net: NetworkSpec, constraints: Sequence[Constraint],
                 logger.warning(
                     "cycle %d: CPT deltas plateaued near %.3e and max "
                     "residual stuck near %.3e; constraints look "
-                    "contradictory, stopping as oscillating",
+                    "contradictory, or out of reach of the CPTs they name; "
+                    "stopping as oscillating",
                     cycle, delta, worsts[-1],
                 )
                 termination = Termination.OSCILLATING

@@ -21,23 +21,28 @@ residuals after it are read off that union marginal of its result, which
 the next map starts from.  When the union is every variable the fitted
 table is the joint itself and no rescale is needed.
 
-For e-ipfp the map converges linearly and can crawl for thousands of
+For e-ipfp the CPTs are the state the loop carries.  Every projected
+joint is a ``_Projected`` table that also holds the conditional tables it
+is the product of, the ones the projection read off the fitted joint, so
+nothing reads them off a joint again: not an extrapolation, and not
+``run_e_ipfp``, which builds its output network from the final joint's
+tables.  The map converges linearly and can crawl for thousands of
 cycles, so once a plain map's joint step, ``max|q_out - q_in|``, is at or
 below ``SQUAREM_JOINT_GATE`` the loop extrapolates with SQUAREM
 (Varadhan & Roland 2008, Scand. J. Stat. 35, scheme S3) on the vector of
 all CPT entries, laid out by ``core._Layout`` as d-ipfp's member CPTs
-are: two plain maps, the ``core._squarem``
-candidate from the CPTs read off the start joint and the two mapped
-joints (step length clamped to at most ``core.SQUAREM_MAX_ALPHA``, rows
-renormalized), its product, then one plain map on that product to
-stabilize it.  A candidate with a negative
-entry or a row without mass is rejected, and so is one whose stabilizing
-map raises ``DominanceError``; either way the step ends on the second
-plain map's joint.  The gate stays open once the step is at or below
-epsilon, because the residuals lag behind it.  The map's fixed points
-form a continuum, and long steps taken early land elsewhere on it, so the
-gate is narrow: extrapolation only does the final approach.  ``ipfp``
-never extrapolates.
+are: two plain maps, the ``core._squarem`` candidate from the tables the
+start joint and the two mapped joints carry (step length clamped to at
+most ``core.SQUAREM_MAX_ALPHA``, rows renormalized), its product, then
+one plain map on that product to stabilize it.  A candidate with a
+negative entry or a row without mass is rejected; the step then ends on
+the second plain map's joint.  So does one whose stabilizing map raises
+``DominanceError``, by multiplying out the second map's tables again.
+The gate stays open once the step is at or below epsilon, because the
+residuals lag behind it.  The map's fixed points form a continuum, and
+long steps taken early land elsewhere on it, so the gate is narrow:
+extrapolation only does the final approach.  ``ipfp`` never
+extrapolates.
 
 Every run's ``cycles`` counts plain maps, an extrapolation's two or three
 included, so ``max_cycles`` bounds the work; an extrapolation starts only
@@ -72,10 +77,13 @@ import numpy as np
 
 from .core import (
     Constraint,
+    Cpt,
     DominanceError,
     JointTable,
     NetworkSpec,
     ValidationError,
+    VariableDecl,
+    _BLOCK,
     _Layout,
     _block_shape,
     _blocked,
@@ -83,11 +91,12 @@ from .core import (
     _conditionals,
     _cpt_product,
     _max_gap,
+    _placed,
+    _project,
     _ratio,
     _reextracted_product,
     _squarem,
     constraint_residual,
-    extract_cpts,
     i_divergence,
     joint_from_network,
     marginalize,
@@ -171,20 +180,54 @@ def ipfp_step(q: JointTable, r: Constraint) -> JointTable:
 
     Cells where the current marginal and the target are both zero stay
     zero.  A target that is positive where the marginal is zero raises
-    ``DominanceError`` naming the cell (see ``core._ratio``).
+    ``DominanceError`` naming the cell (see ``core._ratio``).  A scope
+    variable that ``q`` lacks raises ``ScopeError``; ``r``'s scope is
+    non-empty and repeats no variable since it was built, so the marginal
+    is summed without ``marginalize``'s re-check of that.
     """
-    current = marginalize(q, r.scope).probs
+    current = _project(q.probs, q.names, r.scope)
     return _rescaled(q, _ratio(r.dist.probs, current, r.scope), r.scope)
 
 
 def _rescaled(q: JointTable, ratio: np.ndarray,
               names: Sequence[str]) -> JointTable:
-    """``q`` times ``ratio``, whose axes are ``q``'s axes ``names``."""
+    """``q`` times ``ratio``, whose axes are ``q``'s axes ``names``.
+
+    A table of at most ``_BLOCK`` cells, such as a union marginal, is a
+    single block, so ``ratio`` is broadcast onto it as it is instead of
+    materialized as a ``_blocked`` factor; either way each cell is
+    multiplied once by its ratio, so the result is the same to the bit.
+    """
     axes = [q.axis(n) for n in names]
     shape = q.probs.shape
+    if q.probs.size <= _BLOCK:
+        return _computed(q.scope, q.probs * _placed(ratio, axes, len(shape)))
     return _computed(q.scope, np.multiply(
         q.probs.reshape(_block_shape(shape)),
         _blocked(ratio, axes, shape)).reshape(shape))
+
+
+class _Projected(JointTable):
+    """A joint the structural projection multiplied out, with the
+    conditional tables it is the product of.
+
+    ``tables`` maps each family of the network, in declaration order, to
+    its table with axes ``(parents..., child)``; ``probs`` is their
+    product, divided by its total when the plain map renormalized it.
+    Built by ``of`` like ``core._computed``, without validation.
+    """
+
+    tables: dict[str, np.ndarray]
+
+    @staticmethod
+    def of(scope: tuple[VariableDecl, ...], probs: np.ndarray,
+           tables: dict[str, np.ndarray]) -> "_Projected":
+        q = object.__new__(_Projected)
+        object.__setattr__(q, "scope", scope)
+        probs.setflags(write=False)
+        object.__setattr__(q, "probs", probs)
+        object.__setattr__(q, "tables", tables)
+        return q
 
 
 def structural_projection(q: JointTable, net: NetworkSpec) -> JointTable:
@@ -193,9 +236,13 @@ def structural_projection(q: JointTable, net: NetworkSpec) -> JointTable:
     This is itself a proportional-fitting step whose target is the set of
     distributions factoring over the DAG; applying it at the end of each
     cycle is what turns plain fitting into the structure-preserving solver.
+    The CPTs are read off ``q`` in one prefix walk (``core._conditionals``),
+    and the result carries them, so e-ipfp's loop moves them and builds
+    its output network from them without reading them off a joint again.
     """
-    return _computed(q.scope, _cpt_product(
-        net.variables, _conditionals(q, net), net.parents))
+    tables = _conditionals(q, net)
+    return _Projected.of(q.scope, _cpt_product(
+        net.variables, tables, net.parents), tables)
 
 
 def _prepared(net: NetworkSpec,
@@ -248,7 +295,9 @@ def _plain_map(q: JointTable, constraints: Sequence[Constraint],
     if total != 1.0:
         # Drift is a few ulp per cycle; correct it in the open.
         logger.debug("renormalizing, sum off by %.3e", total - 1.0)
-        q = _computed(q.scope, q.probs / total)
+        probs = q.probs / total
+        q = (_Projected.of(q.scope, probs, q.tables) if structural
+             else _computed(q.scope, probs))
     return q
 
 
@@ -266,10 +315,11 @@ def _run_dense(net: NetworkSpec, constraints: Sequence[Constraint],
     q0 = q = joint_from_network(net)
     layout = _Layout.of(net, net.names) if structural else None
 
-    def product(theta: np.ndarray) -> JointTable:
+    def product(theta: np.ndarray) -> _Projected:
         """The dense product of the CPTs laid out in ``theta``."""
-        return _computed(net.variables, _cpt_product(
-            net.variables, layout.tables(theta), net.parents))
+        tables = layout.tables(theta)
+        return _Projected.of(net.variables, _cpt_product(
+            net.variables, tables, net.parents), tables)
 
     eps = stop.epsilon
     deltas: deque[float] = deque(maxlen=OSCILLATION_WINDOW)
@@ -283,19 +333,20 @@ def _run_dense(net: NetworkSpec, constraints: Sequence[Constraint],
     current = None
 
     while cycles < budget:
-        # An extrapolation maps q twice, reading the CPTs off each joint
-        # before dropping it, then maps the product of the candidate.
+        # An extrapolation maps q twice, packing the CPTs each projected
+        # joint carries before dropping it, then maps the product of the
+        # candidate.  The gate opens only after a map, so q is projected.
         extrapolate = gate_open and cycles + 3 <= budget
         if extrapolate:
-            theta0 = layout.pack(_conditionals(q, net))
+            theta0 = layout.pack(q.tables)
             q = _plain_map(q, constraints, net, True, current)
-            theta1 = layout.pack(_conditionals(q, net))
+            theta1 = layout.pack(q.tables)
             current = None
         previous, q = q, _plain_map(q, constraints, net, structural, current)
         delta, maps = _step(q, previous), 2 if extrapolate else 1
         del previous
         if extrapolate:
-            theta2 = layout.pack(_conditionals(q, net))
+            theta2 = layout.pack(q.tables)
             candidate = _squarem(theta0, theta1, theta2, layout.row)
             if candidate is not None:
                 q = product(candidate)
@@ -361,12 +412,17 @@ def run_e_ipfp(net: NetworkSpec, constraints: Sequence[Constraint],
     """Structure-preserving fit: proportional steps plus a per-cycle
     re-extraction of CPTs, so the result is a network on the same DAG.
 
-    Returns the refitted network and a report.  The network's joint meets
-    every constraint within ``stop.epsilon`` when the report says
-    ``CONVERGED``.
+    Returns the refitted network and a report.  The network's CPTs are
+    the tables the final joint carries, the ones it was multiplied out
+    from, so its joint is the loop's last joint up to renormalization; a
+    parent row without mass there is uniform, as ``extract_cpts`` would
+    read it.  The network's joint meets every constraint within
+    ``stop.epsilon`` when the report says ``CONVERGED``.
     """
     q, report = _run_dense(net, constraints, stop or StopPolicy(),
                            structural=True, algorithm="e-ipfp")
     if report.cycles == 0:
         return net, report
-    return NetworkSpec(net.variables, net.parents, extract_cpts(q, net)), report
+    return NetworkSpec(net.variables, net.parents, {
+        name: Cpt(name, net.parents[name], table)
+        for name, table in q.tables.items()}), report

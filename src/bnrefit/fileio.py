@@ -33,6 +33,7 @@ from .core import (
     NetworkSpec,
     ValidationError,
     VariableDecl,
+    _power_of_two,
 )
 from .dense import RunReport
 
@@ -146,6 +147,12 @@ def _number(value, where: str) -> float:
         raise FormatError(f"{where}: number out of range") from None
 
 
+def _count(n: int) -> str:
+    """``n`` in digits up to 2^64, and past it as a power of two, so a
+    cardinality of hundreds of digits does not fill a message."""
+    return str(n) if n <= 2 ** 64 else _power_of_two(n)
+
+
 def _table(obj: dict, key: str, where: str, shape: tuple[int, ...],
            of: str) -> np.ndarray:
     """``obj[key]``, a flat list of numbers, as an array of ``shape``;
@@ -156,8 +163,8 @@ def _table(obj: dict, key: str, where: str, shape: tuple[int, ...],
     expected = math.prod(shape)
     _expect(
         len(values) == expected,
-        f"{where}: {key} has {len(values)} entries, expected {expected} "
-        f"{of}",
+        f"{where}: {key} has {len(values)} entries, expected "
+        f"{_count(expected)} {of}",
     )
     return np.asarray(values).reshape(shape)
 
@@ -221,8 +228,9 @@ def parse_network(data: bytes | str) -> NetworkSpec:
         parents[name] = ps
 
         shape = tuple(cardinalities[p] for p in ps) + (cardinalities[name],)
-        cpts[name] = Cpt(name, ps, _table(obj, "cpt", where, shape,
-                                          f"for shape {shape}"))
+        cpts[name] = Cpt(name, ps, _table(
+            obj, "cpt", where, shape,
+            f"for shape ({', '.join(map(_count, shape))})"))
 
     return NetworkSpec(tuple(decls), parents, cpts)
 

@@ -778,14 +778,10 @@ def test_d_ipfp_contradictory_constraints_oscillate(chain_net):
     assert report.termination is Termination.OSCILLATING
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
-def test_d_ipfp_stops_at_a_fixed_point_within_60_cycles(seed):
-    # Targets read off the children-first DAG with every CPT redrawn: the
-    # local constraint on V4 cannot move P(V1), so the set is unmeetable.
-    # Once the CPTs stop moving, their cycle deltas are rounding noise at
-    # or below epsilon.  Counted as a plateau, they stop the run once the
-    # delta and residual windows have filled (39 to 47 cycles); a ratio
-    # test on the noise alone took 264 to 1,698.
+def out_of_local_reach(seed):
+    """``nets.children_first`` with targets over (V1, V4) and (V0, V3, V5)
+    read off the same DAG with every CPT redrawn: met by the joint of a
+    network on the DAG, but not by editing only the CPTs they name."""
     net = nets.children_first()
     rng = np.random.default_rng(seed)
     redrawn = NetworkSpec(net.variables, net.parents, {
@@ -793,12 +789,35 @@ def test_d_ipfp_stops_at_a_fixed_point_within_60_cycles(seed):
                   rng.dirichlet(np.full(cpt.table.shape[-1], 2.0),
                                 size=cpt.table.shape[:-1]))
         for name, cpt in net.cpts.items()})
-    rs = [Constraint.over(net, scope, marginal(redrawn, scope))
-          for scope in (("V1", "V4"), ("V0", "V3", "V5"))]
+    return net, [Constraint.over(net, scope, marginal(redrawn, scope))
+                 for scope in (("V1", "V4"), ("V0", "V3", "V5"))]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_d_ipfp_stops_at_a_fixed_point_within_60_cycles(seed):
+    # The local constraint on V4 cannot move P(V1), so d-ipfp cannot meet
+    # the set.  Once the CPTs stop moving, their cycle deltas are rounding
+    # noise at or below epsilon.  Counted as a plateau, they stop the run
+    # once the delta and residual windows have filled (39 to 47 cycles); a
+    # ratio test on the noise alone took 264 to 1,698.
+    net, rs = out_of_local_reach(seed)
     _, report = run_d_ipfp(net, rs)
     assert report.termination is Termination.OSCILLATING
     assert report.cycles <= 60
     assert max(report.per_constraint_residuals) > 0.01
+
+
+def test_d_ipfp_oscillation_warning_allows_out_of_reach(caplog):
+    # e-ipfp meets the set that d-ipfp cannot, so the warning must not
+    # call it contradictory outright.
+    net, rs = out_of_local_reach(1)
+    with caplog.at_level("WARNING", logger="bnrefit"):
+        _, report = run_d_ipfp(net, rs)
+    assert report.termination is Termination.OSCILLATING
+    assert ("constraints look contradictory, or out of reach of the CPTs "
+            "they name; stopping as oscillating") in caplog.text
+    _, report = run_e_ipfp(net, rs)
+    assert report.termination is Termination.CONVERGED
 
 
 def test_d_ipfp_mixed_constraints_converge(diamond_net, diamond_r3):

@@ -1,6 +1,7 @@
 """Dense solvers: single fitting steps, full runs, and termination logic."""
 
 import dataclasses
+import functools
 import inspect
 import tracemalloc
 
@@ -17,6 +18,7 @@ from bnrefit import (
     JointTable,
     NetworkSpec,
     RunReport,
+    ScopeError,
     StopPolicy,
     Termination,
     ValidationError,
@@ -33,8 +35,9 @@ from bnrefit import (
     run_ipfp,
     structural_projection,
 )
-from bnrefit import dense
-from bnrefit.core import _computed, extract_cpts
+from bnrefit import core, dense
+from bnrefit.core import (_block_shape, _blocked, _computed, _ratio,
+                          extract_cpts)
 from bnrefit.generate import generate_instance, random_network
 
 
@@ -169,6 +172,45 @@ def test_step_on_blocked_and_transposed_tables():
     got = ipfp_step(t, r)
     assert got.scope == t.scope
     assert np.max(np.abs(got.probs - want)) <= 1e-15
+
+
+def blocked_step(q, r):
+    """A proportional step that runs every table, however small, through
+    ``marginalize`` and a ``_blocked`` factor over its ``_block_shape``
+    view."""
+    ratio = _ratio(r.dist.probs, marginalize(q, r.scope).probs, r.scope)
+    shape = q.probs.shape
+    factor = _blocked(ratio, [q.axis(n) for n in r.scope], shape)
+    return (q.probs.reshape(_block_shape(shape)) * factor).reshape(shape)
+
+
+@pytest.mark.parametrize("table", ["union-marginal", "joint"])
+def test_step_and_residual_are_bit_identical_to_the_blocked_step(table):
+    # The dense-fit instance: its union marginal has 128 cells, one block,
+    # and its 2^16-cell joint runs on a head and a block.  Six chained
+    # steps and every residual after each match to the bit.
+    net, constraints = generate_instance(0, n_nodes=16, num_constraints=6)
+    q = joint_from_network(net)
+    if table == "union-marginal":
+        q = marginalize(q, dense._union(net, constraints))
+        assert q.probs.size <= core._BLOCK
+    else:
+        assert len(_block_shape(q.probs.shape)) > 1
+    for r in constraints:
+        want = blocked_step(q, r)
+        q = ipfp_step(q, r)
+        assert np.array_equal(q.probs, want)
+        for s in constraints:
+            assert constraint_residual(q, s) == float(np.max(np.abs(
+                marginalize(q, s.scope).probs - s.dist.probs)))
+
+
+def test_step_and_residual_name_a_variable_the_table_lacks(diamond_net):
+    q = marginalize(joint_from_network(diamond_net), ("A", "B"))
+    r = nets.constraint_over(diamond_net, ("D",), [0.5, 0.5])
+    for measure in (ipfp_step, constraint_residual):
+        with pytest.raises(ScopeError, match=r"\['D'\] are not in scope"):
+            measure(q, r)
 
 
 # structural_projection
@@ -539,6 +581,81 @@ def test_dense_fit_trajectories_are_pinned():
                                                    abs=1e-12)
     assert i_rep.final_divergence == pytest.approx(0.011095154935745748,
                                                    abs=1e-12)
+
+
+def children_first_without_v3_0():
+    """``children_first_with_zero`` with P(V3=0 | V2) = 0 for every V2, so
+    the rows of V4's CPT at V3=0 have no parent mass."""
+    net, _ = children_first_with_zero()
+    table = np.zeros(net.cpts["V3"].table.shape)
+    table[:, 1] = 1.0
+    net = NetworkSpec(net.variables, net.parents,
+                      dict(net.cpts, V3=Cpt("V3", ("V2",), table)))
+    return net, reweighted_constraints(
+        net, [("V3", "V2"), ("V5",), ("V1", "V2")], seed=5)
+
+
+CARRIED_CASES = {
+    "dense-fit": lambda: generate_instance(0, n_nodes=16, num_constraints=6),
+    **{f"criterion-1-seed-{seed}": functools.partial(
+        generate_instance, seed, 10 + seed % 6, 4 + seed % 3)
+       for seed in range(20)},
+    "children-first-zero": children_first_with_zero,
+    "children-first-empty-rows": children_first_without_v3_0,
+}
+
+
+@pytest.mark.parametrize("case", list(CARRIED_CASES))
+def test_run_e_ipfp_outputs_the_cpts_it_carried(case):
+    # The output CPTs are the tables the loop carried, not ones read off
+    # its last joint; reading them back off the output's joint gives the
+    # same tables, rows without parent mass included: such a row is
+    # uniform in both.  With P(V3=0) = 0 on the children-first network,
+    # the rows of V4's CPT at V3=0 have no mass.
+    net, constraints = CARRIED_CASES[case]()
+    out, report = run_e_ipfp(net, constraints)
+    assert report.cycles > 0
+    q = joint_from_network(out)
+    read = extract_cpts(q, net)
+    empty = 0
+    for name in net.names:
+        got = out.cpts[name].table
+        assert np.max(np.abs(got - read[name].table)) <= 1e-12, name
+        mass = marginalize(q, net.parents[name] + (name,)).probs.sum(axis=-1)
+        rows = got[mass == 0.0]
+        empty += len(rows)
+        assert np.array_equal(rows, np.full(rows.shape, 1 / got.shape[-1]))
+    assert (empty > 0) == (case == "children-first-empty-rows")
+
+
+def test_run_e_ipfp_reads_each_projected_joint_once(monkeypatch):
+    # One prefix walk per structural projection, whether or not the map
+    # is part of an extrapolation, and none for the output network.
+    net, constraints = generate_instance(0, n_nodes=16, num_constraints=6)
+    calls = {"walks": 0, "projections": 0, "extrapolations": 0,
+             "extractions": 0}
+
+    def counted(key, fn):
+        def spy(*args):
+            calls[key] += 1
+            return fn(*args)
+        return spy
+
+    monkeypatch.setattr(dense, "_conditionals",
+                        counted("walks", dense._conditionals))
+    monkeypatch.setattr(dense, "structural_projection",
+                        counted("projections", dense.structural_projection))
+    monkeypatch.setattr(dense, "_squarem",
+                        counted("extrapolations", dense._squarem))
+    monkeypatch.setattr(core, "extract_cpts",
+                        counted("extractions", core.extract_cpts))
+    monkeypatch.setattr(core, "extract_cpt",
+                        counted("extractions", core.extract_cpt))
+    _, report = run_e_ipfp(net, constraints)
+    assert report.cycles == calls["projections"] == 15
+    assert calls["walks"] == calls["projections"]
+    assert calls["extrapolations"] > 0
+    assert calls["extractions"] == 0
 
 
 def test_run_e_ipfp_budget_bounds_extrapolated_maps():

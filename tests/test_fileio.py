@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import re
 
 import numpy as np
 import pytest
@@ -113,6 +114,29 @@ def test_parse_rejects_wrong_cpt_length():
     for doc in (short, wrapping):
         with pytest.raises(FormatError):
             parse_network(doc)
+
+
+def test_wrong_cpt_length_prints_huge_counts_as_powers_of_two():
+    # A 400-digit cardinality, about 2^1329: the message names the count
+    # and the shape as powers of two, not as 400-digit integers.  Counts
+    # up to 2^64 keep their digits.
+    huge = network_doc(variables=[
+        {"name": "A", "cardinality": 10 ** 400 - 1, "parents": [],
+         "cpt": [0.5, 0.5]},
+    ])
+    with pytest.raises(FormatError) as err:
+        parse_network(huge)
+    message = str(err.value)
+    assert "expected 2^1329 for shape (2^1329)" in message
+    assert not re.search(r"[0-9]{20}", message)
+    wide = network_doc(variables=[
+        {"name": "A", "cardinality": 2 ** 32, "parents": ["B"], "cpt": []},
+        {"name": "B", "cardinality": 2 ** 32, "parents": [], "cpt": []},
+    ])
+    with pytest.raises(FormatError,
+                       match=f"expected {2 ** 64} for shape "
+                             f"\\({2 ** 32}, {2 ** 32}\\)"):
+        parse_network(wide)
 
 
 def test_parse_rejects_unknown_keys():
