@@ -351,6 +351,214 @@ def test_write_atomic_failure_leaves_target_alone(tmp_path, monkeypatch):
     assert os.listdir(tmp_path) == ["net.json"]
 
 
+# pinned messages: a faulty document reads exactly as it always has
+
+
+def two_variables(cpt: str) -> str:
+    """A -> B, both binary, with B's CPT entries given as JSON text."""
+    return ('{"format_version": 1, "variables": ['
+            '{"name": "A", "cardinality": 2, "parents": [], "cpt": [0.5, 0.5]}, '
+            '{"name": "B", "cardinality": 2, "parents": ["A"], "cpt": ['
+            + cpt + ']}]}')
+
+
+def pair_constraint(dist: str) -> str:
+    """One constraint over (A, B), its entries given as JSON text."""
+    return ('{"format_version": 1, "constraints": [{"scope": ["A", "B"], '
+            '"dist": [' + dist + ']}]}')
+
+
+def chain4(**changes) -> bytes:
+    """A -> B -> C -> D, binary, with ``changes[name]`` merged into the
+    entry of ``name``."""
+    variables = [
+        {"name": "A", "cardinality": 2, "parents": [], "cpt": [0.5, 0.5]},
+        {"name": "B", "cardinality": 2, "parents": ["A"],
+         "cpt": [0.8, 0.2, 0.2, 0.8]},
+        {"name": "C", "cardinality": 2, "parents": ["B"],
+         "cpt": [0.6, 0.4, 0.3, 0.7]},
+        {"name": "D", "cardinality": 2, "parents": ["C"],
+         "cpt": [0.9, 0.1, 0.5, 0.5]},
+    ]
+    for name, change in changes.items():
+        variables["ABCD".index(name)].update(change)
+    return json.dumps({"format_version": 1, "variables": variables}).encode()
+
+
+def raised(parse, *args) -> tuple[type, str]:
+    with pytest.raises(BnError) as err:
+        parse(*args)
+    return type(err.value), str(err.value)
+
+
+NOT_A_NUMBER = "expected a number"
+OUT_OF_RANGE = (ValidationError, "CPT for 'B': entries must lie in [0, 1]")
+NEGATIVE_OR_NAN = (ValidationError,
+                   "joint table over ('A', 'B'): negative or NaN entry")
+INFINITE_TOTAL = (NormalizationError, "joint table over ('A', 'B'): sums to "
+                  "inf, more than 1e-09 away from 1")
+
+# (fault, JSON text put in place of the third entry of B's CPT
+# [0.8, 0.2, _, 0.8] and of the distribution [0.25, 0.25, _, 0.25], the
+# CPT's error, the distribution's error)
+ENTRY_FAULTS = [
+    ("bool", "true",
+     (FormatError, f"variable 'B': cpt[2]: {NOT_A_NUMBER}"),
+     (FormatError, f"constraints[0]: dist[2]: {NOT_A_NUMBER}")),
+    ("string", '"0.5"',
+     (FormatError, f"variable 'B': cpt[2]: {NOT_A_NUMBER}"),
+     (FormatError, f"constraints[0]: dist[2]: {NOT_A_NUMBER}")),
+    ("null", "null",
+     (FormatError, f"variable 'B': cpt[2]: {NOT_A_NUMBER}"),
+     (FormatError, f"constraints[0]: dist[2]: {NOT_A_NUMBER}")),
+    ("nested list", "[0.5]",
+     (FormatError, f"variable 'B': cpt[2]: {NOT_A_NUMBER}"),
+     (FormatError, f"constraints[0]: dist[2]: {NOT_A_NUMBER}")),
+    ("400-digit integer", "9" * 400,
+     (FormatError, "variable 'B': cpt[2]: number out of range"),
+     (FormatError, "constraints[0]: dist[2]: number out of range")),
+    ("NaN", "NaN", OUT_OF_RANGE, NEGATIVE_OR_NAN),
+    ("Infinity", "Infinity", OUT_OF_RANGE, INFINITE_TOTAL),
+    ("1e400", "1e400", OUT_OF_RANGE, INFINITE_TOTAL),
+    ("negative", "-0.5", OUT_OF_RANGE, NEGATIVE_OR_NAN),
+    ("above 1", "1.5", OUT_OF_RANGE,
+     (NormalizationError, "joint table over ('A', 'B'): sums to 2.25, more "
+      "than 1e-09 away from 1")),
+    ("bad row sum", "0.3",
+     (NormalizationError, "CPT for 'B': row 1 (A=1) sums to "
+      "1.1000000000000001, more than 1e-09 away from 1"),
+     (NormalizationError, "joint table over ('A', 'B'): sums to 1.05, more "
+      "than 1e-09 away from 1")),
+    ("wrong entry count", "0.1, 0.1",
+     (FormatError, "variable 'B': cpt has 5 entries, expected 4 for shape "
+      "(2, 2)"),
+     (FormatError, "constraints[0]: dist has 5 entries, expected 4 for "
+      "scope ('A', 'B')")),
+]
+
+
+@pytest.mark.parametrize("literal, cpt_error, dist_error",
+                         [case[1:] for case in ENTRY_FAULTS],
+                         ids=[case[0] for case in ENTRY_FAULTS])
+def test_faulty_entry_messages_are_pinned(tmp_path, capsys, literal,
+                                          cpt_error, dist_error):
+    from bnrefit import cli
+
+    good = two_variables("0.8, 0.2, 0.2, 0.8")
+    net = parse_network(good)
+    bad_net = two_variables(f"0.8, 0.2, {literal}, 0.8")
+    bad_cons = pair_constraint(f"0.25, 0.25, {literal}, 0.25")
+    assert raised(parse_network, bad_net) == cpt_error
+    assert raised(parse_constraints, bad_cons, net) == dist_error
+    # The CLI prints the same text and exits 3 (invalid input).
+    for net_text, cons_text, (_, message) in (
+            (bad_net, pair_constraint("0.25, 0.25, 0.25, 0.25"), cpt_error),
+            (good, bad_cons, dist_error)):
+        (tmp_path / "net.json").write_text(net_text)
+        (tmp_path / "cons.json").write_text(cons_text)
+        capsys.readouterr()
+        assert cli.main(["check", "--network", str(tmp_path / "net.json"),
+                         "--constraints", str(tmp_path / "cons.json")]) \
+            == cli.EXIT_INVALID_INPUT
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("entries, index, message", [
+    ("9" * 400 + ", true, 0.5, 0.5", 0, "number out of range"),
+    ("true, " + "9" * 400 + ", 0.5, 0.5", 0, NOT_A_NUMBER),
+    ('0.5, "x", ' + "9" * 400 + ", 0.5", 1, NOT_A_NUMBER),
+    ("0.5, 0.5, " + "9" * 400 + ', "x"', 2, "number out of range"),
+    ("true", 0, NOT_A_NUMBER),
+])
+def test_first_faulty_entry_is_named(entries, index, message):
+    # Entries are checked in order, and before the entry count.
+    assert raised(parse_network, two_variables(entries)) == (
+        FormatError, f"variable 'B': cpt[{index}]: {message}")
+    net = parse_network(two_variables("0.8, 0.2, 0.2, 0.8"))
+    assert raised(parse_constraints, pair_constraint(entries), net) == (
+        FormatError, f"constraints[0]: dist[{index}]: {message}")
+
+
+def test_entry_count_is_checked_before_ranges():
+    assert raised(parse_network, two_variables("1.5, 0.5, 0.5")) == (
+        FormatError, "variable 'B': cpt has 3 entries, expected 4 for shape "
+        "(2, 2)")
+
+
+BAD_ROW_B = (NormalizationError, "CPT for 'B': row 0 (A=0) sums to "
+             "1.1000000000000001, more than 1e-09 away from 1")
+BAD_ROW_A = (NormalizationError, "CPT for 'A': row 0 (no parents) sums to "
+             "1.1000000000000001, more than 1e-09 away from 1")
+RANGE_B = (ValidationError, "CPT for 'B': entries must lie in [0, 1]")
+ROW_SUM_1_1 = [0.8, 0.3, 0.2, 0.8]
+
+
+@pytest.mark.parametrize("changes, error", [
+    # A CPT fault wins over a schema fault of any later variable ...
+    ({"A": {"cpt": [0.5, 0.6]}, "D": {"parents": ["Z"]}}, BAD_ROW_A),
+    ({"B": {"cpt": ROW_SUM_1_1}, "C": {"cpt": [0.6, "0.4", 0.3, 0.7]}},
+     BAD_ROW_B),
+    ({"B": {"cpt": ROW_SUM_1_1}, "D": {"cpt": [True, 0.1, 0.5, 0.5]}},
+     BAD_ROW_B),
+    ({"B": {"cpt": ROW_SUM_1_1}, "C": {"colour": "red"}}, BAD_ROW_B),
+    ({"B": {"cpt": ROW_SUM_1_1}, "D": {"cardinality": 1, "cpt": [1.0, 1.0]}},
+     BAD_ROW_B),
+    ({"B": {"cpt": ROW_SUM_1_1},
+      "C": {"parents": ["B", "B"], "cpt": [0.5] * 8}}, BAD_ROW_B),
+    ({"B": {"cpt": ROW_SUM_1_1}, "C": {"parents": ["C"]}}, BAD_ROW_B),
+    ({"A": {"cpt": [0.5, 0.6]}, "B": {"cpt": [0.8, 0.2, 0.2]}}, BAD_ROW_A),
+    # ... over the network's cycle check ...
+    ({"B": {"cpt": [0.8, 0.2, -0.2, 1.2]}, "C": {"parents": ["D"]}},
+     RANGE_B),
+    # ... and over a CPT fault of a later variable, whichever its kind.
+    ({"B": {"cpt": ROW_SUM_1_1}, "C": {"cpt": [0.6, 1.4, 0.3, 0.7]}},
+     BAD_ROW_B),
+    ({"B": {"cpt": [0.8, 0.2, 1.5, -0.5]}, "C": {"cpt": [0.6, 0.5, 0.3, 0.7]}},
+     RANGE_B),
+    # Within one CPT: its parents first, then its ranges, then its rows.
+    ({"B": {"cpt": [0.5, 0.4, -0.1, 1.1]}}, RANGE_B),
+    ({"B": {"parents": ["A", "A"], "cpt": [1.5] * 8}},
+     (ValidationError, "CPT for 'B': duplicate parent")),
+    # Every name and cardinality is read before any CPT, so a declaration
+    # fault of a later variable wins, and so does an earlier entry count.
+    ({"A": {"cpt": [0.5, 0.6]}, "D": {"name": 4}},
+     (FormatError, "variables[3]: name: expected a string")),
+    ({"A": {"cpt": [0.5, 0.5, 0.0]}, "B": {"cpt": ROW_SUM_1_1}},
+     (FormatError, "variable 'A': cpt has 3 entries, expected 2 for shape "
+      "(2)")),
+])
+def test_first_fault_of_a_network_document_wins(changes, error):
+    assert raised(parse_network, chain4(**changes)) == error
+
+
+@pytest.mark.parametrize("entries, top, error", [
+    ([{"scope": ["A"], "dist": [0.5, 0.6]}, {"scope": ["Z"], "dist": [0.5, 0.5]}],
+     {}, (NormalizationError, "joint table over ('A',): sums to "
+          "1.1000000000000001, more than 1e-09 away from 1")),
+    ([{"scope": ["A", "C"], "dist": [0.5, -0.1, 0.3, 0.3]},
+      {"scope": ["B"], "dist": [1.0]}],
+     {}, (ValidationError, "joint table over ('A', 'C'): negative or NaN "
+          "entry")),
+    ([{"scope": ["A"], "dist": [float("nan"), 0.5]},
+      {"scope": ["B", "B"], "dist": [0.25] * 4}],
+     {}, (ValidationError, "joint table over ('A',): negative or NaN entry")),
+    ([{"scope": ["B"], "dist": [0.5, 0.5]},
+      {"scope": ["C"], "dist": ["0.5", 0.5]},
+      {"scope": ["D"], "dist": [0.5, 0.6]}],
+     {}, (FormatError, "constraints[1]: dist[0]: expected a number")),
+    ([{"scope": ["B"], "dist": [0.5, 0.5]},
+      {"scope": ["C"], "dist": [0.5, 0.6]}, {"dist": [0.5, 0.5]}],
+     {}, (NormalizationError, "joint table over ('C',): sums to "
+          "1.1000000000000001, more than 1e-09 away from 1")),
+    ([{"scope": ["A"], "dist": [0.5, 0.6]}], {"colour": "red"},
+     (FormatError, "constraint document: unknown keys ['colour']")),
+])
+def test_first_fault_of_a_constraint_document_wins(entries, top, error):
+    data = json.dumps({"format_version": 1, "constraints": entries,
+                       **top}).encode()
+    assert raised(parse_constraints, data, parse_network(chain4())) == error
+
+
 # fuzzing: mangled documents must fail loudly, never crash oddly
 
 
