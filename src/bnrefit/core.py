@@ -104,8 +104,7 @@ class VariableDecl:
         if not isinstance(self.cardinality, int) or self.cardinality < 2:
             raise ValidationError(
                 f"variable {self.name!r}: cardinality must be an integer >= 2, "
-                f"got {self.cardinality!r}"
-            )
+                f"got {self.cardinality!r}")
         if self.states is not None:
             object.__setattr__(self, "states", tuple(self.states))
             if len(self.states) != self.cardinality:
@@ -138,28 +137,42 @@ class Cpt:
         if table.ndim != len(self.parent_order) + 1:
             raise ValidationError(
                 f"CPT for {self.child!r}: table has {table.ndim} axes, "
-                f"expected {len(self.parent_order) + 1} (parents plus child)"
-            )
+                f"expected {len(self.parent_order) + 1} (parents plus child)")
         if table.shape[-1] < 2:
             raise ValidationError(
-                f"CPT for {self.child!r}: child axis has length {table.shape[-1]}"
-            )
-        # Written so that NaN, for which every comparison is False, fails.
-        if not np.all((table >= 0.0) & (table <= 1.0 + TAU_NORM)):
-            raise ValidationError(f"CPT for {self.child!r}: entries must lie in [0, 1]")
-        rows = table.reshape(-1, table.shape[-1])
-        sums = rows.sum(axis=1)
-        bad = np.nonzero(np.abs(sums - 1.0) > TAU_NORM)[0]
-        if bad.size:
-            i = int(bad[0])
-            config = tuple(int(v) for v in np.unravel_index(i, table.shape[:-1])) if self.parent_order else ()
-            where = ", ".join(f"{p}={v}" for p, v in zip(self.parent_order, config))
-            raise NormalizationError(
-                f"CPT for {self.child!r}: row {i} ({where or 'no parents'}) "
-                f"sums to {sums[i]:.17g}, more than {TAU_NORM:g} away from 1"
-            )
+                f"CPT for {self.child!r}: child axis has length {table.shape[-1]}")
+        _check_cpts([(self.child, self.parent_order, table)])
         table.setflags(write=False)
         object.__setattr__(self, "table", table)
+
+
+def _check_cpts(families: Sequence[tuple[str, tuple, np.ndarray]]) -> None:
+    """Raise for the first of ``families`` (child, parents, table) with an
+    entry outside [0, 1] or else a row more than ``TAU_NORM`` from summing
+    to one.  The rows of all tables whose child has ``c`` states are
+    checked in one batch: a few numpy calls per child cardinality."""
+    first = len(families)
+    for c in {t.shape[-1] for _, _, t in families}:
+        group = [i for i, f in enumerate(families) if f[2].shape[-1] == c]
+        rows = np.concatenate([families[i][2].reshape(-1, c) for i in group])
+        # Written so that NaN, for which every comparison is False, fails.
+        bad = ~((rows >= 0.0) & (rows <= 1.0 + TAU_NORM)).all(axis=1)
+        bad |= np.abs(rows.sum(axis=1) - 1.0) > TAU_NORM
+        if bad.any():
+            sizes = [families[i][2].size // c for i in group]
+            first = min(first, int(np.repeat(group, sizes)[bad.argmax()]))
+    if first == len(families):
+        return
+    child, parent_order, table = families[first]
+    if not np.all((table >= 0.0) & (table <= 1.0 + TAU_NORM)):
+        raise ValidationError(f"CPT for {child!r}: entries must lie in [0, 1]")
+    sums = table.reshape(-1, table.shape[-1]).sum(axis=1)
+    i = int(np.argmax(np.abs(sums - 1.0) > TAU_NORM))
+    config = np.unravel_index(i, table.shape[:-1]) if parent_order else ()
+    where = ", ".join(f"{p}={int(v)}" for p, v in zip(parent_order, config))
+    raise NormalizationError(
+        f"CPT for {child!r}: row {i} ({where or 'no parents'}) "
+        f"sums to {sums[i]:.17g}, more than {TAU_NORM:g} away from 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,8 +213,7 @@ class JointTable:
         if probs.shape != shape:
             raise ValidationError(
                 f"joint table over {tuple(names)}: shape {probs.shape} does not "
-                f"match cardinalities {shape}"
-            )
+                f"match cardinalities {shape}")
         # Written so that NaN, for which every comparison is False, fails.
         if not np.all(probs >= 0.0):
             raise ValidationError(
@@ -210,8 +222,7 @@ class JointTable:
         if abs(total - 1.0) > TAU_NORM:
             raise NormalizationError(
                 f"joint table over {tuple(names)}: sums to {total:.17g}, more "
-                f"than {TAU_NORM:g} away from 1"
-            )
+                f"than {TAU_NORM:g} away from 1")
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
 
@@ -237,6 +248,17 @@ def _computed(scope: tuple[VariableDecl, ...], probs: np.ndarray) -> JointTable:
     probs.setflags(write=False)
     object.__setattr__(table, "probs", probs)
     return table
+
+
+def _cpt(child: str, parent_order: tuple[str, ...], table: np.ndarray) -> Cpt:
+    """``Cpt`` for a float ``table`` of the right shape that ``_check_cpts``
+    passed; it is frozen in place, not copied or checked again."""
+    cpt = object.__new__(Cpt)
+    object.__setattr__(cpt, "child", child)
+    object.__setattr__(cpt, "parent_order", parent_order)
+    table.setflags(write=False)
+    object.__setattr__(cpt, "table", table)
+    return cpt
 
 
 @dataclass(frozen=True, eq=False)
@@ -361,13 +383,11 @@ class NetworkSpec:
                     f"variable {name!r}: CPT parent order {cpt.parent_order} "
                     f"differs from declared parents {parents[name]}"
                 )
-            want = tuple(variables[index[p]].cardinality for p in parents[name])
-            want = want + (variables[index[name]].cardinality,)
+            want = tuple(self.cards[v] for v in parents[name] + (name,))
             if cpt.table.shape != want:
                 raise ValidationError(
                     f"variable {name!r}: CPT shape {cpt.table.shape} does not "
-                    f"match declared cardinalities {want}"
-                )
+                    f"match declared cardinalities {want}")
             cpts[name] = cpt
         object.__setattr__(self, "cpts", cpts)
 

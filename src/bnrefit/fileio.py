@@ -9,18 +9,24 @@ reproduces it byte for byte.
 
 Parsing is strict: documents must carry ``format_version`` 1, unknown keys
 are rejected, and every schema violation raises ``FormatError`` with the
-location spelled out.  Semantic validation (row normalization, acyclicity,
-cardinality agreement) is delegated to the core constructors, whose errors
-propagate unchanged; ``FormatError`` subclasses ``ValidationError`` so one
-except clause covers both.
+location spelled out; ``core`` checks the semantics (row sums, acyclicity)
+and its errors propagate unchanged.  ``FormatError`` subclasses
+``ValidationError``, so one except clause covers both.  Tables are read
+in bulk: one scan of a list's types, then one ``np.array`` call (the scan
+goes first, as numpy reads ``true`` as 1.0 and ``"0.5"`` as 0.5), and a
+network's CPT values are checked in one batch.  The first fault in
+document order still wins: names and cardinalities, then each variable's
+schema, entry count and CPT values in turn, then acyclicity.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
 import tempfile
+from json.encoder import encode_basestring_ascii as _quoted
 from pathlib import Path
 from typing import Sequence
 
@@ -29,10 +35,11 @@ import numpy as np
 from .core import (
     Constraint,
     Cpt,
-    JointTable,
     NetworkSpec,
     ValidationError,
     VariableDecl,
+    _check_cpts,
+    _cpt,
     _power_of_two,
 )
 from .dense import RunReport
@@ -44,50 +51,42 @@ class FormatError(ValidationError):
     """A document is not valid JSON or does not follow the schema."""
 
 
-def _scalar(v) -> bool:
-    return v is None or isinstance(v, (bool, int, float, str))
-
-
 def _canon(value, indent: int) -> str:
+    if isinstance(value, str):
+        return _quoted(value)
     pad = "  " * indent
     if isinstance(value, dict):
         if not value:
             return "{}"
-        rows = ",\n".join(
-            f"{pad}  {json.dumps(str(k))}: {_canon(v, indent + 1)}"
+        rows = ",\n".join([
+            f"{pad}  {_quoted(str(k))}: {_canon(v, indent + 1)}"
             for k, v in value.items()
-        )
+        ])
         return "{\n" + rows + "\n" + pad + "}"
     if isinstance(value, (list, tuple)):
-        if not len(value):
-            return "[]"
-        if set(map(type, value)) == {float}:
-            # Flat float lists (CPTs, distributions): a finite float is
-            # written as the scalar branch writes it.  A non-finite one
-            # formats as "inf" or "nan", whose "n" sends the list on to the
-            # scalar branch, which writes it as JSON does.
+        kinds = set(map(type, value))
+        if kinds == {str}:
+            return "[" + ", ".join(map(_quoted, value)) + "]"
+        if kinds == {float}:
+            # Flat float lists (CPTs, distributions).  A non-finite float
+            # formats as "inf" or "nan", whose "n" sends the list on.
             flat = ", ".join([format(v, ".17g") for v in value])
             if "n" not in flat:
                 return "[" + flat + "]"
-        if all(_scalar(v) for v in value):
+        if all(v is None or isinstance(v, (bool, int, float, str))
+               for v in value):
             return "[" + ", ".join(_canon(v, 0) for v in value) + "]"
         rows = ",\n".join(f"{pad}  {_canon(v, indent + 1)}" for v in value)
         return "[\n" + rows + "\n" + pad + "]"
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
+    if value is None or isinstance(value, bool):
+        return json.dumps(value)
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
+        # Python's json module reads a non-finite float back; the schema
+        # allows one only where a divergence can genuinely be infinite.
         v = float(value)
-        if v != v or v in (float("inf"), float("-inf")):
-            # Python's json module reads these back; the schema allows them
-            # only where a divergence can genuinely be infinite.
-            return json.dumps(v)
-        return format(v, ".17g")
-    if isinstance(value, str):
-        return json.dumps(value)
+        return format(v, ".17g") if math.isfinite(v) else json.dumps(v)
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
@@ -115,36 +114,23 @@ def _expect(cond: bool, message: str) -> None:
         raise FormatError(message)
 
 
-def _object(value, where: str) -> dict:
-    _expect(isinstance(value, dict), f"{where}: expected an object")
+_EXPECTED = {dict: "an object", list: "an array", str: "a string",
+             int: "an integer"}
+
+
+def _typed(value, kind: type, where: str):
+    """``value``, which must have exactly the JSON type ``kind``."""
+    _expect(type(value) is kind, f"{where}: expected {_EXPECTED[kind]}")
     return value
 
 
-def _array(value, where: str) -> list:
-    _expect(isinstance(value, list), f"{where}: expected an array")
-    return value
-
-
-def _string(value, where: str) -> str:
-    _expect(isinstance(value, str), f"{where}: expected a string")
-    return value
-
-
-def _integer(value, where: str) -> int:
-    _expect(isinstance(value, int) and not isinstance(value, bool),
-            f"{where}: expected an integer")
-    return value
-
-
-def _number(value, where: str) -> float:
-    _expect(
-        isinstance(value, (int, float)) and not isinstance(value, bool),
-        f"{where}: expected a number",
-    )
-    try:
-        return float(value)
-    except OverflowError:
-        raise FormatError(f"{where}: number out of range") from None
+def _strings(obj: dict, key: str, where: str) -> tuple[str, ...]:
+    _expect(key in obj, f"{where}: missing {key}")
+    raw = _typed(obj[key], list, f"{where}: {key}")
+    if not set(map(type, raw)) <= {str}:
+        k = next(k for k, s in enumerate(raw) if type(s) is not str)
+        _typed(raw[k], str, f"{where}: {key}[{k}]")
+    return tuple(raw)
 
 
 def _count(n: int) -> str:
@@ -154,85 +140,93 @@ def _count(n: int) -> str:
 
 
 def _table(obj: dict, key: str, where: str, shape: tuple[int, ...],
-           of: str) -> np.ndarray:
-    """``obj[key]``, a flat list of numbers, as an array of ``shape``;
-    ``of`` ends the message of a wrong entry count."""
+           scope: tuple[str, ...] = ()) -> np.ndarray:
+    """``obj[key]``, a flat list of numbers, as a float array of ``shape``;
+    a wrong entry count is reported against ``scope``, or else ``shape``."""
     _expect(key in obj, f"{where}: missing {key}")
-    raw = _array(obj[key], f"{where}: {key}")
-    values = [_number(v, f"{where}: {key}[{k}]") for k, v in enumerate(raw)]
-    expected = math.prod(shape)
-    _expect(
-        len(values) == expected,
-        f"{where}: {key} has {len(values)} entries, expected "
-        f"{_count(expected)} {of}",
-    )
-    return np.asarray(values).reshape(shape)
+    raw = _typed(obj[key], list, f"{where}: {key}")
+    values = None
+    if set(map(type, raw)) <= {int, float}:
+        with contextlib.suppress(OverflowError):
+            values = np.array(raw, dtype=float)
+    if values is None:  # walk the entries to name the first faulty one
+        for k, v in enumerate(raw):
+            _expect(type(v) in (int, float),
+                    f"{where}: {key}[{k}]: expected a number")
+            try:
+                float(v)
+            except OverflowError:
+                raise FormatError(
+                    f"{where}: {key}[{k}]: number out of range") from None
+    if len(raw) != math.prod(shape):
+        of = (f"scope {scope}" if scope
+              else f"shape ({', '.join(map(_count, shape))})")
+        raise FormatError(f"{where}: {key} has {len(raw)} entries, expected "
+                          f"{_count(math.prod(shape))} for {of}")
+    return values.reshape(shape)
 
 
 def _no_extras(obj: dict, allowed: set[str], where: str) -> None:
-    extras = sorted(set(obj) - allowed)
-    _expect(not extras, f"{where}: unknown keys {extras}")
+    if not obj.keys() <= allowed:
+        raise FormatError(f"{where}: unknown keys {sorted(set(obj) - allowed)}")
 
 
-def _check_version(doc: dict, where: str) -> None:
+def _entries(data: bytes | str, where: str, key: str) -> list:
+    """The ``key`` array of the document in ``data``, its header checked."""
+    doc = _typed(_load(data), dict, where)
     _expect("format_version" in doc, f"{where}: missing format_version")
-    version = _integer(doc["format_version"], f"{where}: format_version")
-    _expect(
-        version == FORMAT_VERSION,
-        f"{where}: format_version {version} is not supported (this build "
-        f"reads version {FORMAT_VERSION})",
-    )
+    version = _typed(doc["format_version"], int, f"{where}: format_version")
+    _expect(version == FORMAT_VERSION,
+            f"{where}: format_version {version} is not supported (this "
+            f"build reads version {FORMAT_VERSION})")
+    _no_extras(doc, {"format_version", key}, where)
+    _expect(key in doc, f"{where}: missing {key}")
+    return _typed(doc[key], list, f"{where}: {key}")
 
 
 def parse_network(data: bytes | str) -> NetworkSpec:
     """Read a network document; every invariant is enforced on the way in."""
-    doc = _object(_load(data), "network document")
-    _check_version(doc, "network document")
-    _no_extras(doc, {"format_version", "variables"}, "network document")
-    _expect("variables" in doc, "network document: missing variables")
-    entries = _array(doc["variables"], "network document: variables")
+    entries = _entries(data, "network document", "variables")
     _expect(len(entries) > 0, "network document: variables is empty")
 
     cardinalities: dict[str, int] = {}
-    seen: list[str] = []
     for i, entry in enumerate(entries):
         where = f"variables[{i}]"
-        obj = _object(entry, where)
-        name = _string(obj.get("name"), f"{where}: name")
+        obj = _typed(entry, dict, where)
+        name = _typed(obj.get("name"), str, f"{where}: name")
         _expect(name not in cardinalities, f"{where}: duplicate variable {name!r}")
-        cardinalities[name] = _integer(obj.get("cardinality"),
-                                       f"{where}: cardinality")
-        seen.append(name)
+        cardinalities[name] = _typed(obj.get("cardinality"), int,
+                                     f"{where}: cardinality")
 
     decls: list[VariableDecl] = []
     parents: dict[str, tuple[str, ...]] = {}
-    cpts: dict[str, Cpt] = {}
-    for i, entry in enumerate(entries):
-        obj = entry
-        name = obj["name"]
-        where = f"variable {name!r}"
-        _no_extras(obj, {"name", "cardinality", "states", "parents", "cpt"}, where)
-        states = None
-        if "states" in obj:
-            raw = _array(obj["states"], f"{where}: states")
-            states = tuple(_string(s, f"{where}: states[{k}]")
-                           for k, s in enumerate(raw))
-        decls.append(VariableDecl(name, cardinalities[name], states))
+    families: list[tuple[str, tuple[str, ...], np.ndarray]] = []
+    try:
+        for obj in entries:
+            name = obj["name"]
+            where = f"variable {name!r}"
+            _no_extras(obj, {"name", "cardinality", "states", "parents", "cpt"},
+                       where)
+            states = _strings(obj, "states", where) if "states" in obj else None
+            decls.append(VariableDecl(name, cardinalities[name], states))
 
-        _expect("parents" in obj, f"{where}: missing parents")
-        raw_parents = _array(obj["parents"], f"{where}: parents")
-        ps = tuple(_string(p, f"{where}: parents[{k}]")
-                   for k, p in enumerate(raw_parents))
-        for p in ps:
-            _expect(p in cardinalities, f"{where}: parent {p!r} is not declared")
-        parents[name] = ps
+            ps = _strings(obj, "parents", where)
+            for p in ps:
+                _expect(p in cardinalities,
+                        f"{where}: parent {p!r} is not declared")
+            parents[name] = ps
 
-        shape = tuple(cardinalities[p] for p in ps) + (cardinalities[name],)
-        cpts[name] = Cpt(name, ps, _table(
-            obj, "cpt", where, shape,
-            f"for shape ({', '.join(map(_count, shape))})"))
-
-    return NetworkSpec(tuple(decls), parents, cpts)
+            shape = tuple(cardinalities[p] for p in ps) + (cardinalities[name],)
+            table = _table(obj, "cpt", where, shape)
+            if len(set(ps)) < len(ps) or name in ps:
+                Cpt(name, ps, table)  # raises its parent-order error
+            families.append((name, ps, table))
+    except ValidationError:
+        _check_cpts(families)  # a fault of an earlier CPT comes first
+        raise
+    _check_cpts(families)
+    return NetworkSpec(tuple(decls), parents,
+                       {family[0]: _cpt(*family) for family in families})
 
 
 def serialize_network(net: NetworkSpec) -> bytes:
@@ -243,49 +237,36 @@ def serialize_network(net: NetworkSpec) -> bytes:
         if decl.states is not None:
             entry["states"] = list(decl.states)
         entry["parents"] = list(net.parents[decl.name])
-        entry["cpt"] = [float(v) for v in net.cpts[decl.name].table.ravel(order="C")]
+        entry["cpt"] = net.cpts[decl.name].table.ravel().tolist()
         entries.append(entry)
     return _dump({"format_version": FORMAT_VERSION, "variables": entries})
 
 
 def parse_constraints(data: bytes | str, net: NetworkSpec) -> list[Constraint]:
     """Read a constraint document against ``net``'s declarations."""
-    doc = _object(_load(data), "constraint document")
-    _check_version(doc, "constraint document")
-    _no_extras(doc, {"format_version", "constraints"}, "constraint document")
-    _expect("constraints" in doc, "constraint document: missing constraints")
-    entries = _array(doc["constraints"], "constraint document: constraints")
+    entries = _entries(data, "constraint document", "constraints")
 
     out: list[Constraint] = []
     for i, entry in enumerate(entries):
         where = f"constraints[{i}]"
-        obj = _object(entry, where)
+        obj = _typed(entry, dict, where)
         _no_extras(obj, {"scope", "dist"}, where)
-        _expect("scope" in obj, f"{where}: missing scope")
-        raw_scope = _array(obj["scope"], f"{where}: scope")
-        scope = tuple(_string(v, f"{where}: scope[{k}]")
-                      for k, v in enumerate(raw_scope))
+        scope = _strings(obj, "scope", where)
         _expect(len(scope) > 0, f"{where}: scope is empty")
         _expect(len(set(scope)) == len(scope),
                 f"{where}: scope repeats a variable")
         for v in scope:
-            _expect(v in net.names, f"{where}: unknown variable {v!r}")
-        shape = tuple(net.cardinality(v) for v in scope)
-        decls = tuple(net.decl(v) for v in scope)
-        out.append(Constraint(scope, JointTable(decls, _table(
-            obj, "dist", where, shape, f"for scope {scope}"))))
+            _expect(v in net.rank, f"{where}: unknown variable {v!r}")
+        shape = tuple(net.cards[v] for v in scope)
+        out.append(Constraint.over(net, scope, _table(obj, "dist", where,
+                                                      shape, scope)))
     return out
 
 
 def serialize_constraints(constraints: Sequence[Constraint]) -> bytes:
     """Canonical bytes for a constraint document."""
-    entries = [
-        {
-            "scope": list(r.scope),
-            "dist": [float(v) for v in r.dist.probs.ravel(order="C")],
-        }
-        for r in constraints
-    ]
+    entries = [{"scope": list(r.scope), "dist": r.dist.probs.ravel().tolist()}
+               for r in constraints]
     return _dump({"format_version": FORMAT_VERSION, "constraints": entries})
 
 
@@ -319,8 +300,6 @@ def write_atomic(path: str | Path, data: bytes) -> None:
             handle.write(data)
         os.replace(tmp, path)
     except BaseException:
-        try:
+        with contextlib.suppress(OSError):
             os.unlink(tmp)
-        except OSError:
-            pass
         raise

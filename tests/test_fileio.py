@@ -1,6 +1,7 @@
 """File formats: parsing, canonical serialization, atomic writes, fuzzing."""
 
 import json
+import math
 import os
 import random
 import re
@@ -27,7 +28,7 @@ from bnrefit import (
     serialize_network,
 )
 from bnrefit.fileio import _canon, write_atomic
-from bnrefit.generate import random_network
+from bnrefit.generate import generate_instance, random_network
 
 MINIMAL = b"""{
   "format_version": 1,
@@ -349,6 +350,107 @@ def test_write_atomic_failure_leaves_target_alone(tmp_path, monkeypatch):
         write_atomic(path, b"new")
     assert path.read_bytes() == b"untouched"
     assert os.listdir(tmp_path) == ["net.json"]
+
+
+# bulk reading against a per-value reference reader
+
+
+def reference_table(raw: list, shape: tuple[int, ...]) -> np.ndarray:
+    """The reader as it was before tables were read in bulk: each entry
+    type-checked and converted on its own, then the list made an array."""
+    values = []
+    for v in raw:
+        assert isinstance(v, (int, float)) and not isinstance(v, bool)
+        values.append(float(v))
+    return np.asarray(values).reshape(shape)
+
+
+def same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    return (got.dtype == want.dtype == np.float64 and got.shape == want.shape
+            and got.tobytes() == want.tobytes())
+
+
+@st.composite
+def table_entries(draw, rows: int, card: int) -> list:
+    """``rows`` distributions over ``card`` states, flat, as JSON values:
+    floats, some exact integers 0 and 1, and some negative zeros."""
+    out = []
+    for _ in range(rows):
+        kind = draw(st.sampled_from(["dirichlet", "one-hot", "signed zero"]))
+        if kind == "one-hot":
+            hot = draw(st.integers(0, card - 1))
+            out += [int(s == hot) for s in range(card)]
+            continue
+        weights = draw(st.lists(st.floats(0.01, 1.0), min_size=card,
+                                max_size=card))
+        row = [w / sum(weights) for w in weights]
+        if kind == "signed zero":
+            row[draw(st.integers(0, card - 1))] = -0.0
+            row = [w / sum(row) if w else w for w in row]
+        out += row
+    return out
+
+
+@st.composite
+def network_documents(draw) -> dict:
+    """A network of 1 to 6 variables with 2 to 4 states each, declared in
+    a random order, children first as often as not."""
+    n = draw(st.integers(1, 6))
+    topo = [f"V{i}" for i in range(n)]
+    cards = {v: draw(st.integers(2, 4)) for v in topo}
+    parents = {v: tuple(p for p in topo[:i] if draw(st.booleans()))[:3]
+               for i, v in enumerate(topo)}
+    order = draw(st.sampled_from(["children first", "shuffled"]))
+    declared = (topo[::-1] if order == "children first"
+                else draw(st.permutations(topo)))
+    variables = []
+    for v in declared:
+        rows = math.prod(cards[p] for p in parents[v])
+        variables.append({"name": v, "cardinality": cards[v],
+                          "parents": list(parents[v]),
+                          "cpt": draw(table_entries(rows, cards[v]))})
+    return {"format_version": 1, "variables": variables}
+
+
+@settings(max_examples=150, deadline=None)
+@given(network_documents(), st.data())
+def test_bulk_reader_matches_the_per_value_reader(doc, data):
+    net = parse_network(json.dumps(doc))
+    for entry in doc["variables"]:
+        table = net.cpts[entry["name"]].table
+        assert same_bits(table, reference_table(entry["cpt"], table.shape))
+        assert not table.flags.writeable
+    # A constraint set over the same network.
+    constraints = []
+    for _ in range(data.draw(st.integers(0, 4))):
+        scope = data.draw(st.lists(st.sampled_from(net.names), min_size=1,
+                                   max_size=3, unique=True))
+        cells = math.prod(net.cards[v] for v in scope)
+        constraints.append({"scope": scope,
+                            "dist": data.draw(table_entries(1, cells))})
+    parsed = parse_constraints(json.dumps({"format_version": 1,
+                                           "constraints": constraints}), net)
+    for entry, r in zip(constraints, parsed):
+        assert r.scope == tuple(entry["scope"])
+        assert same_bits(r.dist.probs,
+                         reference_table(entry["dist"], r.dist.probs.shape))
+        assert not r.dist.probs.flags.writeable
+
+
+@pytest.mark.parametrize("seed, nodes, num_constraints",
+                         [(0, 120, 24), (1, 1000, 200)])
+def test_large_instances_survive_parse_then_serialize(seed, nodes,
+                                                      num_constraints):
+    # The benchmark's subnet-large instance and the CI's 1000-variable one.
+    net, constraints = generate_instance(seed, nodes, num_constraints)
+    blob = serialize_network(net)
+    back = parse_network(blob)
+    assert serialize_network(back) == blob
+    cons_blob = serialize_constraints(constraints)
+    assert serialize_constraints(parse_constraints(cons_blob, back)) \
+        == cons_blob
+    for name in net.names:
+        assert same_bits(back.cpts[name].table, net.cpts[name].table)
 
 
 # pinned messages: a faulty document reads exactly as it always has
