@@ -104,7 +104,8 @@ class VariableDecl:
         if not isinstance(self.cardinality, int) or self.cardinality < 2:
             raise ValidationError(
                 f"variable {self.name!r}: cardinality must be an integer >= 2, "
-                f"got {self.cardinality!r}")
+                f"got {self.cardinality!r}"
+            )
         if self.states is not None:
             object.__setattr__(self, "states", tuple(self.states))
             if len(self.states) != self.cardinality:
@@ -154,7 +155,8 @@ def _check_cpts(families: Sequence[tuple[str, tuple, np.ndarray]]) -> None:
     first = len(families)
     for c in {t.shape[-1] for _, _, t in families}:
         group = [i for i, f in enumerate(families) if f[2].shape[-1] == c]
-        rows = np.concatenate([families[i][2].reshape(-1, c) for i in group])
+        rows = np.concatenate([families[i][2] for i in group],
+                              axis=None).reshape(-1, c)
         # Written so that NaN, for which every comparison is False, fails.
         bad = ~((rows >= 0.0) & (rows <= 1.0 + TAU_NORM)).all(axis=1)
         bad |= np.abs(rows.sum(axis=1) - 1.0) > TAU_NORM
@@ -213,7 +215,8 @@ class JointTable:
         if probs.shape != shape:
             raise ValidationError(
                 f"joint table over {tuple(names)}: shape {probs.shape} does not "
-                f"match cardinalities {shape}")
+                f"match cardinalities {shape}"
+            )
         # Written so that NaN, for which every comparison is False, fails.
         if not np.all(probs >= 0.0):
             raise ValidationError(
@@ -222,7 +225,8 @@ class JointTable:
         if abs(total - 1.0) > TAU_NORM:
             raise NormalizationError(
                 f"joint table over {tuple(names)}: sums to {total:.17g}, more "
-                f"than {TAU_NORM:g} away from 1")
+                f"than {TAU_NORM:g} away from 1"
+            )
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
 
@@ -251,13 +255,10 @@ def _computed(scope: tuple[VariableDecl, ...], probs: np.ndarray) -> JointTable:
 
 
 def _cpt(child: str, parent_order: tuple[str, ...], table: np.ndarray) -> Cpt:
-    """``Cpt`` for a float ``table`` of the right shape that ``_check_cpts``
-    passed; it is frozen in place, not copied or checked again."""
+    """``Cpt`` for a table ``_check_cpts`` passed, frozen, not copied."""
     cpt = object.__new__(Cpt)
-    object.__setattr__(cpt, "child", child)
-    object.__setattr__(cpt, "parent_order", parent_order)
     table.setflags(write=False)
-    object.__setattr__(cpt, "table", table)
+    cpt.__dict__.update(child=child, parent_order=parent_order, table=table)
     return cpt
 
 
@@ -387,7 +388,8 @@ class NetworkSpec:
             if cpt.table.shape != want:
                 raise ValidationError(
                     f"variable {name!r}: CPT shape {cpt.table.shape} does not "
-                    f"match declared cardinalities {want}")
+                    f"match declared cardinalities {want}"
+                )
             cpts[name] = cpt
         object.__setattr__(self, "cpts", cpts)
 

@@ -11,11 +11,11 @@ Parsing is strict: documents must carry ``format_version`` 1, unknown keys
 are rejected, and every schema violation raises ``FormatError`` with the
 location spelled out; ``core`` checks the semantics (row sums, acyclicity)
 and its errors propagate unchanged.  ``FormatError`` subclasses
-``ValidationError``, so one except clause covers both.  Tables are read
-in bulk: one scan of a list's types, then one ``np.array`` call (the scan
-goes first, as numpy reads ``true`` as 1.0 and ``"0.5"`` as 0.5), and a
-network's CPT values are checked in one batch.  The first fault in
-document order still wins: names and cardinalities, then each variable's
+``ValidationError``, so one except clause covers both.  A table is read
+with one scan of its list's types, then one ``np.array`` call; the scan
+goes first, as numpy reads ``true`` as 1.0 and ``"0.5"`` as 0.5.  A
+network's CPT values are checked in one batch, yet the first fault in
+document order wins: names and cardinalities, then each variable's
 schema, entry count and CPT values in turn, then acyclicity.
 """
 
@@ -65,12 +65,12 @@ def _canon(value, indent: int) -> str:
         return "{\n" + rows + "\n" + pad + "}"
     if isinstance(value, (list, tuple)):
         kinds = set(map(type, value))
-        if kinds == {str}:
+        if kinds <= {str}:
             return "[" + ", ".join(map(_quoted, value)) + "]"
         if kinds == {float}:
             # Flat float lists (CPTs, distributions).  A non-finite float
             # formats as "inf" or "nan", whose "n" sends the list on.
-            flat = ", ".join([format(v, ".17g") for v in value])
+            flat = ", ".join(["%.17g"] * len(value)) % tuple(value)
             if "n" not in flat:
                 return "[" + flat + "]"
         if all(v is None or isinstance(v, (bool, int, float, str))
@@ -151,13 +151,12 @@ def _table(obj: dict, key: str, where: str, shape: tuple[int, ...],
             values = np.array(raw, dtype=float)
     if values is None:  # walk the entries to name the first faulty one
         for k, v in enumerate(raw):
-            _expect(type(v) in (int, float),
-                    f"{where}: {key}[{k}]: expected a number")
+            at = f"{where}: {key}[{k}]"
+            _expect(type(v) in (int, float), f"{at}: expected a number")
             try:
                 float(v)
             except OverflowError:
-                raise FormatError(
-                    f"{where}: {key}[{k}]: number out of range") from None
+                raise FormatError(f"{at}: number out of range") from None
     if len(raw) != math.prod(shape):
         of = (f"scope {scope}" if scope
               else f"shape ({', '.join(map(_count, shape))})")
