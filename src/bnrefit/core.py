@@ -149,9 +149,8 @@ class Cpt:
 
 def _check_cpts(families: Sequence[tuple[str, tuple, np.ndarray]]) -> None:
     """Raise for the first of ``families`` (child, parents, table) with an
-    entry outside [0, 1] or else a row more than ``TAU_NORM`` from summing
-    to one.  The rows of all tables whose child has ``c`` states are
-    checked in one batch: a few numpy calls per child cardinality."""
+    entry outside [0, 1], or else a row more than ``TAU_NORM`` from summing
+    to one; tables whose child has ``c`` states are checked in one batch."""
     first = len(families)
     for c in {t.shape[-1] for _, _, t in families}:
         group = [i for i, f in enumerate(families) if f[2].shape[-1] == c]
@@ -257,8 +256,10 @@ def _computed(scope: tuple[VariableDecl, ...], probs: np.ndarray) -> JointTable:
 def _cpt(child: str, parent_order: tuple[str, ...], table: np.ndarray) -> Cpt:
     """``Cpt`` for a table ``_check_cpts`` passed, frozen, not copied."""
     cpt = object.__new__(Cpt)
+    object.__setattr__(cpt, "child", child)
+    object.__setattr__(cpt, "parent_order", parent_order)
     table.setflags(write=False)
-    cpt.__dict__.update(child=child, parent_order=parent_order, table=table)
+    object.__setattr__(cpt, "table", table)
     return cpt
 
 

@@ -8,15 +8,14 @@ encoding is UTF-8 with a trailing newline.  Serializing a parsed document
 reproduces it byte for byte.
 
 Parsing is strict: documents must carry ``format_version`` 1, unknown keys
-are rejected, and every schema violation raises ``FormatError`` with the
-location spelled out; ``core`` checks the semantics (row sums, acyclicity)
-and its errors propagate unchanged.  ``FormatError`` subclasses
-``ValidationError``, so one except clause covers both.  A table is read
-with one scan of its list's types, then one ``np.array`` call; the scan
-goes first, as numpy reads ``true`` as 1.0 and ``"0.5"`` as 0.5.  A
-network's CPT values are checked in one batch, yet the first fault in
-document order wins: names and cardinalities, then each variable's
-schema, entry count and CPT values in turn, then acyclicity.
+are rejected, and every schema violation raises ``FormatError`` (a
+``ValidationError``) with the location spelled out; ``core``'s semantic
+errors (row sums, acyclicity) propagate unchanged.  A table is read with
+one scan of its list's types, then one ``np.array`` call; the scan goes
+first, as numpy reads ``true`` as 1.0 and ``"0.5"`` as 0.5.  A network's
+CPT values are checked in one batch, yet the first fault in document
+order wins: names and cardinalities, then each variable's schema, entry
+count and CPT values in turn, then acyclicity.
 """
 
 from __future__ import annotations
@@ -68,8 +67,8 @@ def _canon(value, indent: int) -> str:
         if kinds <= {str}:
             return "[" + ", ".join(map(_quoted, value)) + "]"
         if kinds == {float}:
-            # Flat float lists (CPTs, distributions).  A non-finite float
-            # formats as "inf" or "nan", whose "n" sends the list on.
+            # CPTs and distributions.  A non-finite float formats as "inf"
+            # or "nan"; the "n" sends the list to the per-value branch.
             flat = ", ".join(["%.17g"] * len(value)) % tuple(value)
             if "n" not in flat:
                 return "[" + flat + "]"
@@ -162,7 +161,8 @@ def _table(obj: dict, key: str, where: str, shape: tuple[int, ...],
               else f"shape ({', '.join(map(_count, shape))})")
         raise FormatError(f"{where}: {key} has {len(raw)} entries, expected "
                           f"{_count(math.prod(shape))} for {of}")
-    return values.reshape(shape)
+    values.resize(shape, refcheck=False)  # a reshaped view keeps two arrays
+    return values
 
 
 def _no_extras(obj: dict, allowed: set[str], where: str) -> None:
@@ -244,7 +244,6 @@ def serialize_network(net: NetworkSpec) -> bytes:
 def parse_constraints(data: bytes | str, net: NetworkSpec) -> list[Constraint]:
     """Read a constraint document against ``net``'s declarations."""
     entries = _entries(data, "constraint document", "constraints")
-
     out: list[Constraint] = []
     for i, entry in enumerate(entries):
         where = f"constraints[{i}]"
