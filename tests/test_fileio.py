@@ -27,6 +27,7 @@ from bnrefit import (
     serialize_constraints,
     serialize_network,
 )
+from bnrefit import cli
 from bnrefit.fileio import _canon, write_atomic
 from bnrefit.generate import generate_instance, random_network
 
@@ -356,8 +357,8 @@ def test_write_atomic_failure_leaves_target_alone(tmp_path, monkeypatch):
 
 
 def reference_table(raw: list, shape: tuple[int, ...]) -> np.ndarray:
-    """The reader as it was before tables were read in bulk: each entry
-    type-checked and converted on its own, then the list made an array."""
+    """The per-value reader: each entry type-checked and converted on its
+    own, then the list made an array of ``shape``."""
     values = []
     for v in raw:
         assert isinstance(v, (int, float)) and not isinstance(v, bool)
@@ -544,8 +545,6 @@ ENTRY_FAULTS = [
                          ids=[case[0] for case in ENTRY_FAULTS])
 def test_faulty_entry_messages_are_pinned(tmp_path, capsys, literal,
                                           cpt_error, dist_error):
-    from bnrefit import cli
-
     good = two_variables("0.8, 0.2, 0.2, 0.8")
     net = parse_network(good)
     bad_net = two_variables(f"0.8, 0.2, {literal}, 0.8")
