@@ -113,8 +113,7 @@ def _expect(cond: bool, message: str) -> None:
         raise FormatError(message)
 
 
-_EXPECTED = {dict: "an object", list: "an array", str: "a string",
-             int: "an integer"}
+_EXPECTED = {dict: "an object", list: "an array", str: "a string", int: "an integer"}
 
 
 def _typed(value, kind: type, where: str):
@@ -157,11 +156,11 @@ def _table(obj: dict, key: str, where: str, shape: tuple[int, ...],
             except OverflowError:
                 raise FormatError(f"{at}: number out of range") from None
     if len(raw) != math.prod(shape):
-        of = (f"scope {scope}" if scope
-              else f"shape ({', '.join(map(_count, shape))})")
+        of = f"scope {scope}" if scope else f"shape ({', '.join(map(_count, shape))})"
         raise FormatError(f"{where}: {key} has {len(raw)} entries, expected "
                           f"{_count(math.prod(shape))} for {of}")
-    values.resize(shape, refcheck=False)  # a reshaped view keeps two arrays
+    with contextlib.suppress(ValueError):  # no such array: left flat
+        values.resize(shape, refcheck=False)  # in place: a view keeps 2 arrays
     return values
 
 
@@ -219,7 +218,8 @@ def parse_network(data: bytes | str) -> NetworkSpec:
             table = _table(obj, "cpt", where, shape)
             if len(set(ps)) < len(ps) or name in ps:
                 Cpt(name, ps, table)  # raises its parent-order error
-            families.append((name, ps, table))
+            if table.shape == shape:  # else a later parent's cardinality fails
+                families.append((name, ps, table))
     except ValidationError:
         _check_cpts(families)  # a fault of an earlier CPT comes first
         raise

@@ -632,6 +632,35 @@ def test_first_fault_of_a_network_document_wins(changes, error):
     assert raised(parse_network, chain4(**changes)) == error
 
 
+@pytest.mark.parametrize("cards, entries, error", [
+    ((-1, 0), 0, (ValidationError, "variable 'B': cardinality must be an "
+                  "integer >= 2, got -1")),
+    ((-2, -2), 8, (ValidationError, "variable 'B': cardinality must be an "
+                   "integer >= 2, got -2")),
+    ((2 ** 64, 0), 0, (FormatError, "variable 'B': cpt has 0 entries, "
+                       f"expected {2 ** 64} for shape ({2 ** 64})")),
+])
+def test_a_later_parent_with_no_valid_shape_fails_in_its_turn(
+        tmp_path, capsys, cards, entries, error):
+    # A's CPT shape takes B's and C's cardinalities before their own
+    # entries are read.  Its entry count matches, but numpy can make no
+    # array of shape (-1, 0, 2), (-2, -2, 2) or (2^64, 0, 2), so the error
+    # raised is B's, the next fault in document order, not a numpy error.
+    doc = json.dumps({"format_version": 1, "variables": [
+        {"name": "A", "cardinality": 2, "parents": ["B", "C"],
+         "cpt": [0.5] * entries},
+        {"name": "B", "cardinality": cards[0], "parents": [], "cpt": []},
+        {"name": "C", "cardinality": cards[1], "parents": [], "cpt": []}]})
+    assert raised(parse_network, doc) == error
+    (tmp_path / "net.json").write_text(doc)
+    (tmp_path / "cons.json").write_text(pair_constraint("0.25"))
+    capsys.readouterr()
+    assert cli.main(["check", "--network", str(tmp_path / "net.json"),
+                     "--constraints", str(tmp_path / "cons.json")]) \
+        == cli.EXIT_INVALID_INPUT
+    assert capsys.readouterr().err == f"error: {error[1]}\n"
+
+
 @pytest.mark.parametrize("entries, top, error", [
     ([{"scope": ["A"], "dist": [0.5, 0.6]}, {"scope": ["Z"], "dist": [0.5, 0.5]}],
      {}, (NormalizationError, "joint table over ('A',): sums to "
