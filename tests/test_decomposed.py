@@ -622,6 +622,51 @@ def test_extrapolated_candidate_rows_are_distributions():
     assert candidate[0] > t2[0]
 
 
+def _diamond_run(monkeypatch):
+    """d-ipfp on the diamond and ``diamond_r3``, with the plain maps its
+    non-local visits made in total."""
+    maps = []
+    visit = decomposed._nonlocal_visit
+
+    def counted(*args, **kwargs):
+        maps.append(visit(*args, **kwargs))
+        return maps[-1]
+
+    monkeypatch.setattr(decomposed, "_nonlocal_visit", counted)
+    net = nets.make_diamond()
+    out, report = run_d_ipfp(net, [nets.diamond_r3(net)])
+    return out, report, sum(maps)
+
+
+def test_rejected_extrapolation_ends_on_the_second_plain_map(monkeypatch):
+    # Every candidate puts A's table at (1, 0), which leaves A=1 without
+    # mass where the constraint puts 0.4 on it.  Each is rejected and its
+    # step ends on the second plain map, so the run takes exactly the maps
+    # of one that never extrapolates.
+    with monkeypatch.context() as m:
+        m.setattr(decomposed, "SQUAREM_GATE", 0.0)
+        plain_out, plain, plain_maps = _diamond_run(m)
+    candidates = []
+
+    def dead_end(theta, t1, t2, row):
+        candidate = t2.copy()
+        candidate[:2] = (1.0, 0.0)
+        candidates.append(candidate)
+        return candidate
+
+    monkeypatch.setattr(decomposed, "_squarem", dead_end)
+    out, report, maps = _diamond_run(monkeypatch)
+    assert candidates
+    assert (plain.termination, plain.cycles, plain_maps) == (
+        Termination.CONVERGED, 2, 191)
+    assert repr(plain.final_divergence) == "0.26446377712316366"
+    assert (report.termination, report.cycles, maps) == (
+        plain.termination, plain.cycles, plain_maps)
+    assert repr(report.final_divergence) == repr(plain.final_divergence)
+    assert report.per_constraint_residuals == plain.per_constraint_residuals
+    assert serialize_network(out) == serialize_network(plain_out)
+
+
 def reference_plain_map(plan, w):
     """The plain map spelled with the ndarray reduction wrappers and two
     masked divides: the reference ``decomposed._plain_map``, which avoids
