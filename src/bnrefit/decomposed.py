@@ -41,15 +41,16 @@ one, so once its step falls below ``SQUAREM_GATE`` the non-local loop
 accelerates it with gated SQUAREM (Varadhan & Roland 2008, "Simple and
 globally convergent methods for accelerating the convergence of any EM
 algorithm", Scand. J. Stat. 35, scheme S3) on the vector of member CPT
-entries.  The extrapolation arithmetic is ``core._squarem``, shared with
-e-ipfp: the step length is clamped to at most ``core.SQUAREM_MAX_ALPHA``,
-the candidate is renormalized per parent row, and a candidate with a
-negative entry or no mass on a cell the constraint needs is replaced by
-two plain maps.  The map's fixed points form a continuum, so where a visit
-lands depends on its path.  Long steps taken far from that set can land
-far from where plain maps would; the gate keeps extrapolation to the final
-approach, where it reaches a limit the plain map only crawls toward, so
-the result barely depends on the inner tolerance.
+entries.  The extrapolation and its rejection rule are e-ipfp's: the
+candidate is ``core._squarem``'s, whose step length is clamped to at most
+``core.SQUAREM_MAX_ALPHA`` and which is renormalized per parent row, and a
+candidate ``_squarem`` rejects, or whose stabilizing plain map raises
+``DominanceError``, leaves the step on the second plain map.  The map's
+fixed points form a continuum, so where a visit lands depends on its path.
+Long steps taken far from that set can land far from where plain maps
+would; the gate keeps extrapolation to the final approach, where it
+reaches a limit the plain map only crawls toward, so the result barely
+depends on the inner tolerance.
 """
 
 from __future__ import annotations
@@ -68,6 +69,7 @@ from .core import (
     BnError,
     Constraint,
     Cpt,
+    DominanceError,
     Local,
     NetworkSpec,
     NonLocal,
@@ -515,26 +517,6 @@ SQUAREM_GATE = 1e-4
 ungated, the first long steps moved the diamond's divergence by 5.5e-4."""
 
 
-def _extrapolated(theta: np.ndarray, t1: np.ndarray, t2: np.ndarray,
-                  plan: _SubnetPlan, w: np.ndarray) -> np.ndarray | None:
-    """SQUAREM-S3 candidate from ``theta`` and two plain maps of it.
-
-    ``theta``, ``t1 = F(theta)`` and ``t2 = F(t1)`` are member-CPT
-    vectors laid out by ``plan.layout``; ``w`` is the raveled
-    context weight.  The candidate is ``core._squarem``'s, which clamps the
-    step length and renormalizes rows.  Returns ``None`` (reject) when that
-    rejects it, or when the candidate leaves a cell the constraint puts
-    mass on without mass, where the next plain map would fail.
-    """
-    candidate = _squarem(theta, t1, t2, plan.layout.row)
-    if candidate is None:
-        return None
-    current = _marginal(plan, candidate, w)[plan.positive]
-    if np.count_nonzero(current) < current.size:
-        return None
-    return candidate
-
-
 def _nonlocal_visit(plan: _SubnetPlan, work: dict[str, np.ndarray],
                     inner_epsilon: float, inner_cap: int) -> int:
     """Fit one non-local constraint's member tables in ``work``, in place;
@@ -549,14 +531,15 @@ def _nonlocal_visit(plan: _SubnetPlan, work: dict[str, np.ndarray],
     ``F`` alone converges linearly and slowly, so once a plain step falls
     below ``SQUAREM_GATE`` the loop extrapolates with SQUAREM (Varadhan &
     Roland 2008, Scand. J. Stat. 35, scheme S3) on the member-CPT vector:
-    two plain maps, the candidate of ``_extrapolated`` (step length
-    clamped to at most ``core.SQUAREM_MAX_ALPHA``, rows renormalized),
-    then one plain map on an accepted candidate to stabilize it.  A
-    candidate with a negative entry, or without mass on a cell the
-    constraint puts mass on, is rejected and replaced by the second plain
-    map, so ``DominanceError`` only ever comes from a plain map.  An
-    extrapolation starts only when its maps fit under the cap, and the
-    stop test is always a plain map's step.
+    two plain maps, the ``core._squarem`` candidate (step length clamped
+    to at most ``core.SQUAREM_MAX_ALPHA``, rows renormalized), then one
+    plain map on the candidate to stabilize it.  As in e-ipfp, a candidate
+    ``_squarem`` rejects (a negative entry or a row without mass), or whose
+    stabilizing plain map raises ``DominanceError`` (no mass on a cell the
+    constraint puts mass on), leaves the step on the second plain map; the
+    failed map is not counted, and ``DominanceError`` escapes only from
+    the map of a plain step.  An extrapolation starts only when its maps
+    fit under the cap, and the stop test is always a plain map's step.
 
     The loop also stops, with its own warning, when a plain map returns
     its input bit for bit while its step is still above ``inner_epsilon``:
@@ -583,13 +566,15 @@ def _nonlocal_visit(plan: _SubnetPlan, work: dict[str, np.ndarray],
         if inner_epsilon < delta < SQUAREM_GATE and maps + 2 <= inner_cap:
             t2, delta = plain_map(theta_next)
             maps += 1
-            candidate = (_extrapolated(theta, theta_next, t2, plan, w)
+            candidate = (_squarem(theta, theta_next, t2, plan.layout.row)
                          if delta > inner_epsilon else None)
-            if candidate is None:
-                theta_next = t2
-            else:
-                theta_next, delta = plain_map(candidate)
-                maps += 1
+            theta_next = t2
+            if candidate is not None:
+                try:
+                    theta_next, delta = plain_map(candidate)
+                    maps += 1
+                except DominanceError:
+                    pass  # the step ends on t2, as for a rejected candidate
         theta = theta_next
         if delta <= inner_epsilon:
             break

@@ -308,8 +308,8 @@ def _step(q: JointTable, previous: JointTable) -> float:
 
 
 def _run_dense(net: NetworkSpec, constraints: Sequence[Constraint],
-               stop: StopPolicy, structural: bool,
-               algorithm: str) -> tuple[JointTable, RunReport]:
+               stop: StopPolicy,
+               structural: bool) -> tuple[JointTable, RunReport]:
     t0 = time.perf_counter()
     constraints = _prepared(net, constraints)
     q0 = q = joint_from_network(net)
@@ -382,7 +382,7 @@ def _run_dense(net: NetworkSpec, constraints: Sequence[Constraint],
         gate_open = structural and delta <= SQUAREM_JOINT_GATE
 
     report = RunReport(
-        algorithm=algorithm,
+        algorithm="e-ipfp" if structural else "ipfp",
         cycles=cycles,
         wall_time=time.perf_counter() - t0,
         final_divergence=i_divergence(q, q0),
@@ -403,8 +403,7 @@ def run_ipfp(net: NetworkSpec, constraints: Sequence[Constraint],
     usually does not factor over the network's DAG any more, and the
     report's ``structural_residual`` says by how much.
     """
-    return _run_dense(net, constraints, stop or StopPolicy(),
-                      structural=False, algorithm="ipfp")
+    return _run_dense(net, constraints, stop or StopPolicy(), structural=False)
 
 
 def run_e_ipfp(net: NetworkSpec, constraints: Sequence[Constraint],
@@ -420,7 +419,7 @@ def run_e_ipfp(net: NetworkSpec, constraints: Sequence[Constraint],
     ``stop.epsilon`` when the report says ``CONVERGED``.
     """
     q, report = _run_dense(net, constraints, stop or StopPolicy(),
-                           structural=True, algorithm="e-ipfp")
+                           structural=True)
     if report.cycles == 0:
         return net, report
     return NetworkSpec(net.variables, net.parents, {

@@ -165,6 +165,17 @@ def constraint_over(net: NetworkSpec, names, values) -> Constraint:
     return Constraint.over(net, names, np.asarray(values, dtype=float))
 
 
+def contradictory_variant(constraints, scope, seed: int) -> list[Constraint]:
+    """``constraints`` plus a copy of the one over ``scope`` whose target is
+    multiplied cellwise by ``default_rng(seed).uniform(0.5, 1.5)`` and
+    renormalized, so no network meets both."""
+    r = next(r for r in constraints if r.scope == tuple(scope))
+    probs = r.dist.probs * np.random.default_rng(seed).uniform(
+        0.5, 1.5, r.dist.probs.shape)
+    return list(constraints) + [
+        Constraint(r.scope, JointTable(r.dist.scope, probs / probs.sum()))]
+
+
 def as_plain(net: NetworkSpec):
     """Network content as plain Python data for the enumeration oracle."""
     names = net.names

@@ -1,6 +1,7 @@
 """Decomposed solver: subnets, local and non-local updates, full runs."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -37,8 +38,8 @@ from bnrefit import (
     run_e_ipfp,
     run_ipfp,
 )
-from bnrefit.decomposed import (SQUAREM_GATE, LocalSubnet, _extrapolated,
-                                _outside_weight, _SubnetPlan)
+from bnrefit.decomposed import (SQUAREM_GATE, LocalSubnet, _outside_weight,
+                                _SubnetPlan)
 from bnrefit.elimination import marginal, network_divergence
 from bnrefit.fileio import serialize_network
 from bnrefit.generate import generate_instance, random_network
@@ -572,56 +573,6 @@ def test_d_ipfp_lands_on_plain_fixed_point(case):
     assert nonlocal_seen
 
 
-def _diamond_plan_and_weight():
-    net = nets.make_diamond()
-    r = nets.diamond_r3(net)
-    plan = _SubnetPlan.build(net, r, classify_constraint(net, r))
-    w = _outside_weight(plan.weight, plan.outside,
-                        {name: cpt.table for name, cpt in net.cpts.items()})
-    return plan, w.ravel()
-
-
-def _member_vectors(a_rows):
-    """Synthetic ``theta, t1, t2`` for the diamond's (A, D) subnet: A's
-    table takes the given rows, D's stays the network's."""
-    d = nets.make_diamond().cpts["D"].table.ravel()
-    return [np.concatenate([np.asarray(a, dtype=float), d]) for a in a_rows]
-
-
-def test_extrapolated_rejects_negative_entry():
-    # A geometric sequence 0.5, 0.8, 0.95 extrapolates to its limit 1.1,
-    # which leaves A's other entry at -0.1.
-    plan, w = _diamond_plan_and_weight()
-    theta, t1, t2 = _member_vectors([[0.5, 0.5], [0.8, 0.2], [0.95, 0.05]])
-    assert _extrapolated(theta, t1, t2, plan, w) is None
-
-
-def test_extrapolated_rejects_zero_on_target_positive_cell():
-    # The exact limit A = (1, 0) takes all mass off A=1, where the
-    # constraint puts 0.4; the entries are binary fractions, so the
-    # candidate's zero is exact, not a rounding residue.
-    plan, w = _diamond_plan_and_weight()
-    assert plan.positive.size == 4  # every (A, D) cell is target-positive
-    theta, t1, t2 = _member_vectors(
-        [[0.5, 0.5], [0.75, 0.25], [0.875, 0.125]])
-    assert _extrapolated(theta, t1, t2, plan, w) is None
-
-
-def test_extrapolated_candidate_rows_are_distributions():
-    # Inputs whose rows are off by a few percent still give a candidate
-    # whose every parent row sums to one.
-    plan, w = _diamond_plan_and_weight()
-    theta, t1, t2 = _member_vectors([[0.5, 0.5], [0.6, 0.4], [0.65, 0.35]])
-    t1[2:] *= 1.02
-    t2[2:] *= 0.97
-    candidate = _extrapolated(theta, t1, t2, plan, w)
-    assert candidate is not None
-    assert candidate.min() >= 0.0
-    sums = np.bincount(plan.layout.row, candidate)
-    assert np.max(np.abs(sums - 1.0)) <= 1e-12
-    assert candidate[0] > t2[0]
-
-
 def _diamond_run(monkeypatch):
     """d-ipfp on the diamond and ``diamond_r3``, with the plain maps its
     non-local visits made in total."""
@@ -787,6 +738,25 @@ def test_nonlocal_visit_stops_when_the_map_is_fixed(monkeypatch, caplog):
     assert "hit its cap" not in caplog.text
 
 
+def test_nonlocal_visit_takes_no_map_when_met_exactly(diamond_net,
+                                                     diamond_r3):
+    # A target equal to the subnet's own marginal, bit for bit, is met
+    # already: the visit makes no map and keeps every table object.
+    work = {name: cpt.table for name, cpt in diamond_net.cpts.items()}
+    probe = _SubnetPlan.build(diamond_net, diamond_r3,
+                              classify_constraint(diamond_net, diamond_r3))
+    w = _outside_weight(probe.weight, probe.outside, work).ravel()
+    met = decomposed._marginal(probe, probe.layout.pack(work), w)
+    r = Constraint.over(diamond_net, probe.scope,
+                        met.reshape(probe.scope_shape))
+    plan = _SubnetPlan.build(diamond_net, r, classify_constraint(diamond_net, r))
+    assert np.array_equal(plan.target, met)
+    before = dict(work)
+    assert decomposed._nonlocal_visit(plan, work, StopPolicy().epsilon,
+                                      inner_cap=1000) == 0
+    assert all(work[name] is before[name] for name in before)
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 def test_d_ipfp_n200_converges_in_few_cycles(seed):
     # Beyond dense reach: 200 variables, 40 constraints.  Plain maps alone
@@ -863,6 +833,29 @@ def test_d_ipfp_oscillation_warning_allows_out_of_reach(caplog):
             "they name; stopping as oscillating") in caplog.text
     _, report = run_e_ipfp(net, rs)
     assert report.termination is Termination.CONVERGED
+
+
+@pytest.mark.parametrize("seed, scope", [(1, ("X02", "X10")),
+                                         (4, ("X01", "X12"))])
+def test_d_ipfp_stops_on_a_ratio_plateau(caplog, seed, scope):
+    # A perturbed copy of a non-local target contradicts the original, so
+    # every solver orbits.  d-ipfp's cycle deltas settle above epsilon
+    # (8.3e-9 and 7.0e-7 at its stop), so its windows fill through the
+    # ratio test, not the epsilon one; the dense solvers stop on their own
+    # plateau rule.
+    net, constraints = generate_instance(seed, n_nodes=12, num_constraints=4)
+    contradictory = nets.contradictory_variant(constraints, scope, seed)
+    with caplog.at_level("WARNING", logger="bnrefit"):
+        _, report = run_d_ipfp(net, contradictory)
+    assert report.termination is Termination.OSCILLATING
+    assert report.cycles == 40
+    assert max(report.per_constraint_residuals) > 0.05
+    stopped = re.search(r"cycle 40: CPT deltas plateaued near (\S+) and",
+                        caplog.text)
+    assert float(stopped.group(1)) > StopPolicy().epsilon
+    for solve in (run_e_ipfp, run_ipfp):
+        _, report = solve(net, contradictory)
+        assert report.termination is Termination.OSCILLATING
 
 
 def test_d_ipfp_mixed_constraints_converge(diamond_net, diamond_r3):

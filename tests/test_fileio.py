@@ -689,6 +689,51 @@ def test_first_fault_of_a_constraint_document_wins(entries, top, error):
     assert raised(parse_constraints, data, parse_network(chain4())) == error
 
 
+def test_state_labels_survive_parse_then_serialize(tmp_path):
+    # Labels with a quote and a letter outside ASCII, in canonical bytes.
+    blob = serialize_network(parse_network(chain4(
+        A={"states": ['say "lo"', "hi"]}, C={"states": ["caf\u00e9", "tea"]})))
+    net = parse_network(blob)
+    assert net.variables[0].states == ('say "lo"', "hi")
+    assert net.variables[2].states == ("caf\u00e9", "tea")
+    assert net.variables[1].states is None
+    assert serialize_network(net) == blob
+    # ``run`` writes its network with the input's declarations, labels
+    # included, in the same canonical form.
+    (tmp_path / "net.json").write_bytes(blob)
+    (tmp_path / "cons.json").write_bytes(serialize_constraints([
+        nets.constraint_over(net, ("A", "C"), [[0.3, 0.2], [0.1, 0.4]])]))
+    assert cli.main(["run", "--network", str(tmp_path / "net.json"),
+                     "--constraints", str(tmp_path / "cons.json"),
+                     "--algorithm", "d-ipfp",
+                     "--out", str(tmp_path / "out.json")]) == 0
+    written = (tmp_path / "out.json").read_bytes()
+    out = parse_network(written)
+    assert [v.states for v in out.variables] == [v.states
+                                                 for v in net.variables]
+    assert serialize_network(out) == written
+    assert written != blob
+
+
+def constraints_on_chain4(data: bytes):
+    return parse_constraints(data, parse_network(chain4()))
+
+
+@pytest.mark.parametrize("parse, data, message", [
+    (parse_network, chain4(A={"parents": [1]}),
+     "variable 'A': parents[0]: expected a string"),
+    (parse_network, chain4(A={"states": ["lo", 2]}),
+     "variable 'A': states[1]: expected a string"),
+    (constraints_on_chain4, json.dumps({"format_version": 1, "constraints": [
+        {"scope": [None], "dist": [0.5, 0.5]}]}).encode(),
+     "constraints[0]: scope[0]: expected a string"),
+], ids=["parents", "states", "scope"])
+def test_non_string_list_entry_is_named(parse, data, message):
+    # A list of names is type-checked in one pass; only on a failure is the
+    # offending entry looked for, and the message names its index.
+    assert raised(parse, data) == (FormatError, message)
+
+
 # fuzzing: mangled documents must fail loudly, never crash oddly
 
 
