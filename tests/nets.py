@@ -11,6 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from bnrefit import Constraint, Cpt, JointTable, NetworkSpec, VariableDecl
+from bnrefit import generate
+from bnrefit.elimination import marginal
 
 
 def make_single() -> NetworkSpec:
@@ -174,6 +176,24 @@ def contradictory_variant(constraints, scope, seed: int) -> list[Constraint]:
         0.5, 1.5, r.dist.probs.shape)
     return list(constraints) + [
         Constraint(r.scope, JointTable(r.dist.scope, probs / probs.sum()))]
+
+
+def every_cpt_instance(seed: int) -> tuple[NetworkSpec, list[Constraint]]:
+    """``generate_instance(seed, n_nodes=12, num_constraints=4)`` with its
+    targets re-read, over the same scopes, off a twin perturbed in every
+    CPT (drawn from ``default_rng(seed + 1000)``).
+
+    The generator perturbs only the CPTs the constraints name, so d-ipfp
+    can always meet its sets; this twin moves the other CPTs too, so the
+    set is still met by a network on the same DAG, but maybe not by one
+    that differs from the input only in the named CPTs.
+    """
+    net, constraints = generate.generate_instance(seed, n_nodes=12,
+                                                  num_constraints=4)
+    twin = generate.perturb_network(np.random.default_rng(seed + 1000), net,
+                                    generate.PERTURBATION)
+    return net, [Constraint.over(net, r.scope, marginal(twin, r.scope))
+                 for r in constraints]
 
 
 def as_plain(net: NetworkSpec):

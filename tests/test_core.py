@@ -1,5 +1,6 @@
 """Table primitives: joints, marginals, extraction, divergence, residuals."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -551,6 +552,22 @@ def test_classify_child_with_parent_is_local(diamond_net):
 def test_classify_full_family_is_local(diamond_net):
     cls = classify_scope(diamond_net, ("B", "C", "D"))
     assert cls == Local("D", ("B", "C"))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_at_most_one_member_covers_the_rest(seed):
+    # Two members whose parents each cover the rest would be each other's
+    # parents, a cycle; so the member that qualifies, if any, is the target.
+    net = random_net(seed, 8)
+    for size in (1, 2, 3):
+        for scope in itertools.combinations(net.names, size):
+            covering = [v for v in scope
+                        if set(scope) - {v} <= set(net.parents[v])]
+            assert len(covering) <= 1
+            cls = classify_scope(net, scope)
+            assert isinstance(cls, Local) == bool(covering)
+            if covering:
+                assert cls.target == covering[0]
 
 
 @pytest.mark.parametrize("seed", range(6))

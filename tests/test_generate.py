@@ -1,5 +1,7 @@
 """Instance generator: determinism, admissibility, satisfiability."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,19 @@ def test_generate_instance_is_deterministic():
     net_b, rs_b = generate_instance(3, n_nodes=10, num_constraints=5)
     assert serialize_network(net_a) == serialize_network(net_b)
     assert serialize_constraints(rs_a) == serialize_constraints(rs_b)
+
+
+@pytest.mark.parametrize("seed, nodes, num_constraints, hashes", [
+    (0, 20, 6, ("9183eb0c649bd58f", "4ba9c5f22c158d47")),
+    (0, 16, 6, ("e5e2a8cff80f8ec8", "7d9f3b0715799c9d")),
+])
+def test_benchmark_instances_are_pinned(seed, nodes, num_constraints, hashes):
+    # The dense benchmark instances, as sha256 prefixes of their documents
+    # (``test_fileio`` pins the 120- and 1000-variable ones).
+    net, constraints = generate_instance(seed, nodes, num_constraints)
+    assert (hashlib.sha256(serialize_network(net)).hexdigest()[:16],
+            hashlib.sha256(serialize_constraints(constraints)).hexdigest()[:16]
+            ) == hashes
 
 
 def test_generate_instance_different_seeds_differ():
