@@ -435,9 +435,6 @@ class NetworkSpec:
     def cardinality(self, name: str) -> int:
         return self.decl(name).cardinality
 
-    def topo_depth(self, name: str) -> int:
-        return self.topo_order.index(name)
-
 
 _BLOCK = 256
 """Fewest cells in the contiguous last axis a dense product runs on.
@@ -916,24 +913,20 @@ def classify_scope(net: NetworkSpec, scope: Sequence[str]) -> LocalityClass:
     """Locality of a constraint scope against ``net``'s structure.
 
     The scope is local when some member variable's parent set covers all the
-    others; that member becomes the update target.  If several members
-    qualify the latest one in topological order is chosen, which keeps the
-    choice deterministic.  Otherwise the scope is non-local and is described
-    by its variable set ``y`` plus the outside parents ``s`` needed to close
-    the member families.
+    others; that member becomes the update target.  At most one member can
+    qualify: two would each be the other's parent, a cycle.  Otherwise the
+    scope is non-local and is described by its variable set ``y`` plus the
+    outside parents ``s`` needed to close the member families.
     """
     scope = tuple(scope)
     members = set(scope)
     for name in scope:
         if name not in net.names:
             raise ScopeError(f"scope {scope}: unknown variable {name!r}")
-    candidates = [
-        v for v in scope if members - {v} <= set(net.parents[v])
-    ]
-    if candidates:
-        target = max(candidates, key=net.topo_depth)
-        others = tuple(sorted(members - {target}, key=net.axis))
-        return Local(target, others)
+    for target in scope:
+        if members - {target} <= set(net.parents[target]):
+            others = tuple(sorted(members - {target}, key=net.axis))
+            return Local(target, others)
     return NonLocal(tuple(sorted(members, key=net.axis)),
                     _outside_parents(net, members))
 

@@ -201,8 +201,7 @@ def build_local_subnet(net: NetworkSpec, y_vars: Sequence[str],
                                           net.parents))
 
 
-def local_update(cpt: Cpt, r: Constraint, net: NetworkSpec,
-                 cpts: Mapping[str, Cpt] | None = None) -> Cpt:
+def local_update(cpt: Cpt, r: Constraint, net: NetworkSpec) -> Cpt:
     """Absorb a local constraint by rescaling rows of one CPT.
 
     ``r`` must classify as local with ``cpt.child`` as its target.  Each
@@ -210,7 +209,7 @@ def local_update(cpt: Cpt, r: Constraint, net: NetworkSpec,
     current marginal, renormalized, so the network's joint absorbs exactly
     the proportional-fitting step for ``r`` while only this table changes.
     The current marginal over the parents comes from variable elimination
-    against ``net`` (or ``cpts`` when given).  This is the visit d-ipfp
+    against ``net``'s other tables.  This is the visit d-ipfp
     makes (``_local_visit``): one plain map of the subnet whose only member
     is ``cpt.child``.  A row whose parent configuration has no mass fills
     uniformly, and a constraint the tables already meet exactly leaves the
@@ -227,8 +226,7 @@ def local_update(cpt: Cpt, r: Constraint, net: NetworkSpec,
             f"CPT parent order {cpt.parent_order} differs from the network's "
             f"{parents}"
         )
-    working = {name: c.table
-               for name, c in (cpts if cpts is not None else net.cpts).items()}
+    working = {name: c.table for name, c in net.cpts.items()}
     working[cpt.child] = cpt.table
     _local_visit(_SubnetPlan.build(net, r, cls), working)
     return Cpt(cpt.child, parents, working[cpt.child])
@@ -238,13 +236,14 @@ def nonlocal_update(sub: LocalSubnet, r: Constraint,
                     q_s: np.ndarray | None) -> LocalSubnet:
     """One proportional step on a subnet's conditional table.
 
-    ``q_s`` supplies the context weight the conditional is paired with to
-    form the subnet's joint: either a distribution over ``sub.s`` alone or
-    a full table over ``(*sub.s, *sub.y)`` (any positive scaling works, and
-    ``None`` means uniform, which is exact when ``sub.s`` is empty).  The
-    conditional is scaled cellwise by target over current marginal and
-    renormalized per outside configuration, so for every ``s`` it stays a
-    distribution while the subnet's marginal over ``y`` moves onto ``r``.
+    ``q_s`` is the context weight the conditional is paired with to form
+    the subnet's joint: a table over ``(*sub.s, *sub.y)``, such as the
+    outside weight ``extract_subnet_cpts`` contracts (any positive scaling
+    works), or ``None`` for uniform, which is exact when ``sub.s`` is
+    empty.  The conditional is scaled cellwise by target over current
+    marginal and renormalized per outside configuration, so for every
+    ``s`` it stays a distribution while the subnet's marginal over ``y``
+    moves onto ``r``.
     """
     target = _aligned_target(r, sub.y)
     shape = sub.cond_table.shape
@@ -255,12 +254,10 @@ def nonlocal_update(sub: LocalSubnet, r: Constraint,
         w = np.ones((1,) * len(shape))
     else:
         w = np.asarray(q_s, dtype=float)
-        if w.shape == shape[:ns]:
-            w = w.reshape(shape[:ns] + (1,) * ny)
-        elif w.shape != shape:
+        if w.shape != shape:
             raise ScopeError(
-                f"context weight shape {w.shape} matches neither the outside "
-                f"variables {shape[:ns]} nor the full subnet {shape}"
+                f"context weight shape {w.shape} does not match the subnet "
+                f"{shape}"
             )
     joint = sub.cond_table * w
     qy = joint.sum(axis=s_axes) if s_axes else joint
@@ -355,7 +352,6 @@ class _SubnetPlan:
     """
 
     y: tuple[str, ...]
-    s: tuple[str, ...]
     outside: tuple[str, ...]
     weight: Contraction
     scope: tuple[str, ...]
@@ -397,7 +393,7 @@ class _SubnetPlan:
         positive = np.flatnonzero(target > 0.0)
         outside, weight = _outside_plan(net, y, s)
         return _SubnetPlan(
-            y=y, s=s,
+            y=y,
             outside=outside,
             weight=weight,
             scope=scope,

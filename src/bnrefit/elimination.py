@@ -40,7 +40,7 @@ from typing import Container, Mapping, Sequence
 
 import numpy as np
 
-from .core import Cpt, NetworkSpec, ScopeError
+from .core import NetworkSpec, ScopeError
 
 _View = tuple[tuple[int, ...], tuple[int, ...]]
 """A transpose order and the shape its result is reshaped to."""
@@ -234,17 +234,14 @@ def plan_cpt_contraction(net: NetworkSpec, keep: Sequence[str],
         [net.parents[n] + (n,) for n in names], keep, net.rank, net.cards)
 
 
-def marginal(net: NetworkSpec, targets: Sequence[str],
-             cpts: Mapping[str, Cpt] | None = None) -> np.ndarray:
-    """Marginal distribution over ``targets``, axes in target order.
+def marginal(net: NetworkSpec, targets: Sequence[str]) -> np.ndarray:
+    """Marginal distribution of ``net`` over ``targets``, axes in target
+    order.
 
-    ``cpts`` overrides the network's tables (same children and parent
-    orders), which lets a solver query marginals of its working state
-    without rebuilding the network object.  Only CPTs of the targets'
-    ancestors enter the contraction; the rest sum out to one.  The
-    elimination order is planned here and the plan executed once; a caller
-    that repeats a query on changing tables keeps the plan of
-    ``plan_cpt_contraction`` instead.
+    Only CPTs of the targets' ancestors enter the contraction; the rest sum
+    out to one.  The elimination order is planned here and the plan
+    executed once; a caller that repeats a query on changing tables keeps
+    the plan of ``plan_cpt_contraction`` instead, as d-ipfp does.
     """
     targets = tuple(targets)
     for t in targets:
@@ -252,9 +249,8 @@ def marginal(net: NetworkSpec, targets: Sequence[str],
             raise ScopeError(f"variable {t!r} is not declared in this network")
     if len(set(targets)) != len(targets):
         raise ScopeError(f"marginal targets repeat a variable: {targets}")
-    table = cpts if cpts is not None else net.cpts
     names, plan = plan_cpt_contraction(net, targets)
-    return contract(plan, [table[n].table for n in names])
+    return contract(plan, [net.cpts[n].table for n in names])
 
 
 def _family_divergence(mass: np.ndarray, a: np.ndarray,

@@ -178,9 +178,9 @@ def random_constraints(rng: np.random.Generator, net: NetworkSpec,
                 scope = tuple(sorted((u, v), key=net.axis))
                 if not admissible(scope, {u, v}, pinned=False):
                     continue
+                # Always non-local: ``u`` is no parent of ``v``, and ``v``
+                # cannot be a parent of its own ancestor.
                 cls = classify_scope(net, scope)
-                if not isinstance(cls, NonLocal):
-                    continue
                 if len(cls.y) + len(cls.s) > SUBNET_SPAN:
                     continue
                 ok.append(scope)

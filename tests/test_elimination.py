@@ -11,7 +11,8 @@ import nets
 from bnrefit import (Cpt, NetworkSpec, VariableDecl, i_divergence,
                      joint_from_network, marginalize, run_d_ipfp)
 from bnrefit.elimination import (_ancestral, contract, marginal,
-                                 network_divergence, plan_contraction)
+                                 network_divergence, plan_contraction,
+                                 plan_cpt_contraction)
 from bnrefit.core import ScopeError
 from bnrefit.generate import generate_instance, random_network
 
@@ -41,10 +42,11 @@ def test_marginal_mixed_cardinality():
     assert np.max(np.abs(got - marginalize(q, targets).probs)) <= 1e-12
 
 
-def test_marginal_accepts_cpt_override(chain_net):
+def test_marginal_follows_a_replaced_table(chain_net):
     flipped = Cpt("B", ("A",), np.array([[0.1, 0.9], [0.6, 0.4]]))
-    got = marginal(chain_net, ("B",), cpts={**chain_net.cpts, "B": flipped})
-    assert np.allclose(got, [0.35, 0.65], atol=1e-15)
+    net = NetworkSpec(chain_net.variables, chain_net.parents,
+                      {**chain_net.cpts, "B": flipped})
+    assert np.allclose(marginal(net, ("B",)), [0.35, 0.65], atol=1e-15)
 
 
 def test_marginal_rejects_unknown_and_duplicate(chain_net):
@@ -145,16 +147,18 @@ def test_contract_matches_dense_einsum_and_naive_order(case):
 
 
 def test_marginal_of_root_ignores_descendant_tables(diamond_net):
-    # The pruning is observable: corrupt every non-ancestor table and the
-    # root marginal must not move.
+    # The root's marginal is planned on its own table alone, so replacing
+    # every non-ancestor table must not move it.
+    assert plan_cpt_contraction(diamond_net, ("A",))[0] == ("A",)
     junk = {
         name: Cpt(name, diamond_net.parents[name],
                   np.full_like(diamond_net.cpts[name].table,
                                1.0 / diamond_net.cardinality(name)))
         for name in ("B", "C", "D")
     }
-    got = marginal(diamond_net, ("A",), cpts={**diamond_net.cpts, **junk})
-    assert np.array_equal(got, marginal(diamond_net, ("A",)))
+    net = NetworkSpec(diamond_net.variables, diamond_net.parents,
+                      {**diamond_net.cpts, **junk})
+    assert np.array_equal(marginal(net, ("A",)), marginal(diamond_net, ("A",)))
 
 
 def chain(a_row, b_rows, parents=("A",)):
