@@ -439,20 +439,24 @@ def test_bulk_reader_matches_the_per_value_reader(doc, data):
         assert not r.dist.probs.flags.writeable
 
 
-@pytest.mark.parametrize("seed, nodes, num_constraints, hashes", [
-    (0, 120, 24, ("7d74369ecd49d601", "5ecae704f9a1df74")),
-    (1, 1000, 200, ("4bcc5efbb18d9854", "0e34bd301fb6a36d")),
-])
+# sha256 prefixes of the serialized network and constraints: a change to
+# the generator's output moves every benchmark and CI instance.
+LARGE_INSTANCE_HASHES = {
+    (0, 120, 24): ("7d74369ecd49d601", "5ecae704f9a1df74"),
+    (1, 1000, 200): ("4bcc5efbb18d9854", "0e34bd301fb6a36d"),
+}
+
+
+@pytest.mark.parametrize("seed, nodes, num_constraints",
+                         sorted(LARGE_INSTANCE_HASHES))
 def test_large_instances_survive_parse_then_serialize(seed, nodes,
-                                                      num_constraints, hashes):
+                                                      num_constraints):
     # The benchmark's subnet-large instance and the CI's 1000-variable one.
-    # The sha256 prefixes pin the generator's output: a change to it moves
-    # every benchmark and CI instance.
     net, constraints = generate_instance(seed, nodes, num_constraints)
     blob = serialize_network(net)
     assert (hashlib.sha256(blob).hexdigest()[:16],
             hashlib.sha256(serialize_constraints(constraints)).hexdigest()[:16]
-            ) == hashes
+            ) == LARGE_INSTANCE_HASHES[seed, nodes, num_constraints]
     back = parse_network(blob)
     assert serialize_network(back) == blob
     cons_blob = serialize_constraints(constraints)

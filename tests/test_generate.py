@@ -64,17 +64,21 @@ def test_generate_instance_is_deterministic():
     assert serialize_constraints(rs_a) == serialize_constraints(rs_b)
 
 
-@pytest.mark.parametrize("seed, nodes, num_constraints, hashes", [
-    (0, 20, 6, ("9183eb0c649bd58f", "4ba9c5f22c158d47")),
-    (0, 16, 6, ("e5e2a8cff80f8ec8", "7d9f3b0715799c9d")),
-])
-def test_benchmark_instances_are_pinned(seed, nodes, num_constraints, hashes):
-    # The dense benchmark instances, as sha256 prefixes of their documents
-    # (``test_fileio`` pins the 120- and 1000-variable ones).
+# sha256 prefixes of the serialized network and constraints of the dense
+# benchmark instances (``test_fileio`` pins the 120- and 1000-variable ones).
+DENSE_INSTANCE_HASHES = {
+    (0, 20, 6): ("9183eb0c649bd58f", "4ba9c5f22c158d47"),
+    (0, 16, 6): ("e5e2a8cff80f8ec8", "7d9f3b0715799c9d"),
+}
+
+
+@pytest.mark.parametrize("seed, nodes, num_constraints",
+                         sorted(DENSE_INSTANCE_HASHES))
+def test_benchmark_instances_are_pinned(seed, nodes, num_constraints):
     net, constraints = generate_instance(seed, nodes, num_constraints)
     assert (hashlib.sha256(serialize_network(net)).hexdigest()[:16],
             hashlib.sha256(serialize_constraints(constraints)).hexdigest()[:16]
-            ) == hashes
+            ) == DENSE_INSTANCE_HASHES[seed, nodes, num_constraints]
 
 
 def test_generate_instance_different_seeds_differ():
