@@ -108,26 +108,29 @@ def _load(data: bytes | str):
         raise FormatError("document nests too deeply to parse") from None
 
 
-def _expect(cond: bool, message: str) -> None:
+def _expect(cond: bool, message: str, *args) -> None:
+    """Raise ``FormatError(message % args)`` unless ``cond``; the message
+    is formatted only on failure."""
     if not cond:
-        raise FormatError(message)
+        raise FormatError(message % args)
 
 
 _EXPECTED = {dict: "an object", list: "an array", str: "a string", int: "an integer"}
 
 
-def _typed(value, kind: type, where: str):
+def _typed(value, kind: type, *where: str):
     """``value``, which must have exactly the JSON type ``kind``."""
-    _expect(type(value) is kind, f"{where}: expected {_EXPECTED[kind]}")
+    if type(value) is not kind:
+        raise FormatError(f"{': '.join(where)}: expected {_EXPECTED[kind]}")
     return value
 
 
 def _strings(obj: dict, key: str, where: str) -> tuple[str, ...]:
-    _expect(key in obj, f"{where}: missing {key}")
-    raw = _typed(obj[key], list, f"{where}: {key}")
+    _expect(key in obj, "%s: missing %s", where, key)
+    raw = _typed(obj[key], list, where, key)
     if not set(map(type, raw)) <= {str}:
         k = next(k for k, s in enumerate(raw) if type(s) is not str)
-        _typed(raw[k], str, f"{where}: {key}[{k}]")
+        _typed(raw[k], str, where, f"{key}[{k}]")
     return tuple(raw)
 
 
@@ -141,20 +144,20 @@ def _table(obj: dict, key: str, where: str, shape: tuple[int, ...],
            scope: tuple[str, ...] = ()) -> np.ndarray:
     """``obj[key]``, a flat list of numbers, as a float array of ``shape``;
     a wrong entry count is reported against ``scope``, or else ``shape``."""
-    _expect(key in obj, f"{where}: missing {key}")
-    raw = _typed(obj[key], list, f"{where}: {key}")
+    _expect(key in obj, "%s: missing %s", where, key)
+    raw = _typed(obj[key], list, where, key)
     values = None
     if set(map(type, raw)) <= {int, float}:
         with contextlib.suppress(OverflowError):
             values = np.array(raw, dtype=float)
     if values is None:  # walk the entries to name the first faulty one
         for k, v in enumerate(raw):
-            at = f"{where}: {key}[{k}]"
-            _expect(type(v) in (int, float), f"{at}: expected a number")
+            _expect(type(v) in (int, float), "%s: %s[%s]: expected a number",
+                    where, key, k)
             try:
                 float(v)
             except OverflowError:
-                raise FormatError(f"{at}: number out of range") from None
+                raise FormatError(f"{where}: {key}[{k}]: number out of range") from None
     if len(raw) != math.prod(shape):
         of = f"scope {scope}" if scope else f"shape ({', '.join(map(_count, shape))})"
         raise FormatError(f"{where}: {key} has {len(raw)} entries, expected "
@@ -172,14 +175,14 @@ def _no_extras(obj: dict, allowed: set[str], where: str) -> None:
 def _entries(data: bytes | str, where: str, key: str) -> list:
     """The ``key`` array of the document in ``data``, its header checked."""
     doc = _typed(_load(data), dict, where)
-    _expect("format_version" in doc, f"{where}: missing format_version")
-    version = _typed(doc["format_version"], int, f"{where}: format_version")
-    _expect(version == FORMAT_VERSION,
-            f"{where}: format_version {version} is not supported (this "
-            f"build reads version {FORMAT_VERSION})")
+    _expect("format_version" in doc, "%s: missing format_version", where)
+    version = _typed(doc["format_version"], int, where, "format_version")
+    _expect(version == FORMAT_VERSION, "%s: format_version %s is not "
+            "supported (this build reads version %s)", where, version,
+            FORMAT_VERSION)
     _no_extras(doc, {"format_version", key}, where)
-    _expect(key in doc, f"{where}: missing {key}")
-    return _typed(doc[key], list, f"{where}: {key}")
+    _expect(key in doc, "%s: missing %s", where, key)
+    return _typed(doc[key], list, where, key)
 
 
 def parse_network(data: bytes | str) -> NetworkSpec:
@@ -191,10 +194,9 @@ def parse_network(data: bytes | str) -> NetworkSpec:
     for i, entry in enumerate(entries):
         where = f"variables[{i}]"
         obj = _typed(entry, dict, where)
-        name = _typed(obj.get("name"), str, f"{where}: name")
-        _expect(name not in cardinalities, f"{where}: duplicate variable {name!r}")
-        cardinalities[name] = _typed(obj.get("cardinality"), int,
-                                     f"{where}: cardinality")
+        name = _typed(obj.get("name"), str, where, "name")
+        _expect(name not in cardinalities, "%s: duplicate variable %r", where, name)
+        cardinalities[name] = _typed(obj.get("cardinality"), int, where, "cardinality")
 
     decls: list[VariableDecl] = []
     parents: dict[str, tuple[str, ...]] = {}
@@ -210,8 +212,7 @@ def parse_network(data: bytes | str) -> NetworkSpec:
 
             ps = _strings(obj, "parents", where)
             for p in ps:
-                _expect(p in cardinalities,
-                        f"{where}: parent {p!r} is not declared")
+                _expect(p in cardinalities, "%s: parent %r is not declared", where, p)
             parents[name] = ps
 
             shape = tuple(cardinalities[p] for p in ps) + (cardinalities[name],)
@@ -250,11 +251,10 @@ def parse_constraints(data: bytes | str, net: NetworkSpec) -> list[Constraint]:
         obj = _typed(entry, dict, where)
         _no_extras(obj, {"scope", "dist"}, where)
         scope = _strings(obj, "scope", where)
-        _expect(len(scope) > 0, f"{where}: scope is empty")
-        _expect(len(set(scope)) == len(scope),
-                f"{where}: scope repeats a variable")
+        _expect(len(scope) > 0, "%s: scope is empty", where)
+        _expect(len(set(scope)) == len(scope), "%s: scope repeats a variable", where)
         for v in scope:
-            _expect(v in net.rank, f"{where}: unknown variable {v!r}")
+            _expect(v in net.rank, "%s: unknown variable %r", where, v)
         shape = tuple(net.cards[v] for v in scope)
         out.append(Constraint.over(net, scope, _table(obj, "dist", where,
                                                       shape, scope)))

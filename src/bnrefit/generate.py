@@ -19,7 +19,6 @@ import numpy as np
 from .core import (
     Constraint,
     Cpt,
-    Local,
     NetworkSpec,
     NonLocal,
     VariableDecl,
@@ -102,111 +101,79 @@ def random_constraints(rng: np.random.Generator, net: NetworkSpec,
     still fits.  A pair's two tables are underdetermined and can settle
     away from the twin, so pair variables stay terminal: no other scope
     may sit on or below them, or its residual can floor above any tight
-    epsilon.  Editable variables never repeat across constraints, and
-    picks prefer variables no earlier scope touched.
+    epsilon.  A pair must also lie clear of every earlier scope and its
+    ancestors, so by construction it never shares a variable with an
+    earlier scope.  Editable variables never repeat across constraints,
+    and local picks prefer targets no earlier scope touched.
     """
     names = net.names
-    chosen: list[tuple[str, ...]] = []
-    touched: set[str] = set()
+    # Each variable with all of its ancestors: the variables a scope's
+    # marginal depends on are the closure of its lowest member.
+    closure: dict[str, set[str]] = {}
+    for v in net.topo_order:
+        closure[v] = {v}.union(*(closure[p] for p in net.parents[v]))
 
+    # Candidates are (scope, its closure, pinned), listed once.  Local
+    # scopes are a target, first, with all of its parents.
+    locals_ = [((t,) + net.parents[t], closure[t], True)
+               for t in names if len(net.parents[t]) < MAX_SCOPE]
     # Non-local scopes are grandparent pairs: an ancestor two hops above
     # a variable, with no direct edge between the two.  The pair is
     # genuinely correlated through the connecting paths, yet close enough
     # that the correlation survives the hops; a scope over a distant pair
     # asks for dependence the intervening CPTs barely transmit, and both
     # solvers then creep toward it at rates worse with every extra hop.
-    ancestors: dict[str, set[str]] = {}
-    for v in net.topo_order:
-        acc: set[str] = set()
-        for p in net.parents[v]:
-            acc.add(p)
-            acc.update(ancestors[p])
-        ancestors[v] = acc
-    near: dict[str, list[str]] = {
-        v: sorted(
-            {g for p in net.parents[v] for g in net.parents[p]}
-            - set(net.parents[v]),
-            key=net.axis,
-        )
-        for v in names
-    }
+    pairs = []
+    for v in names:
+        near = ({g for p in net.parents[v] for g in net.parents[p]}
+                - set(net.parents[v]))
+        for u in sorted(near, key=net.axis):
+            scope = tuple(sorted((u, v), key=net.axis))
+            # Always non-local: ``u`` is no parent of ``v``, and ``v``
+            # cannot be a parent of its own ancestor.
+            cls = classify_scope(net, scope)
+            if len(cls.y) + len(cls.s) <= SUBNET_SPAN:
+                pairs.append((scope, closure[v], False))
 
+    chosen: list[tuple[str, ...]] = []
+    touched: set[str] = set()
     editables: set[str] = set()
     # Pair tables settle away from the twin, so their variables poison
     # everything they can influence; pinned full-local tables do not.
     loose: set[str] = set()
     upstream: set[str] = set()
 
-    def admissible(scope: tuple[str, ...], editable: set[str],
-                   pinned: bool) -> bool:
-        if editable & editables:
-            return False
-        if not pinned and editable & upstream:
-            return False
-        closure = set(scope)
-        for v in scope:
-            closure.update(ancestors[v])
-        return not (closure & loose)
+    def draw(pool):
+        return pool[int(rng.integers(0, len(pool)))] if pool else None
 
-    def accept(scope: tuple[str, ...], editable: set[str],
-               pinned: bool) -> None:
-        touched.update(scope)
-        editables.update(editable)
-        if not pinned:
-            loose.update(editable)
-        upstream.update(scope)
-        for v in scope:
-            upstream.update(ancestors[v])
+    def pick_local():
+        ok = [c for c in locals_ if c[0][0] not in editables
+              and loose.isdisjoint(c[1])]
+        return draw([c for c in ok if c[0][0] not in touched] or ok)
 
-    def pick_local() -> tuple[str, ...] | None:
-        ok = [
-            t for t in names
-            if len(net.parents[t]) < MAX_SCOPE
-            and admissible((t,) + net.parents[t], {t}, pinned=True)
-        ]
-        pool = [t for t in ok if t not in touched] or ok
-        if not pool:
-            return None
-        target = pool[int(rng.integers(0, len(pool)))]
-        return (target,) + net.parents[target]
-
-    def pick_nonlocal() -> tuple[str, ...] | None:
-        ok: list[tuple[str, ...]] = []
-        fresh: list[tuple[str, ...]] = []
-        for v in names:
-            for u in near[v]:
-                scope = tuple(sorted((u, v), key=net.axis))
-                if not admissible(scope, {u, v}, pinned=False):
-                    continue
-                # Always non-local: ``u`` is no parent of ``v``, and ``v``
-                # cannot be a parent of its own ancestor.
-                cls = classify_scope(net, scope)
-                if len(cls.y) + len(cls.s) > SUBNET_SPAN:
-                    continue
-                ok.append(scope)
-                if not touched.intersection(scope):
-                    fresh.append(scope)
-        pool = fresh or ok
-        if not pool:
-            return None
-        return pool[int(rng.integers(0, len(pool)))]
+    def pick_pair():
+        # Clear of ``upstream``, a pair is clear of every earlier scope,
+        # so of every editable too.
+        return draw([c for c in pairs if upstream.isdisjoint(c[0])
+                    and loose.isdisjoint(c[1])])
 
     for k in range(count):
         # Admissible grandparent pairs are the scarce kind: each accepted
         # scope of any kind poisons part of the DAG for them, so the pair
         # slots come first and locals fill whatever room is left.
-        scope = None
-        if 2 * k < count:
-            scope = pick_nonlocal()
-        if scope is None:
-            scope = pick_local() or pick_nonlocal()
-        if scope is None:
+        first, second = ((pick_pair, pick_local) if 2 * k < count
+                         else (pick_local, pick_pair))
+        pick = first() or second()
+        if pick is None:
             break
-        cls = classify_scope(net, scope)
-        if isinstance(cls, Local):
-            accept(scope, {cls.target}, pinned=True)
+        scope, closed, pinned = pick
+        touched.update(scope)
+        if pinned:
+            editables.add(scope[0])
         else:
-            accept(scope, set(cls.y), pinned=False)
+            editables.update(scope)
+            loose.update(scope)
+        upstream.update(closed)
         chosen.append(scope)
 
     twin = perturb_network(rng, net, PERTURBATION,

@@ -701,6 +701,23 @@ def test_first_fault_of_a_constraint_document_wins(entries, top, error):
     assert raised(parse_constraints, data, parse_network(chain4())) == error
 
 
+@pytest.mark.parametrize("changes, message", [
+    ({"C": {"name": "50%"}, "D": {"name": "50%"}},
+     "variables[3]: duplicate variable '50%'"),
+    ({"D": {"name": "%s", "parents": ["%d"]}},
+     "variable '%s': parent '%d' is not declared"),
+    ({"D": {"name": "%(x)s", "cpt": None}}, "variable '%(x)s': cpt: expected an array"),
+])
+def test_messages_carry_names_with_percent_signs_verbatim(changes, message):
+    # The check messages are formatted only on failure, from templates;
+    # a name is always an argument, never part of the template.
+    assert raised(parse_network, chain4(**changes)) == (FormatError, message)
+    data = json.dumps({"format_version": 1, "constraints": [
+        {"scope": ["A", "%s"], "dist": [0.25] * 4}]})
+    assert raised(parse_constraints, data, parse_network(chain4())) == (
+        FormatError, "constraints[0]: unknown variable '%s'")
+
+
 def test_state_labels_survive_parse_then_serialize(tmp_path):
     # Labels with a quote and a letter outside ASCII, in canonical bytes.
     blob = serialize_network(parse_network(chain4(

@@ -81,6 +81,33 @@ def test_benchmark_instances_are_pinned(seed, nodes, num_constraints):
             ) == DENSE_INSTANCE_HASHES[seed, nodes, num_constraints]
 
 
+# sha256 prefixes of the serialized constraints that ``random_constraints``
+# draws, count 10, on a 30-variable network of in-degree at most 5 or 6.
+# At in-degree 3 no grandparent pair spans more than ``SUBNET_SPAN``
+# variables; here the filter rejects a fifth to a third of them (141 of 783
+# at in-degree 5 and 327 of 1,012 at 6 over seeds 0-9), and without it
+# seven of these eight sets come out different.
+WIDE_CONSTRAINT_HASHES = {
+    (5, 0): "280bdaef57180f40",
+    (5, 1): "15e4cf53d22f3552",
+    (5, 2): "3c80ffa255c62d1f",
+    (5, 3): "34f935912d0cfac7",
+    (6, 0): "f9144dfc57c87f42",
+    (6, 1): "441f2a215bf7ff7a",
+    (6, 2): "545dba9abf9b9848",
+    (6, 3): "2b9dc298e97007d9",
+}
+
+
+@pytest.mark.parametrize("in_degree, seed", sorted(WIDE_CONSTRAINT_HASHES))
+def test_subnet_span_filter_is_pinned(in_degree, seed):
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, 30, 2, in_degree)
+    constraints = random_constraints(rng, net, 10)
+    assert (hashlib.sha256(serialize_constraints(constraints)).hexdigest()[:16]
+            == WIDE_CONSTRAINT_HASHES[in_degree, seed])
+
+
 def test_generate_instance_different_seeds_differ():
     net_a, _ = generate_instance(0, n_nodes=10, num_constraints=5)
     net_b, _ = generate_instance(1, n_nodes=10, num_constraints=5)
