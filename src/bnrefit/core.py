@@ -824,7 +824,8 @@ two plain maps, so an accepted step never falls short of them."""
 
 
 def _squarem(theta: np.ndarray, t1: np.ndarray, t2: np.ndarray,
-             row: np.ndarray) -> np.ndarray | None:
+             row: np.ndarray, bound: float = math.inf
+             ) -> tuple[np.ndarray | None, bool]:
     """SQUAREM-S3 candidate from ``theta`` and two plain maps of it
     (Varadhan & Roland 2008, Scand. J. Stat. 35).
 
@@ -832,24 +833,29 @@ def _squarem(theta: np.ndarray, t1: np.ndarray, t2: np.ndarray,
     out by one ``_Layout``, and ``row`` is that layout's.  The candidate
     ``theta - 2 a r + a^2 v`` uses ``r = t1 - theta``,
     ``v = t2 - 2 t1 + theta`` and the step length ``a = -|r|/|v|``,
-    clamped to at most ``SQUAREM_MAX_ALPHA``, and is renormalized per
-    parent row.  Returns ``None`` (reject) when ``v`` is zero, or when the
-    candidate has a negative entry or a row without mass.
+    clamped to at most ``SQUAREM_MAX_ALPHA`` and to at least ``-bound``,
+    and is renormalized per parent row.  Returns the candidate and whether
+    the step length reached ``-bound``.  The candidate is ``None`` (reject)
+    when ``v`` is zero, or when it has a negative entry or a row without
+    mass.
     """
     r = t1 - theta
     v = t2 - 2.0 * t1 + theta
     vv = float((v * v).sum())
     if vv == 0.0:
-        return None
+        return None, False
     alpha = min(-math.sqrt(float((r * r).sum()) / vv), SQUAREM_MAX_ALPHA)
+    reached = alpha <= -bound
+    if reached:
+        alpha = -bound
     candidate = theta - 2.0 * alpha * r + alpha * alpha * v
     if not (candidate >= 0.0).all():
-        return None
+        return None, reached
     sums = np.bincount(row, candidate)
     if not sums.all():
-        return None
+        return None, reached
     candidate /= sums[row]
-    return candidate
+    return candidate, reached
 
 
 def i_divergence(p: JointTable, q: JointTable) -> float:

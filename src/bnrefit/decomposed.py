@@ -46,11 +46,15 @@ candidate is ``core._squarem``'s, whose step length is clamped to at most
 ``core.SQUAREM_MAX_ALPHA`` and which is renormalized per parent row, and a
 candidate ``_squarem`` rejects, or whose stabilizing plain map raises
 ``DominanceError``, leaves the step on the second plain map.  The map's
-fixed points form a continuum, so where a visit lands depends on its path.
-Long steps taken far from that set can land far from where plain maps
-would; the gate keeps extrapolation to the final approach, where it
-reaches a limit the plain map only crawls toward, so the result barely
-depends on the inner tolerance.
+fixed points form a continuum, so where a visit lands depends on its path,
+and a long step taken far from that set can land far from where plain
+maps would.  Two rules bound where a step may land.  The gate keeps
+extrapolation to the approach.  Within it, each step's length is bounded,
+as in the SQUAREM package: the bound starts at 1 on every visit, where the
+candidate is the second plain map, and grows by ``SQUAREM_STEP_GROWTH``
+after each accepted step that reached it.  So a visit takes a long step
+only after shorter ones along the same path were accepted, and the result
+barely depends on the inner tolerance.
 """
 
 from __future__ import annotations
@@ -65,6 +69,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .core import (
+    SQUAREM_MAX_ALPHA,
     TAU_NORM,
     BnError,
     Constraint,
@@ -508,9 +513,24 @@ def _local_visit(plan: _SubnetPlan, work: dict[str, np.ndarray]) -> None:
         work.update(plan.layout.tables(_plain_map(plan, w)(theta)[0]))
 
 
-SQUAREM_GATE = 1e-4
-"""Plain-step size below which the non-local inner loop extrapolates;
-ungated, the first long steps moved the diamond's divergence by 5.5e-4."""
+SQUAREM_GATE = 1e-3
+"""Plain-step size below which the non-local inner loop extrapolates.
+Without a gate, visits of a contradictory set, which never settle, take
+long steps from the start: the n=12 seed-7 set of the tests'
+``contradictory_variant`` was flagged after 1,464 cycles instead of 40.
+The step-length bound keeps a visit's first steps short, so the gate can
+sit at 1e-3: there, unbounded steps moved the divergence of a 29-instance
+batch by up to 2.1e-4 relative from the 1e-4 gate's, and bounded steps
+move a 31-instance batch by at most 1.1e-5."""
+
+SQUAREM_STEP_GROWTH = 4.0
+"""Factor by which a non-local visit's bound on the SQUAREM step length
+grows after an accepted step that reached it; the bound starts at 1 on
+every visit.  Both are the defaults of the SQUAREM package, ``mstep = 4``
+and ``step.max0 = 1`` (Du & Varadhan 2020, "SQUAREM: An R package for
+off-the-shelf acceleration of EM, MM and other EM-like monotone
+algorithms", J. Stat. Softw. 92(7)); the bound is Varadhan & Roland's
+(2008, Scand. J. Stat. 35) rule for keeping SQUAREM's steps stable."""
 
 
 def _nonlocal_visit(plan: _SubnetPlan, work: dict[str, np.ndarray],
@@ -529,13 +549,17 @@ def _nonlocal_visit(plan: _SubnetPlan, work: dict[str, np.ndarray],
     Roland 2008, Scand. J. Stat. 35, scheme S3) on the member-CPT vector:
     two plain maps, the ``core._squarem`` candidate (step length clamped
     to at most ``core.SQUAREM_MAX_ALPHA``, rows renormalized), then one
-    plain map on the candidate to stabilize it.  As in e-ipfp, a candidate
+    plain map on the candidate to stabilize it.  The step length is also
+    bounded: the bound starts at 1 on every visit, where the candidate is
+    the second plain map, and grows by ``SQUAREM_STEP_GROWTH`` after each
+    accepted step that reached it.  As in e-ipfp, a candidate
     ``_squarem`` rejects (a negative entry or a row without mass), or whose
     stabilizing plain map raises ``DominanceError`` (no mass on a cell the
     constraint puts mass on), leaves the step on the second plain map; the
     failed map is not counted, and ``DominanceError`` escapes only from
-    the map of a plain step.  An extrapolation starts only when its maps
-    fit under the cap, and the stop test is always a plain map's step.
+    the map of a plain step.  A rejected step leaves the bound as it is.
+    An extrapolation starts only when its maps fit under the cap, and the
+    stop test is always a plain map's step.
 
     The loop also stops, with its own warning, when a plain map returns
     its input bit for bit while its step is still above ``inner_epsilon``:
@@ -550,6 +574,7 @@ def _nonlocal_visit(plan: _SubnetPlan, work: dict[str, np.ndarray],
     plain_map = _plain_map(plan, w)
     delta = float("inf")
     maps = 0
+    bound = -SQUAREM_MAX_ALPHA
     while maps < inner_cap:
         theta_next, delta = plain_map(theta)
         maps += 1
@@ -562,15 +587,19 @@ def _nonlocal_visit(plan: _SubnetPlan, work: dict[str, np.ndarray],
         if inner_epsilon < delta < SQUAREM_GATE and maps + 2 <= inner_cap:
             t2, delta = plain_map(theta_next)
             maps += 1
-            candidate = (_squarem(theta, theta_next, t2, plan.layout.row)
-                         if delta > inner_epsilon else None)
+            candidate, reached = (
+                _squarem(theta, theta_next, t2, plan.layout.row, bound)
+                if delta > inner_epsilon else (None, False))
             theta_next = t2
             if candidate is not None:
                 try:
                     theta_next, delta = plain_map(candidate)
-                    maps += 1
                 except DominanceError:
                     pass  # the step ends on t2, as for a rejected candidate
+                else:
+                    maps += 1
+                    if reached:
+                        bound *= SQUAREM_STEP_GROWTH
         theta = theta_next
         if delta <= inner_epsilon:
             break

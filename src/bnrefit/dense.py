@@ -347,7 +347,7 @@ def _run_dense(net: NetworkSpec, constraints: Sequence[Constraint],
         del previous
         if extrapolate:
             theta2 = layout.pack(q.tables)
-            candidate = _squarem(theta0, theta1, theta2, layout.row)
+            candidate, _ = _squarem(theta0, theta1, theta2, layout.row)
             if candidate is not None:
                 q = product(candidate)
                 try:

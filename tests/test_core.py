@@ -453,12 +453,44 @@ ONE_ROW = np.array([0, 0])
 
 def test_squarem_clamped_step_returns_second_map():
     # |r| / |v| = 1/4, so the step length clamps to -1, where the candidate
-    # is exactly t2.
+    # is exactly t2; an unbounded step never reaches its bound.
     theta, t1, t2 = (np.array(x) for x in
                      ([0.5, 0.5], [0.625, 0.375], [0.25, 0.75]))
-    candidate = _squarem(theta, t1, t2, ONE_ROW)
+    candidate, reached = _squarem(theta, t1, t2, ONE_ROW)
     assert candidate is not None
     assert np.array_equal(candidate, t2)
+    assert not reached
+
+
+def test_squarem_at_bound_one_returns_second_map_renormalized():
+    # |r| / |v| = 4, so only the bound keeps the step at length 1, where
+    # the candidate is t2, whose rows sum to 1.5 and 0.5, renormalized.
+    # Unbounded, the step of length 4 leaves an entry negative.
+    row = np.array([0, 0, 1, 1])
+    theta = np.array([0.5, 0.5, 0.5, 0.5])
+    t1 = np.array([0.625, 0.625, 0.375, 0.375])
+    t2 = np.array([0.78125, 0.71875, 0.21875, 0.28125])
+    candidate, reached = _squarem(theta, t1, t2, row, bound=1.0)
+    assert reached
+    assert np.array_equal(candidate, t2 / np.array([1.5, 1.5, 0.5, 0.5]))
+    assert _squarem(theta, t1, t2, row) == (None, False)
+
+
+@pytest.mark.parametrize("bound", [1.0, 2.0, 4.0, 16.0])
+def test_squarem_bound_caps_step_length(bound):
+    # A sequence whose steps shrink by 7/8 a map, 1/16 and then 7/128, has
+    # |r| / |v| = 8 and extrapolates to its limit 1.  A bound below 8 caps
+    # the step length at the bound; one above leaves the step at 8.
+    theta, t1 = np.array([0.5, 0.5]), np.array([0.5625, 0.4375])
+    t2 = np.array([0.6171875, 0.3828125])
+    r, v = t1 - theta, t2 - 2.0 * t1 + theta
+    length = min(bound, 8.0)
+    candidate, reached = _squarem(theta, t1, t2, ONE_ROW, bound=bound)
+    assert reached == (bound < 8.0)
+    assert np.array_equal(candidate,
+                          theta + 2.0 * length * r + length * length * v)
+    if not reached:
+        assert np.array_equal(candidate, [1.0, 0.0])
 
 
 def test_squarem_rejects_negative_entry():
@@ -466,7 +498,7 @@ def test_squarem_rejects_negative_entry():
     # which leaves the row's other entry at -0.1.
     theta, t1, t2 = (np.array(x) for x in
                      ([0.5, 0.5], [0.8, 0.2], [0.95, 0.05]))
-    assert _squarem(theta, t1, t2, ONE_ROW) is None
+    assert _squarem(theta, t1, t2, ONE_ROW)[0] is None
 
 
 def test_squarem_rejects_row_without_mass():
@@ -475,7 +507,7 @@ def test_squarem_rejects_row_without_mass():
     theta, t1, t2 = (np.array(x) for x in ([0.5, 0.5, 0.0, 0.0],
                                            [0.625, 0.375, 0.0, 0.0],
                                            [0.25, 0.75, 0.0, 0.0]))
-    assert _squarem(theta, t1, t2, np.array([0, 0, 1, 1])) is None
+    assert _squarem(theta, t1, t2, np.array([0, 0, 1, 1]))[0] is None
 
 
 def test_squarem_rows_are_renormalized():
@@ -485,11 +517,11 @@ def test_squarem_rows_are_renormalized():
     theta = np.array([0.2, 0.3, 0.5, 0.5, 0.5])
     t1 = np.array([0.25, 0.3, 0.5, 0.6, 0.4]) * 1.02
     t2 = np.array([0.27, 0.3, 0.45, 0.65, 0.35]) * 0.97
-    candidate = _squarem(theta, t1, t2, row)
+    candidate, _ = _squarem(theta, t1, t2, row)
     assert candidate is not None
     assert candidate.min() >= 0.0
     assert np.max(np.abs(np.bincount(row, candidate) - 1.0)) <= 1e-12
-    assert _squarem(theta, theta, theta, row) is None
+    assert _squarem(theta, theta, theta, row) == (None, False)
 
 
 def test_residual_zero_when_satisfied(chain_net):

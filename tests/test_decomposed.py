@@ -597,17 +597,20 @@ def test_rejected_extrapolation_ends_on_the_second_plain_map(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(decomposed, "SQUAREM_GATE", 0.0)
         plain_out, plain, plain_maps = _diamond_run(m)
-    candidates = []
+    candidates, bounds = [], []
 
-    def dead_end(theta, t1, t2, row):
+    def dead_end(theta, t1, t2, row, bound):
         candidate = t2.copy()
         candidate[:2] = (1.0, 0.0)
         candidates.append(candidate)
-        return candidate
+        bounds.append(bound)
+        return candidate, True
 
     monkeypatch.setattr(decomposed, "_squarem", dead_end)
     out, report, maps = _diamond_run(monkeypatch)
     assert candidates
+    # A rejected step leaves the step-length bound where it started.
+    assert set(bounds) == {1.0}
     assert (plain.termination, plain.cycles, plain_maps) == (
         Termination.CONVERGED, 2, 191)
     assert repr(plain.final_divergence) == "0.26446377712316366"
@@ -616,6 +619,87 @@ def test_rejected_extrapolation_ends_on_the_second_plain_map(monkeypatch):
     assert repr(report.final_divergence) == repr(plain.final_divergence)
     assert report.per_constraint_residuals == plain.per_constraint_residuals
     assert serialize_network(out) == serialize_network(plain_out)
+
+
+def _bounds_seen(monkeypatch, rejected=None):
+    """Each non-local visit's ``_squarem`` calls in d-ipfp on
+    ``generate_instance(0, 20, 6)``, as (bound, reached, accepted); the
+    call numbered ``rejected`` in each visit is rejected by the spy.  No
+    stabilizing map raises on this instance, so a candidate the spy passes
+    on is accepted."""
+    visits = []
+    squarem, visit = decomposed._squarem, decomposed._nonlocal_visit
+
+    def spy(theta, t1, t2, row, bound):
+        candidate, reached = squarem(theta, t1, t2, row, bound)
+        if len(visits[-1]) == rejected:
+            candidate = None
+        visits[-1].append((bound, reached, candidate is not None))
+        return candidate, reached
+
+    def counted(*args, **kwargs):
+        visits.append([])
+        return visit(*args, **kwargs)
+
+    monkeypatch.setattr(decomposed, "_squarem", spy)
+    monkeypatch.setattr(decomposed, "_nonlocal_visit", counted)
+    net, constraints = generate_instance(0, n_nodes=20, num_constraints=6)
+    _, report = run_d_ipfp(net, constraints)
+    assert report.termination is Termination.CONVERGED
+    stepped = [calls for calls in visits if calls]
+    assert len(stepped) >= 2
+    for calls in stepped:
+        assert calls[0][0] == 1.0
+        for (bound, reached, accepted), (following, _, _) in zip(calls,
+                                                                 calls[1:]):
+            assert following == (bound * decomposed.SQUAREM_STEP_GROWTH
+                                 if reached and accepted else bound)
+    return stepped
+
+
+def test_step_bound_grows_after_accepted_steps_that_reach_it(monkeypatch):
+    # Every visit starts its bound at 1, where the candidate is the second
+    # plain map.  The bound grows four-fold after each accepted step that
+    # reached it, and stays once a step falls short of it.
+    stepped = _bounds_seen(monkeypatch)
+    assert [bound for bound, _, _ in stepped[0][:6]] == [
+        1.0, 4.0, 16.0, 64.0, 256.0, 256.0]
+    assert any(not reached for calls in stepped for _, reached, _ in calls)
+
+
+def test_step_bound_stays_after_a_rejected_step(monkeypatch):
+    # Each visit's second candidate reaches the bound 4 and is rejected,
+    # so the next step is bounded by 4 again.
+    for calls in _bounds_seen(monkeypatch, rejected=1):
+        assert calls[1] == (4.0, True, False)
+        assert calls[2][0] == 4.0
+
+
+# generate_instance arguments; criterion 1 draws seed s at
+# (s, 10 + s % 6, 4 + s % 3).
+LANDING_INSTANCES = {"criterion-1-seed-0": (0, 10, 4),
+                     "criterion-1-seed-4": (4, 14, 5),
+                     "criterion-1-seed-10": (10, 14, 5),
+                     "n20": (0, 20, 6)}
+
+
+@pytest.mark.parametrize("case", ["diamond", *LANDING_INSTANCES])
+def test_d_ipfp_lands_near_the_plain_limit(monkeypatch, case):
+    # Where a run lands on the continuum of fixed points depends on its
+    # path.  The bounded extrapolation must land within 1e-5 relative of
+    # the limit of plain maps alone, run with no gate to a far tighter
+    # epsilon.
+    if case == "diamond":
+        net, r = visit_case(case)
+        constraints = [r]
+    else:
+        net, constraints = generate_instance(*LANDING_INSTANCES[case])
+    _, report = run_d_ipfp(net, constraints)
+    monkeypatch.setattr(decomposed, "SQUAREM_GATE", 0.0)
+    _, plain = run_d_ipfp(net, constraints, StopPolicy(epsilon=1e-13))
+    assert report.termination is plain.termination is Termination.CONVERGED
+    assert report.final_divergence == pytest.approx(plain.final_divergence,
+                                                    rel=1e-5, abs=0.0)
 
 
 def reference_plain_map(plan, w):
@@ -937,15 +1021,15 @@ def test_subnet_large_trajectory_is_pinned():
     out, report = run_d_ipfp(net, constraints)
     assert report.termination is Termination.CONVERGED
     assert report.cycles == 3
-    assert report.final_divergence == 0.05013486145438556
+    assert report.final_divergence == 0.05013487471802731
     assert report.per_constraint_residuals == (
-        5.822314852466093e-11,
-        7.855271988432833e-12,
-        4.560796185160143e-13,
-        3.6258113178533335e-10,
-        2.530292642077825e-11,
-        2.3015650496560625e-10,
-        3.3069269544938606e-11,
+        4.567594080739923e-10,
+        4.6351811278100286e-14,
+        7.770245558091915e-11,
+        4.852943047417568e-11,
+        2.551671651751519e-10,
+        1.6292522886374172e-14,
+        2.3777646518396978e-12,
         5.551115123125783e-17,
         5.551115123125783e-17,
         2.7755575615628914e-17,
@@ -965,4 +1049,4 @@ def test_subnet_large_trajectory_is_pinned():
         1.1102230246251565e-16,
     )
     assert hashlib.sha256(serialize_network(out)).hexdigest() == (
-        "1c8d6c9708d50439a41ceb1ab1bd2cc828b9285c0c856efae3054e0c4d13c224")
+        "94c8964423aa4482bac1c19489ae8f6b76279974c4988f97e7218cea14a87ae4")

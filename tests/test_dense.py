@@ -687,7 +687,7 @@ def test_run_e_ipfp_falls_back_when_candidate_map_fails(
         calls.append(1)
         candidate = t2.copy()
         candidate[:2] = (1.0, 0.0)  # A's table comes first
-        return candidate
+        return candidate, False
 
     monkeypatch.setattr(dense, "_squarem", failing)
     _, report = run_e_ipfp(diamond_net, [diamond_r3])
