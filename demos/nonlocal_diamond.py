@@ -15,8 +15,12 @@ no edge between them.  This is where the three algorithms separate:
 - d-ipfp also stays a network and touches only the CPTs of A and D, at
   the price of a still larger move.
 
-The divergence ordering ipfp <= e-ipfp <= d-ipfp is not an accident:
-each algorithm optimizes over a strictly smaller feasible set.
+The divergence ordering ipfp <= e-ipfp <= d-ipfp holds here, and for the
+optima it is no accident: each algorithm's feasible set lies inside the
+one before it.  The solvers' outputs are only partly bound by it.  ipfp's
+converged I-projection is below both others on every instance, but
+e-ipfp and d-ipfp each stop on one of a continuum of fixed points, so on
+other instances d-ipfp can land slightly below e-ipfp.
 """
 
 import numpy as np

@@ -507,61 +507,45 @@ def _cpt_product(variables: Sequence[VariableDecl],
     ``parents[child]`` plus the child; ``variables`` must hold every child
     and parent named.
 
-    Multiplies run on ``_block_shape`` views, whose last axis is one
-    contiguous block of at least ``_BLOCK`` cells, so no multiply runs
-    numpy's inner loop over a short axis (``_BLOCK`` gives the measured
-    cost of that loop).  A table of one block is a table of ones with
-    each family multiplied in by its ``_blocked`` factor.  A larger table
-    has head axes in front of its block: the families whose axes all lie
-    in the head are multiplied by a recursive call on the head variables,
-    and the table is grown from that head product one declared axis at a
-    time.  Level ``k + 1``, the product over the first ``k + 1``
-    variables, holds at state ``x`` of axis ``k`` one strided slice: level
-    ``k`` in its block view, times each family whose last (highest)
-    axis is ``k``, taken at ``x``.
+    The table is grown one declared axis at a time from a one-cell level.
+    Level ``k + 1``, the product over the first ``k + 1`` variables, holds
+    at state ``x`` of axis ``k`` one strided slice: level ``k`` in its
+    ``_block_shape`` view, times each family whose highest axis is ``k``,
+    taken at ``x``.  The block view's last axis is one contiguous block of
+    at least ``_BLOCK`` cells once the level has that many, so no multiply
+    runs numpy's inner loop over a short axis (``_BLOCK`` gives the
+    measured cost of that loop).
 
-    Each cell's factors are multiplied left to right starting from one:
-    the head families, recursively in this same order, then the grown
-    families by last axis, families with the same last axis in ``tables``
-    order.  When ``tables`` lists the families with their last axes in
-    non-decreasing order, as the callers do for a network declared in
-    topological order, this is ``tables`` order, and the result is
-    bit-identical to multiplying each factor in turn into a table of ones.
-    Otherwise it can differ from that by rounding.
+    Each cell's factors are multiplied left to right starting from one,
+    in order of each family's highest axis, families with the same highest
+    axis in ``tables`` order.  When ``tables`` lists the families with
+    their highest axes in non-decreasing order, as the callers do for a
+    network declared in topological order, this is ``tables`` order, and
+    the result is bit-identical to multiplying each factor in turn into a
+    table of ones.  Otherwise it can differ from that by rounding.
 
     Level ``k + 1`` writes its cells once and reads level ``k`` once per
-    state of axis ``k``; a second family with the same last axis adds one
-    in-place pass over the level.  On length-2 axes the grown levels sum
-    to under twice the output, so a topologically declared network costs
+    state of axis ``k``; a second family with the same highest axis adds
+    one in-place pass over the level.  On length-2 axes the levels sum to
+    under twice the output, so a topologically declared network costs
     about two passes over a table of the output's size, however many
-    families touch the block.  The levels alternate between the output
-    and one scratch array of the level below it (at most half its cells),
-    both allocated once, and the last level lands in the output, so the
-    product holds up to 1.5 times the output's cells at its peak.
+    families it has.  The levels alternate between the output and one
+    scratch array of the level below it (at most half its cells), both
+    allocated once, and the last level lands in the output, so the product
+    holds up to 1.5 times the output's cells at its peak.
     """
     shape = tuple(v.cardinality for v in variables)
-    blocks = _block_shape(shape)
-    head = len(blocks) - 1
     axis = {v.name: i for i, v in enumerate(variables)}
     axes = {child: [axis[p] for p in parents[child]] + [axis[child]]
             for child in tables}
-    if not head:
-        out = np.empty(blocks)
-        out[...] = 1.0
-        for child, table in tables.items():
-            out *= _blocked(table, axes[child], shape)
-        return out.reshape(shape)
-    inner = {child: table for child, table in tables.items()
-             if max(axes[child]) < head}
     by_last: dict[int, list[str]] = {}
     for child in tables:
-        if child not in inner:
-            by_last.setdefault(max(axes[child]), []).append(child)
-    level = _cpt_product(variables[:head], inner, parents)
+        by_last.setdefault(max(axes[child]), []).append(child)
     n = len(shape)
     out = np.empty(math.prod(shape))
-    scratch = np.empty(out.size // shape[-1]) if n - head > 1 else None
-    for k in range(head, n):
+    scratch = np.empty(out.size // shape[-1])
+    level = np.ones(1)
+    for k in range(n):
         grown = (out if (n - k) % 2 else scratch)[:level.size * shape[k]]
         below = _block_shape(shape[:k])
         previous = level.reshape(below)

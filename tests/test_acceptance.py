@@ -99,6 +99,20 @@ def test_criterion_3_divergence_ordering():
              f"-> {i_d:.6f}")
 
 
+def test_ipfp_bounds_both_structural_fits_from_below(batch):
+    # Criterion 3's full ordering is for the optima: each feasible set lies
+    # inside the one before it.  e-ipfp and d-ipfp each stop on one of a
+    # continuum of fixed points, so their outputs can swap order, but
+    # ipfp's converged I-projection is the optimum over the largest set
+    # and bounds both from below.
+    runs, _ = batch
+    for net, constraints, _, e_rep, _, d_rep in runs:
+        _, plain = run_ipfp(net, constraints)
+        assert plain.termination is Termination.CONVERGED
+        assert plain.final_divergence <= e_rep.final_divergence
+        assert plain.final_divergence <= d_rep.final_divergence
+
+
 def test_criterion_4_unconstrained_projection():
     started = time.perf_counter()
     ok = True

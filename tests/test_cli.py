@@ -1,12 +1,19 @@
 """Command line behavior: exit codes, messages, file handling."""
 
+import contextlib
+import io
 import json
+import math
 import re
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nets
 from bnrefit import (
@@ -529,6 +536,93 @@ def test_gen_prints_summary(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "8 variables" in out
     assert "3 constraints" in out
+
+
+# random inputs
+
+
+DOCUMENTED_EXITS = {int(code) for code in
+                    re.findall(r"^  (\d)  ", cli.__doc__, re.MULTILINE)}
+
+
+@st.composite
+def rows_with_zeros(draw, rows: int, card: int) -> list:
+    """``rows`` distributions over ``card`` states, flat; one row in four
+    has some of its cells zero, but never all."""
+    out = []
+    for _ in range(rows):
+        weights = draw(st.lists(st.floats(0.01, 1.0), min_size=card,
+                                max_size=card))
+        if draw(st.integers(0, 3)) == 0:
+            for i in draw(st.lists(st.integers(0, card - 1), max_size=card - 1,
+                                   unique=True)):
+                weights[i] = 0.0
+        out += [w / sum(weights) for w in weights]
+    return out
+
+
+@st.composite
+def cli_inputs(draw) -> tuple[dict, dict]:
+    """A network document of 1 to 5 variables with 2 to 6 states each,
+    declared parents first or children first, and a constraint document
+    of 1 to 3 constraints over it."""
+    n = draw(st.integers(1, 5))
+    topo = [f"V{i}" for i in range(n)]
+    cards = {v: draw(st.integers(2, 6)) for v in topo}
+    parents = {v: tuple(p for p in topo[:i] if draw(st.booleans()))[:3]
+               for i, v in enumerate(topo)}
+    declared = topo[::-1] if draw(st.booleans()) else topo
+    variables = []
+    for v in declared:
+        rows = math.prod(cards[p] for p in parents[v])
+        variables.append({"name": v, "cardinality": cards[v],
+                          "parents": list(parents[v]),
+                          "cpt": draw(rows_with_zeros(rows, cards[v]))})
+    constraints = []
+    for _ in range(draw(st.integers(1, 3))):
+        scope = draw(st.lists(st.sampled_from(topo), min_size=1,
+                              max_size=min(n, 3), unique=True))
+        cells = math.prod(cards[v] for v in scope)
+        constraints.append({"scope": scope,
+                            "dist": draw(rows_with_zeros(1, cells))})
+    return ({"format_version": 1, "variables": variables},
+            {"format_version": 1, "constraints": constraints})
+
+
+def invoke(argv: list[str]) -> int:
+    """``cli.main(argv)``'s exit code, which must be documented, with no
+    traceback on stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in DOCUMENTED_EXITS, (argv, code)
+    assert "Traceback" not in err.getvalue()
+    return code
+
+
+@settings(max_examples=40, deadline=None)
+@given(cli_inputs(), st.sampled_from([1, 3, 40]))
+def test_random_inputs_end_in_documented_exit_codes(docs, max_cycles):
+    # Zero cells in the CPTs and targets reach the dominance checks, a
+    # budget of 1 or 3 cycles the max-cycles exit, and one of 40 room for
+    # the oscillation test; any code the docstring does not list, or an
+    # exception out of cli.main, fails.
+    network, constraints = docs
+    with tempfile.TemporaryDirectory() as tmp:
+        net_path, cons_path = Path(tmp, "net.json"), Path(tmp, "cons.json")
+        net_path.write_text(json.dumps(network))
+        cons_path.write_text(json.dumps(constraints))
+        for algorithm in ("ipfp", "e-ipfp", "d-ipfp"):
+            out_path = Path(tmp, f"{algorithm}.json")
+            invoke(["run", "--network", str(net_path),
+                    "--constraints", str(cons_path),
+                    "--algorithm", algorithm,
+                    "--max-cycles", str(max_cycles), "--out", str(out_path)])
+            fitted = out_path if out_path.exists() else net_path
+            invoke(["check", "--network", str(fitted),
+                    "--constraints", str(cons_path)])
+            invoke(["divergence", str(fitted), str(net_path)])
 
 
 # documentation and packaging

@@ -263,12 +263,16 @@ def both_products(net):
 
 
 def grown_levels(net):
-    """How many levels the top call grows past its head product."""
-    shape = tuple(v.cardinality for v in net.variables)
-    return len(shape) - len(_block_shape(shape)) + 1
+    """How many levels the product grows from its one-cell level: one per
+    declared axis, so the first lands in the output when the count is odd
+    and in the scratch table when it is even."""
+    return len(net.variables)
 
 
-@pytest.mark.parametrize("n, card", [(12, 2), (16, 2), (17, 2), (20, 2),
+# One block, at most 256 cells: (1, 2), (4, 2), (8, 2) and (5, 3); the
+# rest span many blocks.
+@pytest.mark.parametrize("n, card", [(1, 2), (4, 2), (8, 2), (5, 3),
+                                     (12, 2), (16, 2), (17, 2), (20, 2),
                                      (22, 2), (8, 3), (11, 3), (6, 4),
                                      (9, 4)])
 def test_cpt_product_matches_reference(n, card):
@@ -277,15 +281,18 @@ def test_cpt_product_matches_reference(n, card):
 
 
 @pytest.mark.parametrize("cards, levels", [
-    # Seven grown levels: the first lands in the output, the last is read
-    # from the scratch table.
-    ((2,) * 12 + (4,), 7),
-    ((3,) * 4 + (2,) * 5 + (4, 2, 2), 7),
-    # Eight and six: the first lands in the scratch table.
-    ((2,) * 13 + (3,), 8),
-    ((2,) * 6 + (3,) * 6, 6),
-    # One: the head product is read straight into the output.
-    ((2,) * 5 + (256,), 1),
+    # Thirteen levels: the first lands in the output, and the output and
+    # the scratch table take turns until the last is read from the scratch
+    # table into the output.
+    ((2,) * 12 + (4,), 13),
+    # Twelve and fourteen: the first lands in the scratch table.
+    ((3,) * 4 + (2,) * 5 + (4, 2, 2), 12),
+    ((2,) * 13 + (3,), 14),
+    ((2,) * 6 + (3,) * 6, 12),
+    # Six: the first five levels are one block each, and the last, whose
+    # 256-state axis is a block of its own, is grown in 256 strided slices
+    # from the 32-cell level below.
+    ((2,) * 5 + (256,), 6),
 ])
 def test_cpt_product_matches_reference_on_both_buffer_parities(cards,
                                                                levels):
@@ -299,7 +306,7 @@ def test_cpt_product_on_children_first_chain():
     # Not topological, and 2^18 cells span many blocks: each family's
     # last axis is its parent's.
     net = nets.chain_children_first(18)
-    assert grown_levels(net) == 8
+    assert grown_levels(net) == 18
     got, want = both_products(net)
     assert np.all(np.abs(got - want) <= 1e-15 * want)
 

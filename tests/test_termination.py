@@ -5,12 +5,15 @@ Every set here is met by a network on the input's DAG, yet d-ipfp, which
 edits only the CPTs the constraints name, ends oscillating on the even
 seeds: their sets are out of its local reach.  The rows are today's
 outcomes, recorded as they are; a change that moves one states it.
+Each set is also solved on its network declared children first, which
+changes how the dense product orders each cell's factors but not the
+problem, so the rows must not move.
 """
 
 import pytest
 
 import nets
-from bnrefit import Termination, run_d_ipfp, run_e_ipfp, run_ipfp
+from bnrefit import NetworkSpec, Termination, run_d_ipfp, run_e_ipfp, run_ipfp
 
 CONVERGED, OSCILLATING = Termination.CONVERGED, Termination.OSCILLATING
 
@@ -32,8 +35,13 @@ TABLE = {
 @pytest.mark.parametrize("seed", sorted(TABLE))
 def test_termination_table(seed):
     net, constraints = nets.every_cpt_instance(seed)
+    reverse = NetworkSpec(net.variables[::-1], net.parents, net.cpts)
     got = []
     for solve in (run_d_ipfp, run_e_ipfp, run_ipfp):
         _, report = solve(net, constraints)
+        _, children_first = solve(reverse, constraints)
         got.append((report.termination, report.cycles))
+        assert (children_first.termination, children_first.cycles) == got[-1]
+        assert children_first.final_divergence == pytest.approx(
+            report.final_divergence, rel=1e-9, abs=0.0)
     assert tuple(got) == TABLE[seed]
