@@ -72,18 +72,37 @@ class DominanceError(BnError):
     """
 
 
-def _placed(table: np.ndarray, axes: Sequence[int], ndim: int) -> np.ndarray:
-    """View of ``table`` broadcastable over an ``ndim``-axis array.
+_Placement = tuple[tuple[int, ...], tuple[int, ...]]
+"""A transpose order and the shape its result is reshaped to."""
 
-    ``axes[i]`` is the destination axis of ``table`` axis ``i``; every other
-    destination axis has length one.  ``axes`` need not be increasing.
+
+def _placement(axes: Sequence[int], sizes: Sequence[int],
+               ndim: int) -> _Placement:
+    """The view that puts a table's axis ``i``, of length ``sizes[i]``, on
+    destination axis ``axes[i]`` of an ``ndim``-axis array.
+
+    The order transposes the table's axes into increasing destination
+    order; the shape has a length-one axis for every destination axis the
+    table lacks, so the view broadcasts against any table over all
+    ``ndim`` axes.  ``axes`` need not be increasing.  Both are worked out
+    in plain Python: on axis lists this short that is cheaper than numpy.
     """
-    order = np.argsort(axes)
-    moved = np.transpose(table, order)
     shape = [1] * ndim
-    for pos, size in zip(sorted(axes), moved.shape):
-        shape[pos] = size
-    return moved.reshape(shape)
+    for a, size in zip(axes, sizes):
+        shape[a] = size
+    return tuple(sorted(range(len(axes)), key=axes.__getitem__)), tuple(shape)
+
+
+def _apply(table: np.ndarray, placement: _Placement) -> np.ndarray:
+    """``table`` transposed and reshaped by ``placement``; a view."""
+    order, shape = placement
+    return table.transpose(order).reshape(shape)
+
+
+def _placed(table: np.ndarray, axes: Sequence[int], ndim: int) -> np.ndarray:
+    """View of ``table`` broadcastable over an ``ndim``-axis array, its axis
+    ``i`` on destination axis ``axes[i]`` (see ``_placement``)."""
+    return _apply(table, _placement(axes, table.shape, ndim))
 
 
 @dataclass(frozen=True)
@@ -240,13 +259,17 @@ class JointTable:
         raise ScopeError(f"variable {name!r} is not in scope {self.names}")
 
 
-def _computed(scope: tuple[VariableDecl, ...], probs: np.ndarray) -> JointTable:
-    """``JointTable`` over ``scope`` for an array the package computed.
+def _computed(scope: tuple[VariableDecl, ...], probs: np.ndarray,
+              cls: type[JointTable] = JointTable) -> JointTable:
+    """A ``cls`` (a ``JointTable`` or a subclass) over ``scope`` for an
+    array the package computed.
 
     ``probs`` must already have the scope's shape and be derived from
-    validated tables; it is frozen in place, not copied or scanned.
+    validated tables; it is frozen in place, not copied or scanned, and
+    ``cls.__post_init__`` does not run.  A subclass's own fields are left
+    for the caller to set.
     """
-    table = object.__new__(JointTable)
+    table = object.__new__(cls)
     object.__setattr__(table, "scope", scope)
     probs.setflags(write=False)
     object.__setattr__(table, "probs", probs)
@@ -401,15 +424,14 @@ class NetworkSpec:
         for n in names:
             for p in parents[n]:
                 children[p].append(n)
-        ready = [n for n in names if pending[n] == 0]
-        order: list[str] = []
-        while ready:
-            n = ready.pop(0)
-            order.append(n)
+        # The order is its own first-in first-out queue: the loop reaches
+        # each node after every node appended before it.
+        order = [n for n in names if pending[n] == 0]
+        for n in order:
             for c in children[n]:
                 pending[c] -= 1
                 if pending[c] == 0:
-                    ready.append(c)
+                    order.append(c)
         if len(order) == len(names):
             return tuple(order)
         # Walk parent links among the leftover nodes until one repeats,
@@ -471,13 +493,11 @@ def _blocked(table: np.ndarray, axes: Sequence[int],
 
     The factor is materialized over its own head axes times the whole
     block, so a multiply by it runs contiguous inner loops of at least
-    ``_BLOCK`` cells; it never holds more cells than ``shape`` does.
+    ``_BLOCK`` cells; it never holds more cells than ``shape`` does.  It is
+    the one item of ``_blocked_by_state`` for ``table`` given a
+    length-one state axis.
     """
-    blocks = _block_shape(shape)
-    placed = _placed(table, axes, len(shape))
-    head = placed.shape[:len(blocks) - 1]
-    return np.broadcast_to(placed, head + tuple(shape[len(head):])).reshape(
-        head + blocks[-1:])
+    return _blocked_by_state(table[None], [len(shape), *axes], shape)[0]
 
 
 def _blocked_by_state(table: np.ndarray, axes: Sequence[int],

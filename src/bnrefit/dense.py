@@ -214,7 +214,7 @@ class _Projected(JointTable):
     ``tables`` maps each family of the network, in declaration order, to
     its table with axes ``(parents..., child)``; ``probs`` is their
     product, divided by its total when the plain map renormalized it.
-    Built by ``of`` like ``core._computed``, without validation.
+    Built by ``of`` through ``core._computed``, without validation.
     """
 
     tables: dict[str, np.ndarray]
@@ -222,10 +222,7 @@ class _Projected(JointTable):
     @staticmethod
     def of(scope: tuple[VariableDecl, ...], probs: np.ndarray,
            tables: dict[str, np.ndarray]) -> "_Projected":
-        q = object.__new__(_Projected)
-        object.__setattr__(q, "scope", scope)
-        probs.setflags(write=False)
-        object.__setattr__(q, "probs", probs)
+        q = _computed(scope, probs, _Projected)
         object.__setattr__(q, "tables", tables)
         return q
 

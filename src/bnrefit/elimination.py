@@ -17,8 +17,11 @@ elimination: a unifying framework for reasoning", Artif. Intell. 113):
 each variable keeps the set of live factors that hold it, and eliminating
 ``v`` re-scores only ``v``'s neighbours, the variables whose factor sets it
 changed.  Each step stores its factor group, in the order the factors were
-made, the transpose and reshape that place each pairwise product's two
-operands in their rank-sorted union layout, and the axis summed out.
+made, the views that place each pairwise product's two operands in their
+rank-sorted union layout, and the axis summed out.  A view is a
+``core._placement``, a transpose order and a shape with length-one axes,
+by the same rule the dense products place their factors with; ``contract``
+applies it with ``core._apply``.
 
 Execution (``contract``) only applies those views, multiplies and sums, in
 the plan's order; it looks at no variable names.  A plan executed on given
@@ -40,31 +43,16 @@ from typing import Container, Mapping, Sequence
 
 import numpy as np
 
-from .core import NetworkSpec, ScopeError
-
-_View = tuple[tuple[int, ...], tuple[int, ...]]
-"""A transpose order and the shape its result is reshaped to."""
+from .core import NetworkSpec, ScopeError, _apply, _placement, _Placement
 
 
 def _view(scope: tuple[str, ...], layout: tuple[str, ...],
-          cards: Mapping[str, int]) -> _View:
-    """The view placing a table over ``scope`` on the axes of ``layout``.
-
-    The table's axes are permuted into ``layout`` order, then reshaped with
-    a length-one axis for every ``layout`` variable it lacks (as
-    ``core._placed`` does), so it broadcasts against any table laid out
-    over ``layout``.
-    """
-    axes = [layout.index(v) for v in scope]
-    shape = [1] * len(layout)
-    for a, v in zip(axes, scope):
-        shape[a] = cards[v]
-    return tuple(sorted(range(len(axes)), key=axes.__getitem__)), tuple(shape)
-
-
-def _apply(table: np.ndarray, view: _View) -> np.ndarray:
-    order, shape = view
-    return table.transpose(order).reshape(shape)
+          cards: Mapping[str, int]) -> _Placement:
+    """The ``core._placement`` of a table over ``scope`` on the axes of
+    ``layout``, so it broadcasts against any table laid out over
+    ``layout``."""
+    return _placement([layout.index(v) for v in scope],
+                      [cards[v] for v in scope], len(layout))
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,7 +63,7 @@ class _Step:
 
     var: str
     group: tuple[int, ...]
-    views: tuple[tuple[_View, _View], ...]
+    views: tuple[tuple[_Placement, _Placement], ...]
     axis: int
 
 
@@ -93,7 +81,7 @@ class Contraction:
     shape: tuple[int, ...]
     n_inputs: int
     steps: tuple[_Step, ...]
-    final: tuple[tuple[int, _View | None], ...]
+    final: tuple[tuple[int, _Placement | None], ...]
 
     @property
     def order(self) -> tuple[str, ...]:

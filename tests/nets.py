@@ -178,18 +178,21 @@ def contradictory_variant(constraints, scope, seed: int) -> list[Constraint]:
         Constraint(r.scope, JointTable(r.dist.scope, probs / probs.sum()))]
 
 
-def every_cpt_instance(seed: int) -> tuple[NetworkSpec, list[Constraint]]:
-    """``generate_instance(seed, n_nodes=12, num_constraints=4)`` with its
-    targets re-read, over the same scopes, off a twin perturbed in every
-    CPT (drawn from ``default_rng(seed + 1000)``).
+def every_cpt_instance(seed: int, n_nodes: int = 12, num_constraints: int = 4,
+                       cardinality: int = 2
+                       ) -> tuple[NetworkSpec, list[Constraint]]:
+    """``generate_instance(seed, n_nodes, num_constraints, cardinality)``
+    with its targets re-read, over the same scopes, off a twin perturbed in
+    every CPT (drawn from ``default_rng(seed + 1000)``).
 
     The generator perturbs only the CPTs the constraints name, so d-ipfp
     can always meet its sets; this twin moves the other CPTs too, so the
     set is still met by a network on the same DAG, but maybe not by one
     that differs from the input only in the named CPTs.
     """
-    net, constraints = generate.generate_instance(seed, n_nodes=12,
-                                                  num_constraints=4)
+    net, constraints = generate.generate_instance(
+        seed, n_nodes=n_nodes, num_constraints=num_constraints,
+        cardinality=cardinality)
     twin = generate.perturb_network(np.random.default_rng(seed + 1000), net,
                                     generate.PERTURBATION)
     return net, [Constraint.over(net, r.scope, marginal(twin, r.scope))

@@ -451,22 +451,33 @@ def test_exit_unknown_constraint_variable(tmp_path, chain_net):
                      "--constraints", str(cons)]) == cli.EXIT_INVALID_INPUT
 
 
-@pytest.mark.parametrize("argv", [
-    ["run"],
-    ["gen", "--seed", "-1", "--network", "n.json", "--constraints", "c.json"],
-    ["check", "--network", "n.json", "--constraints", "c.json",
-     "--epsilon", "1e999"],
-    ["run", "--network", "n.json", "--constraints", "c.json",
-     "--out", "o.json", "--algorithm", "e-ipfp", "--epsilon", "inf"],
-    ["run", "--network", "n.json", "--constraints", "c.json",
-     "--out", "o.json", "--schedule", "document-order"],
+@pytest.mark.parametrize("argv, fragment", [
+    (["run"], "the following arguments are required: --network"),
+    (["gen", "--seed", "-1", "--network", "n.json", "--constraints",
+      "c.json"], "argument --seed: must be >= 0, got -1"),
+    (["check", "--network", "n.json", "--constraints", "c.json",
+      "--epsilon", "1e999"],
+     "argument --epsilon: must be positive and finite, got 1e999"),
+    (["run", "--network", "n.json", "--constraints", "c.json",
+      "--out", "o.json", "--algorithm", "e-ipfp", "--epsilon", "inf"],
+     "argument --epsilon: must be positive and finite, got inf"),
+    (["run", "--network", "n.json", "--constraints", "c.json",
+      "--out", "o.json", "--schedule", "document-order"],
+     "unrecognized arguments: --schedule"),
+    (["run", "--network", "n.json", "--constraints", "c.json",
+      "--out", "o.json", "--max-cycles", "0"],
+     "argument --max-cycles: must be >= 1, got 0"),
+    (["gen", "--seed", "0", "--nodes", "0", "--network", "n.json",
+      "--constraints", "c.json"], "argument --nodes: must be >= 1, got 0"),
 ], ids=["run-without-options", "gen-negative-seed", "check-infinite-epsilon",
-        "run-infinite-epsilon", "run-schedule-removed"])
-def test_usage_error_exits_2(capsys, argv):
+        "run-infinite-epsilon", "run-schedule-removed", "run-zero-max-cycles",
+        "gen-zero-nodes"])
+def test_usage_error_exits_2(capsys, argv, fragment):
     with pytest.raises(SystemExit) as err:
         cli.main(argv)
     assert err.value.code == 2
-    assert "Traceback" not in capsys.readouterr().err
+    stderr = capsys.readouterr().err
+    assert fragment in stderr and "Traceback" not in stderr
 
 
 def test_out_into_missing_directory(tmp_path, chain_net):

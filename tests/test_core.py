@@ -1,5 +1,6 @@
 """Table primitives: joints, marginals, extraction, divergence, residuals."""
 
+import graphlib
 import itertools
 import math
 import tracemalloc
@@ -34,7 +35,7 @@ from bnrefit import (
     validate_constraint,
 )
 from bnrefit.core import (_block_shape, _blocked, _cpt_product, _max_gap,
-                          _squarem)
+                          _placed, _squarem)
 from bnrefit.generate import random_network
 
 
@@ -127,6 +128,71 @@ def test_topo_order_respects_parents(diamond_net):
     order = diamond_net.topo_order
     assert order.index("A") < order.index("B") < order.index("D")
     assert order.index("A") < order.index("C") < order.index("D")
+
+
+def random_dag(rng, n):
+    """Declaration order and parents of a random DAG over ``n`` variables,
+    up to four parents each, declared in a shuffled order."""
+    topo = [f"V{i:02d}" for i in range(n)]
+    parents = {}
+    for i, name in enumerate(topo):
+        k = int(rng.integers(0, min(i, 4) + 1))
+        parents[name] = tuple(topo[j] for j in rng.permutation(i)[:k])
+    return [topo[i] for i in rng.permutation(n)], parents
+
+
+def network_over(names, parents):
+    decls = tuple(VariableDecl(name, 2) for name in names)
+    return NetworkSpec(decls, parents,
+                       {name: Cpt(name, parents[name],
+                                  np.full((2,) * (len(parents[name]) + 1), 0.5))
+                        for name in names})
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_topo_order_matches_graphlib(seed):
+    # graphlib's static order, every node added in declaration order before
+    # any edge, is Kahn's algorithm with a first-in first-out queue seeded
+    # in declaration order, each node's children in the order their
+    # families were declared: the order topo_order promises.
+    rng = np.random.default_rng(seed)
+    for _ in range(100):
+        names, parents = random_dag(rng, int(rng.integers(1, 15)))
+        sorter = graphlib.TopologicalSorter()
+        for name in names:
+            sorter.add(name)
+        for name in names:
+            sorter.add(name, *parents[name])
+        assert network_over(names, parents).topo_order == tuple(
+            sorter.static_order())
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_cycle_error_names_a_cycle_of_parent_links(seed):
+    # One back link, from a variable to one of its ancestors, closes a
+    # cycle; the error must name some cycle made of declared parent links.
+    rng = np.random.default_rng(seed)
+    for _ in range(50):
+        names, parents = random_dag(rng, int(rng.integers(2, 15)))
+        children = [name for name in names if parents[name]]
+        if not children:
+            continue
+        child = children[int(rng.integers(len(children)))]
+        ancestor = child
+        for _ in range(int(rng.integers(1, 4))):
+            if parents[ancestor]:
+                ancestor = parents[ancestor][int(rng.integers(
+                    len(parents[ancestor])))]
+        parents[ancestor] += (child,)
+        with pytest.raises(CycleError) as err:
+            network_over(names, parents)
+        message = str(err.value)
+        assert message.startswith("cycle detected: ")
+        cycle = message[len("cycle detected: "):].split(" -> ")
+        assert cycle[0] == cycle[-1]
+        assert len(set(cycle)) == len(cycle) - 1
+        for a, b in zip(cycle, cycle[1:]):
+            assert a in parents[b]
 
 
 # joint_from_network
@@ -254,6 +320,50 @@ def reference_cpt_product(variables, tables, parents):
         if child not in inner:
             out *= _blocked(table, axes[child], shape)
     return out.reshape(shape)
+
+
+def argsort_placed(table, axes, ndim):
+    """The placement rule written out: ``table``'s axes sorted by their
+    destinations with ``np.argsort``, then a length-one axis for every
+    destination axis ``table`` lacks."""
+    moved = np.transpose(table, np.argsort(axes))
+    shape = [1] * ndim
+    for pos, size in zip(sorted(axes), moved.shape):
+        shape[pos] = size
+    return moved.reshape(shape)
+
+
+def test_placed_matches_the_argsort_rule():
+    # Every placement of a table of 1 to 4 axes, with distinct lengths so
+    # that a swapped axis shows, on up to 6 destination axes.
+    for ndim in range(1, 7):
+        for k in range(1, min(ndim, 4) + 1):
+            table = np.arange(math.prod(range(2, k + 2)),
+                              dtype=float).reshape(range(2, k + 2))
+            for axes in itertools.permutations(range(ndim), k):
+                got = _placed(table, axes, ndim)
+                want = argsort_placed(table, axes, ndim)
+                assert got.shape == want.shape
+                assert np.array_equal(got, want)
+
+
+# One block, at most 256 cells: (2,), (3, 5), (2,) * 8 and (4, 4, 4); the
+# rest span many blocks.
+@pytest.mark.parametrize("shape", [(2,), (3, 5), (2,) * 8, (4, 4, 4),
+                                   (2,) * 9, (3, 5, 7, 2), (16, 32),
+                                   (2, 3, 300), (2,) * 12])
+def test_blocked_matches_the_broadcast_placement(shape):
+    rng = np.random.default_rng(len(shape))
+    blocks = _block_shape(shape)
+    for _ in range(40):
+        k = int(rng.integers(1, min(len(shape), 4) + 1))
+        axes = [int(a) for a in rng.permutation(len(shape))[:k]]
+        table = rng.random([shape[a] for a in axes])
+        got = _blocked(table, axes, shape)
+        assert got.ndim == len(blocks) and got.shape[-1] == blocks[-1]
+        want = np.broadcast_to(argsort_placed(table, axes, len(shape)),
+                               shape).reshape(blocks)
+        assert np.array_equal(np.broadcast_to(got, blocks), want)
 
 
 def both_products(net):
@@ -567,6 +677,77 @@ def test_validate_constraint_cardinality_mismatch(chain_net):
                                       np.array([0.2, 0.3, 0.5])))
     with pytest.raises(ValidationError):
         validate_constraint(chain_net, r)
+
+
+def chain_with(**cpts):
+    """The chain network's declarations and parents with ``cpts`` in place
+    of its CPTs (a value of None drops that CPT)."""
+    chain = nets.make_chain()
+    tables = {**chain.cpts, **cpts}
+    return NetworkSpec(chain.variables, chain.parents,
+                       {k: v for k, v in tables.items() if v is not None})
+
+
+A2, B2 = VariableDecl("A", 2), VariableDecl("B", 2)
+HALF = np.array([0.5, 0.5])
+
+
+@pytest.mark.parametrize("build, error, fragment", [
+    (lambda: VariableDecl("", 2), ValidationError, "non-empty string"),
+    (lambda: Cpt("A", (), np.full((2, 2), 0.5)), ValidationError,
+     "table has 2 axes, expected 1"),
+    (lambda: Cpt("A", (), np.array([1.0])), ValidationError,
+     "child axis has length 1"),
+    (lambda: JointTable((), np.array([])), ValidationError,
+     "needs a non-empty scope"),
+    (lambda: JointTable((A2, A2), np.full((2, 2), 0.25)), ValidationError,
+     "scope repeats a variable"),
+    (lambda: JointTable((A2,), np.full(3, 1 / 3)), ValidationError,
+     "does not match cardinalities (2,)"),
+    (lambda: JointTable((A2,), HALF).axis("Z"), ScopeError,
+     "variable 'Z' is not in scope ('A',)"),
+    (lambda: Constraint((), JointTable((A2,), HALF)), ValidationError,
+     "constraint scope must be non-empty"),
+    (lambda: Constraint(("A", "A"), JointTable((A2,), HALF)),
+     ValidationError, "constraint scope repeats a variable"),
+    (lambda: NetworkSpec((), {}, {}), ValidationError,
+     "at least one variable"),
+    (lambda: NetworkSpec((A2, A2), {}, {}), ValidationError,
+     "duplicate variable declaration"),
+    (lambda: NetworkSpec((A2,), {"Z": ()}, {}), ValidationError,
+     "parents given for undeclared variable 'Z'"),
+    (lambda: NetworkSpec((A2, B2), {"B": ("A", "A")}, {}), ValidationError,
+     "variable 'B': duplicate parent"),
+    (lambda: chain_with(Z=Cpt("Z", (), HALF)), ValidationError,
+     "CPT given for undeclared variable 'Z'"),
+    (lambda: chain_with(B=None), ValidationError, "variable 'B': no CPT"),
+    (lambda: chain_with(B=Cpt("A", (), HALF)), ValidationError,
+     "CPT stored under 'B' declares child 'A'"),
+    (lambda: chain_with(B=Cpt("B", (), HALF)), ValidationError,
+     "CPT parent order () differs from declared parents ('A',)"),
+    (lambda: nets.make_chain().axis("Z"), ScopeError,
+     "variable 'Z' is not declared in this network"),
+    (lambda: marginalize(joint_from_network(nets.make_chain()), ()),
+     ScopeError, "marginalization target must be non-empty"),
+    (lambda: marginalize(joint_from_network(nets.make_chain()), ("A", "A")),
+     ScopeError, "marginalization target repeats a variable"),
+    (lambda: is_structurally_consistent(joint_from_network(nets.make_chain()),
+                                        nets.make_diamond()),
+     ScopeError, "does not match network variables"),
+    (lambda: classify_scope(nets.make_chain(), ("A", "Z")), ScopeError,
+     "unknown variable 'Z'"),
+], ids=["decl-name", "cpt-axes", "cpt-child-axis", "joint-empty",
+        "joint-repeat", "joint-shape", "joint-axis", "constraint-empty",
+        "constraint-repeat", "network-empty", "network-duplicate",
+        "parents-undeclared", "parents-duplicate", "cpt-undeclared",
+        "cpt-missing", "cpt-child", "cpt-parent-order", "network-axis",
+        "marginal-empty", "marginal-repeat", "prefix-scope",
+        "classify-unknown"])
+def test_validation_raises(build, error, fragment):
+    with pytest.raises(error) as err:
+        build()
+    assert type(err.value) is error
+    assert fragment in str(err.value)
 
 
 # classification

@@ -83,6 +83,34 @@ def test_subnet_rows_must_normalize():
         LocalSubnet(("A",), (), [np.nan, np.nan])
 
 
+HALF = np.array([0.5, 0.5])
+
+
+@pytest.mark.parametrize("build, error, fragment", [
+    (lambda net: LocalSubnet(("A",), (), np.full((2, 2), 0.25)),
+     ValidationError, "subnet table has 2 axes, expected 1"),
+    (lambda net: nonlocal_update(LocalSubnet(("A",), (), HALF),
+                                 Constraint.over(net, ("B",), HALF), None),
+     ScopeError, "constraint scope ('B',) does not cover the variables"),
+    (lambda net: build_local_subnet(net, ()), ValidationError,
+     "subnet needs a non-empty variable set"),
+    (lambda net: build_local_subnet(net, ("A", "Z")), ScopeError,
+     "variable 'Z' is not declared in this network"),
+    (lambda net: local_update(Cpt("D", ("C", "B"), np.full((2, 2, 2), 0.5)),
+                              Constraint.over(net, ("B", "D"),
+                                              np.full((2, 2), 0.25)), net),
+     ValidationError, "CPT parent order ('C', 'B') differs from the network's"),
+    (lambda net: extract_subnet_cpts(LocalSubnet(("Z",), (), HALF), net),
+     ScopeError, "variable 'Z' is not declared in this network"),
+], ids=["subnet-axes", "target-scope", "build-empty", "build-unknown",
+        "local-parent-order", "extract-unknown"])
+def test_validation_raises(diamond_net, build, error, fragment):
+    with pytest.raises(error) as err:
+        build(diamond_net)
+    assert type(err.value) is error
+    assert fragment in str(err.value)
+
+
 # build_local_subnet
 
 

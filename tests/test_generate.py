@@ -33,6 +33,14 @@ def test_random_network_shape_bounds():
         assert len(net.parents[name]) <= 3
 
 
+@pytest.mark.parametrize("n_nodes", [0, -1])
+def test_validation_raises(n_nodes):
+    with pytest.raises(ValueError) as err:
+        random_network(np.random.default_rng(0), n_nodes)
+    assert type(err.value) is ValueError
+    assert f"n_nodes must be >= 1, got {n_nodes}" in str(err.value)
+
+
 def test_random_network_rows_normalize():
     net = random_network(np.random.default_rng(4), 10, 2, 3)
     for name in net.names:
