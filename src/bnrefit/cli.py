@@ -17,8 +17,10 @@ Exit codes:
   5  run hit the cycle budget before converging
   6  a constraint demands mass where the distribution has none
   7  a constraint's subnet exceeds the size budget
-  8  a table too large: a dense joint over the ceiling, or an allocation
-     that failed
+  8  a table too large: a dense joint over the ceiling (for e-ipfp, the
+     joint of the constrained variables and their ancestors, or a table
+     of the max-product over the other variables), or an allocation that
+     failed
 """
 
 from __future__ import annotations

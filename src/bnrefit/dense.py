@@ -9,6 +9,25 @@ cycle by re-extracting CPTs from the working table and replacing it with
 their product, so its answer is again a network with the original
 structure.
 
+e-ipfp runs its loop on the joint of An(U), the variables some constraint
+names and all their ancestors, as a sub-network declared in the input's
+order.  Every other variable is barren: no constraint names it or a
+descendant, so summing it out gives one (Shachter 1986, Oper. Res. 34),
+and a projection of the full joint would hand its CPT back unchanged
+wherever a parent row has mass.  The output keeps the input's ``Cpt``
+object for it, rows without mass included: only rows of families inside
+An(U) fall back to uniform.  A cell of the full joint is the
+sub-joint's cell times the product of the barren CPTs, so the quantities
+the loop reads are the full joint's: the residuals and the divergence
+(by the chain rule) directly, and the joint step as the sub-joint's
+change times ``M``, the largest value the barren product takes for each
+state of the ancestral variables it names (``_barren_weight``, one
+max-product contraction made once per run).  The dense ceiling then
+applies to the ancestral joint and to the largest table of ``M``'s
+contraction, which eliminates every barren variable, so e-ipfp answers on
+networks whose full joint is far over it where both fit.  Plain ipfp
+stays on the full joint.
+
 One plain cycle is a map on the joint: a proportional step per
 constraint, in list order, then (for e-ipfp) the structural projection,
 then renormalization.  Every step's ratio depends only on the variables
@@ -76,8 +95,10 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
+    DENSE_CEILING,
     Constraint,
     Cpt,
+    DenseCeilingError,
     DominanceError,
     JointTable,
     NetworkSpec,
@@ -92,6 +113,7 @@ from .core import (
     _cpt_product,
     _max_gap,
     _placed,
+    _power_of_two,
     _project,
     _ratio,
     _reextracted_product,
@@ -102,6 +124,7 @@ from .core import (
     marginalize,
     validate_constraint,
 )
+from .elimination import _ancestral, contract, plan_contraction
 # Unused here; perfbench/tracer.py wraps this name in this module.
 from .core import extract_cpt
 
@@ -157,8 +180,10 @@ class RunReport:
     constraint) for ``d-ipfp``; either way it is at most the policy's
     ``max_cycles``.  ``final_divergence`` is the I-divergence of the
     result from the input network's joint, in natural log; ``ipfp``
-    and ``e-ipfp`` compute it on the dense joints, ``d-ipfp`` from the
-    families it edited.  ``structural_residual`` is the max-abs gap between
+    computes it on the dense joints, ``e-ipfp`` on the dense joints of
+    the constrained variables and their ancestors, which by the chain
+    rule gives the same value, and ``d-ipfp`` from the families it
+    edited.  ``structural_residual`` is the max-abs gap between
     the final joint and the product of its extracted CPTs; only ``ipfp``,
     whose fitted joint need not factor, reports it.  It is ``None`` for
     ``e-ipfp`` and ``d-ipfp``, whose results are networks on the input's
@@ -298,18 +323,69 @@ def _plain_map(q: JointTable, constraints: Sequence[Constraint],
     return q
 
 
-def _step(q: JointTable, previous: JointTable) -> float:
-    """Max-abs cell change from ``previous`` to ``q``."""
+def _step(q: JointTable, previous: JointTable,
+          weight: np.ndarray | None = None) -> float:
+    """Max-abs cell change from ``previous`` to ``q``, each cell's change
+    first multiplied by ``weight`` (see ``_barren_weight``) when given."""
     diff = q.probs - previous.probs
-    return float(np.max(np.abs(diff, out=diff)))
+    np.abs(diff, out=diff)
+    if weight is not None:
+        diff *= weight
+    return float(np.max(diff))
 
 
-def _run_dense(net: NetworkSpec, constraints: Sequence[Constraint],
-               stop: StopPolicy,
-               structural: bool) -> tuple[JointTable, RunReport]:
+def _barren_weight(full: NetworkSpec,
+                   kept: tuple[str, ...]) -> np.ndarray | None:
+    """``M``, the step weight of a loop on the joint over ``kept``, or
+    ``None`` when ``kept`` is every variable of ``full``.
+
+    ``kept`` is ancestrally closed and in ``full``'s declaration order, so
+    every other variable is barren: a cell of ``full``'s joint is the
+    ``kept`` joint's cell times the product of the barren families' CPTs,
+    which do not move.  The max-abs change of the full joint is therefore
+    the max over the ``kept`` joint's cells of their change times ``M``,
+    the largest value of that product over the barren variables' states,
+    which depends only on the kept variables it names.  ``M`` is one
+    max-product contraction of the barren CPTs onto those variables,
+    returned placed on the axes of the ``kept`` joint.
+
+    A max, unlike a sum, does not drop a barren variable's CPT, so the
+    contraction eliminates every barren variable and its intermediates
+    can be far larger than the ``kept`` joint; a plan whose largest
+    product is over the dense ceiling raises ``DenseCeilingError``
+    before anything is contracted.
+    """
+    inside = set(kept)
+    barren = [n for n in full.names if n not in inside]
+    if not barren:
+        return None
+    named = {p for n in barren for p in full.parents[n]}
+    keep = tuple(n for n in kept if n in named)
+    plan = plan_contraction([full.parents[n] + (n,) for n in barren], keep,
+                            full.rank, full.cards)
+    if plan.largest > 2 ** DENSE_CEILING:
+        raise DenseCeilingError(
+            f"its step weight M, a max-product over the {len(barren)} "
+            f"other variables' CPTs, forms a table of "
+            f"{_power_of_two(plan.largest)} cells, over the ceiling of "
+            f"2^{DENSE_CEILING} cells")
+    m = contract(plan, [full.cpts[n].table for n in barren], np.maximum)
+    return _placed(m, [kept.index(n) for n in keep], len(kept))
+
+
+def _run_dense(net: NetworkSpec, constraints: list[Constraint],
+               stop: StopPolicy, structural: bool,
+               full: NetworkSpec | None = None
+               ) -> tuple[JointTable, RunReport]:
+    """The dense loop on ``net``'s joint, for ``constraints`` validated
+    against it.  ``full``, when given, is the network ``net`` is the
+    ancestral sub-network of: every step is then weighted by
+    ``_barren_weight``, so the stop test reads ``full``'s joint step."""
     t0 = time.perf_counter()
-    constraints = _prepared(net, constraints)
     q0 = q = joint_from_network(net)
+    # M's table spans some of net's axes, so it is contracted only once
+    # the joint has passed the ceiling check.
+    weight = None if full is None else _barren_weight(full, net.names)
     layout = _Layout.of(net, net.names) if structural else None
 
     def product(theta: np.ndarray) -> _Projected:
@@ -340,7 +416,7 @@ def _run_dense(net: NetworkSpec, constraints: Sequence[Constraint],
             theta1 = layout.pack(q.tables)
             current = None
         previous, q = q, _plain_map(q, constraints, net, structural, current)
-        delta, maps = _step(q, previous), 2 if extrapolate else 1
+        delta, maps = _step(q, previous, weight), 2 if extrapolate else 1
         del previous
         if extrapolate:
             theta2 = layout.pack(q.tables)
@@ -353,7 +429,7 @@ def _run_dense(net: NetworkSpec, constraints: Sequence[Constraint],
                 except DominanceError:
                     q = product(theta2)
                 else:
-                    delta, maps = _step(q, previous), 3
+                    delta, maps = _step(q, previous, weight), 3
                     del previous
         cycles += maps
 
@@ -400,7 +476,8 @@ def run_ipfp(net: NetworkSpec, constraints: Sequence[Constraint],
     usually does not factor over the network's DAG any more, and the
     report's ``structural_residual`` says by how much.
     """
-    return _run_dense(net, constraints, stop or StopPolicy(), structural=False)
+    return _run_dense(net, _prepared(net, constraints), stop or StopPolicy(),
+                      structural=False)
 
 
 def run_e_ipfp(net: NetworkSpec, constraints: Sequence[Constraint],
@@ -408,17 +485,42 @@ def run_e_ipfp(net: NetworkSpec, constraints: Sequence[Constraint],
     """Structure-preserving fit: proportional steps plus a per-cycle
     re-extraction of CPTs, so the result is a network on the same DAG.
 
-    Returns the refitted network and a report.  The network's CPTs are
-    the tables the final joint carries, the ones it was multiplied out
-    from, so its joint is the loop's last joint up to renormalization; a
-    parent row without mass there is uniform, as ``extract_cpts`` would
-    read it.  The network's joint meets every constraint within
+    The loop runs on the dense joint of An(U), the constrained variables
+    and their ancestors, and weighs each joint step by ``M`` so that it
+    stops as a loop on the full joint would (see the module docstring).
+    That joint, not the full one, must fit under the dense ceiling, and
+    so must the largest table ``M``'s contraction forms; either refusal
+    raises ``DenseCeilingError`` before its table is allocated.
+
+    Returns the refitted network and a report.  The CPTs of An(U) are the
+    tables the final sub-joint carries, the ones it was multiplied out
+    from, so the network's joint is the loop's last joint times the
+    barren CPTs, up to renormalization; a parent row of An(U) without
+    mass there is uniform, as ``extract_cpts`` would read it.  Every other
+    family is the input's own ``Cpt``, rows without mass included.  An
+    empty constraint set returns the input after 0 cycles, building no
+    joint.  The network's joint meets every constraint within
     ``stop.epsilon`` when the report says ``CONVERGED``.
     """
-    q, report = _run_dense(net, constraints, stop or StopPolicy(),
-                           structural=True)
-    if report.cycles == 0:
-        return net, report
+    t0 = time.perf_counter()
+    constraints = _prepared(net, constraints)
+    if not constraints:
+        return net, RunReport("e-ipfp", 0, time.perf_counter() - t0, 0.0, (),
+                              None, Termination.CONVERGED)
+    kept = _ancestral(net.parents, _union(net, constraints), net.rank)
+    names = [n for n in net.names if n in kept]
+    sub = NetworkSpec(tuple(v for v in net.variables if v.name in kept),
+                      {n: net.parents[n] for n in names},
+                      {n: net.cpts[n] for n in names})
+    try:
+        q, report = _run_dense(sub, constraints, stop or StopPolicy(),
+                               structural=True, full=net)
+    except DenseCeilingError as e:
+        raise DenseCeilingError(
+            f"e-ipfp fits the joint of the constrained variables and their "
+            f"ancestors, {len(names)} of the {len(net.names)} variables: "
+            f"{e}") from None
+    report.wall_time = time.perf_counter() - t0
     return NetworkSpec(net.variables, net.parents, {
-        name: Cpt(name, net.parents[name], table)
-        for name, table in q.tables.items()}), report
+        name: Cpt(name, net.parents[name], q.tables[name]) if name in kept
+        else net.cpts[name] for name in net.names}), report

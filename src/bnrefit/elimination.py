@@ -38,6 +38,7 @@ run it once.  Nothing is cached at module level.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Container, Mapping, Sequence
 
@@ -87,6 +88,15 @@ class Contraction:
     def order(self) -> tuple[str, ...]:
         """The hidden variables in the order they are summed out."""
         return tuple(step.var for step in self.steps)
+
+    @property
+    def largest(self) -> int:
+        """Cells of the largest product a step forms, read off the views
+        that place its last two operands on their union (1 if no step
+        multiplies)."""
+        return max((math.prod(map(max, a[1], b[1]))
+                    for step in self.steps for a, b in step.views[-1:]),
+                   default=1)
 
 
 def plan_contraction(scopes: Sequence[Sequence[str]], keep: Sequence[str],
@@ -154,15 +164,19 @@ def plan_contraction(scopes: Sequence[Sequence[str]], keep: Sequence[str],
     )
 
 
-def contract(plan: Contraction, tables: Sequence[np.ndarray]) -> np.ndarray:
+def contract(plan: Contraction, tables: Sequence[np.ndarray],
+             reduce: np.ufunc = np.add) -> np.ndarray:
     """Execute ``plan`` on ``tables``: sum its hidden variables out of their
-    product.
+    product, or reduce them by ``reduce`` instead.
 
     ``tables[i]`` is the factor over the plan's ``i``-th scope.  Returns the
     table with axes in ``plan.keep`` order; kept variables that appear in
     no factor broadcast as constant axes.  The result is not normalized; it
     is whatever the factor product sums to.  Nothing is chosen here: the
-    call applies the plan's views, multiplies and sums, in the plan's order.
+    call applies the plan's views, multiplies and reduces, in the plan's
+    order.  ``np.add.reduce`` is what ``ndarray.sum`` runs, so the default
+    gives the sum's bits; ``np.maximum`` gives the max-product, each hidden
+    variable maximized out, which is exact for non-negative factors.
     """
     slots = list(tables)
     if len(slots) != plan.n_inputs:
@@ -172,7 +186,7 @@ def contract(plan: Contraction, tables: Sequence[np.ndarray]) -> np.ndarray:
         prod = slots[step.group[0]]
         for f, (a, b) in zip(step.group[1:], step.views):
             prod = _apply(prod, a) * _apply(slots[f], b)
-        slots.append(prod.sum(axis=step.axis))
+        slots.append(reduce.reduce(prod, axis=step.axis))
     out = np.ones(plan.shape)
     scale = 1.0
     for f, view in plan.final:

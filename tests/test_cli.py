@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from bnrefit import (
     Cpt,
     NetworkSpec,
     VariableDecl,
+    generate_instance,
     joint_from_network,
     parse_network,
     serialize_constraints,
@@ -279,11 +281,14 @@ def test_d_ipfp_clears_the_ceiling(tmp_path, capsys):
 def test_dense_ceiling_counts_cells(tmp_path, capsys, command, expected):
     # Twelve 64-state variables are few, but their joint has 64^12 cells:
     # every dense gate must refuse it by cell count, before allocating.
-    # The count prints as a power of two, never as a long integer.
+    # The count prints as a power of two, never as a long integer.  Each
+    # variable carries a constraint, so e-ipfp's joint of the constrained
+    # variables and their ancestors is the full joint too.
     net = nets.many_state_net()
     net_path = write_net(tmp_path, net)
     cons_path = write_cons(tmp_path, [
-        nets.constraint_over(net, ("V00",), net.cpts["V00"].table),
+        nets.constraint_over(net, (name,), net.cpts[name].table)
+        for name in net.names
     ])
     report_path = tmp_path / "report.json"
     if command == "check":
@@ -301,6 +306,10 @@ def test_dense_ceiling_counts_cells(tmp_path, capsys, command, expected):
     if command == "check":
         assert "structural residual: skipped (the dense joint of 2^72 cells" \
             in captured.out
+    elif command == "e-ipfp":
+        assert ("the joint of the constrained variables and their ancestors, "
+                "12 of the 12 variables: the dense joint of 2^72 cells") \
+            in captured.err
     elif command == "d-ipfp":
         report = json.loads(report_path.read_text())
         assert report["final_divergence"] == 0.0
@@ -652,3 +661,33 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "run" in proc.stdout
+
+
+def test_e_ipfp_refuses_a_barren_max_product_over_the_ceiling(tmp_path,
+                                                               capsys):
+    # One constraint on the root of a generated 1000-variable network: the
+    # loop's joint is that root's alone, but M's max-product cannot drop a
+    # barren CPT, so it eliminates all 999 other variables of a graph far
+    # wider than the ceiling.  e-ipfp must refuse from the plan's sizes,
+    # before contracting anything; a refused table has at least 2^25 cells
+    # (256 MiB), so the peak shows that none was allocated.
+    net, _ = generate_instance(0, n_nodes=1000, num_constraints=1)
+    root = net.names[0]
+    assert not net.parents[root]
+    net_path = write_net(tmp_path, net)
+    cons_path = write_cons(tmp_path, [nets.constraint_over(
+        net, (root,), net.cpts[root].table[::-1])])
+    tracemalloc.start()
+    try:
+        code = cli.main(["run", "--network", net_path, "--constraints",
+                         cons_path, "--algorithm", "e-ipfp",
+                         "--out", str(tmp_path / "out.json")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == cli.EXIT_DENSE_CEILING
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "ancestors, 1 of the 1000 variables: its step weight M" in err
+    assert re.search(r"a table of 2\^\d+ cells, over the ceiling", err)
+    assert peak < 2 ** 23

@@ -38,6 +38,7 @@ from bnrefit import (
 from bnrefit import core, dense
 from bnrefit.core import (_block_shape, _blocked, _computed, _ratio,
                           extract_cpts)
+from bnrefit.elimination import _ancestral
 from bnrefit.generate import generate_instance, random_network
 
 
@@ -698,17 +699,153 @@ def test_run_e_ipfp_falls_back_when_candidate_map_fails(
         nets.DIAMOND_E_DIVERGENCE, abs=1e-8)
 
 
+# e-ipfp on the ancestral sub-joint
+
+
+def kept_and_barren(net, named):
+    """An(U), the variables in ``named`` and their ancestors, in
+    declaration order, and the other variables."""
+    kept = _ancestral(net.parents, set(named), net.rank)
+    return (tuple(n for n in net.names if n in kept),
+            [n for n in net.names if n not in kept])
+
+
+def barren_product(net, barren):
+    """The product of ``barren``'s CPTs as a dense table over every
+    variable of ``net``, axes in declaration order."""
+    axes = list(range(len(net.names)))
+    operands = [np.ones(tuple(net.cards[n] for n in net.names)), axes]
+    for b in barren:
+        operands += [net.cpts[b].table,
+                     [net.rank[v] for v in net.parents[b] + (b,)]]
+    return np.einsum(*operands, axes)
+
+
+def mixed_network(seed):
+    """Up to 12 variables of 2 to 4 states (at most 2^16 cells in all),
+    about a fifth of the CPT entries zero, declared children first on odd
+    seeds."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 13))
+    cards = [int(c) for c in rng.integers(2, 5, n)]
+    while np.prod(cards) > 2 ** 16:
+        cards[cards.index(max(cards))] -= 1
+    names = [f"V{i}" for i in range(n)]
+    parents, cpts = {}, {}
+    for i, name in enumerate(names):
+        k = int(rng.integers(0, min(i, 3) + 1))
+        parents[name] = tuple(names[j] for j in sorted(
+            rng.choice(i, size=k, replace=False))) if k else ()
+        shape = tuple(cards[names.index(p)] for p in parents[name]) + (
+            cards[i],)
+        table = rng.random(shape) * (rng.random(shape) > 0.2)
+        table[..., -1] += 0.05
+        cpts[name] = Cpt(name, parents[name],
+                         table / table.sum(axis=-1, keepdims=True))
+    decls = tuple(VariableDecl(v, c) for v, c in zip(names, cards))
+    return NetworkSpec(decls[::-1] if seed % 2 else decls, parents, cpts)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_barren_weight_is_the_dense_max_of_the_barren_product(seed):
+    # For each single constrained variable in turn, M on the sub-joint's
+    # axes is the max over the barren variables of their CPTs' product.
+    net = mixed_network(seed)
+    checked = 0
+    for name in net.names:
+        kept, barren = kept_and_barren(net, (name,))
+        if not barren:
+            continue
+        want = barren_product(net, barren).max(
+            axis=tuple(net.rank[b] for b in barren))
+        got = dense._barren_weight(net, kept)
+        assert got.ndim == len(kept)
+        np.testing.assert_allclose(np.broadcast_to(got, want.shape), want,
+                                   rtol=1e-14, atol=0.0)
+        checked += 1
+    assert checked
+
+
+def every_cpt_children_first(seed):
+    net, constraints = nets.every_cpt_instance(seed)
+    return NetworkSpec(net.variables[::-1], net.parents, net.cpts), constraints
+
+
+WEIGHTED_STEP_CASES = {
+    "dense-fit": lambda: generate_instance(0, n_nodes=16, num_constraints=6),
+    "criterion-1-seed-13": lambda: generate_instance(13, 11, 5),
+    "every-cpt-seed-1-children-first": lambda: every_cpt_children_first(1),
+}
+
+
+@pytest.mark.parametrize("case", list(WEIGHTED_STEP_CASES))
+def test_weighted_step_is_the_full_joint_step(monkeypatch, case):
+    # Every map's step on the sub-joint, weighted by M, is the max-abs
+    # change of the full joint, whose cells are the sub-joint's times the
+    # barren CPTs' product.  The change is formed on the sub-joint and
+    # multiplied out over all n variables: differencing two multiplied-out
+    # joints instead loses up to 4.9e-6 relative to cancellation on the
+    # dense-fit instance, whose last step is 1.7e-15.
+    net, constraints = WEIGHTED_STEP_CASES[case]()
+    kept, barren = kept_and_barren(
+        net, [v for r in constraints for v in r.scope])
+    assert barren
+    w = barren_product(net, barren)
+    shape = [net.cards[n] if n in kept else 1 for n in net.names]
+    step, seen = dense._step, []
+
+    def spy(q, previous, weight=None):
+        got = step(q, previous, weight)
+        seen.append((q.probs - previous.probs, got))
+        return got
+
+    monkeypatch.setattr(dense, "_step", spy)
+    out, _ = run_e_ipfp(net, constraints)
+    assert len(seen) > 1
+    for diff, got in seen:
+        want = float(np.max(np.abs(diff.reshape(shape) * w)))
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+    # A family outside An(U) comes back as the input's own Cpt object:
+    # the loop never saw it.
+    for name in barren:
+        assert out.cpts[name] is net.cpts[name]
+
+
+def test_run_e_ipfp_empty_constraints_builds_no_joint(monkeypatch):
+    # Nothing to fit: the input comes back with 0 cycles, even where its
+    # joint is over the ceiling, and no joint is built.
+    def refuse(net):
+        raise AssertionError("built a joint")
+
+    monkeypatch.setattr(dense, "joint_from_network", refuse)
+    net = nets.many_state_net()
+    out, report = run_e_ipfp(net, [])
+    assert out is net
+    assert report.cycles == 0
+    assert report.termination is Termination.CONVERGED
+    assert report.final_divergence == 0.0
+    assert report.per_constraint_residuals == ()
+
+
+def every_variable_constrained(net):
+    """One single-variable constraint per variable, so An(U) is every
+    variable."""
+    return [nets.constraint_over(net, (name,), net.cpts[name].table)
+            for name in net.names]
+
+
 @pytest.mark.parametrize("solve", [
     joint_from_network,
     lambda net: run_ipfp(net, [nets.constraint_over(
         net, ("V00",), net.cpts["V00"].table)]),
-    lambda net: run_e_ipfp(net, [nets.constraint_over(
-        net, ("V00",), net.cpts["V00"].table)]),
+    lambda net: run_e_ipfp(net, every_variable_constrained(net)),
 ], ids=["joint_from_network", "ipfp", "e-ipfp"])
 def test_dense_ceiling_refuses_before_allocating(solve):
     # Twelve 64-state variables span 2^72 cells.  Every dense path starts
     # at joint_from_network, which must refuse by cell count before it
-    # allocates anything like a table.
+    # allocates anything like a table.  e-ipfp builds the joint of the
+    # constrained variables and their ancestors only, so its constraints
+    # name every variable here.
     net = nets.many_state_net()
     assert issubclass(DenseCeilingError, BnError)
     tracemalloc.start()
@@ -719,3 +856,26 @@ def test_dense_ceiling_refuses_before_allocating(solve):
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20
+
+
+def test_run_e_ipfp_answers_above_the_ceiling():
+    # Constraining the root V00 alone, the loop runs on its 64-cell
+    # ancestral joint; the other eleven families are barren, so the 2^72
+    # cells of the full joint are never allocated.
+    net = nets.many_state_net()
+    target = net.cpts["V00"].table[::-1]
+    tracemalloc.start()
+    try:
+        out, report = run_e_ipfp(net, [nets.constraint_over(
+            net, ("V00",), target)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert report.termination is Termination.CONVERGED
+    assert np.max(np.abs(out.cpts["V00"].table - target)) <= 1e-9
+    assert all(out.cpts[n] is net.cpts[n] for n in net.names[1:])
+    # By the chain rule only V00's family contributes to the divergence.
+    p = net.cpts["V00"].table
+    assert report.final_divergence == pytest.approx(
+        float(np.sum(target * np.log(target / p))), rel=1e-12)

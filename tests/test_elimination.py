@@ -146,6 +146,46 @@ def test_contract_matches_dense_einsum_and_naive_order(case):
         1.0, float(np.max(np.abs(want), initial=0.0)))
 
 
+@settings(max_examples=200, deadline=None)
+@given(factor_sets())
+def test_contract_maximum_matches_dense_max_of_the_product(case):
+    # The same plans with each hidden variable maximized out instead of
+    # summed: the result is the dense product's max over the hidden axes.
+    names, cards, rank, scopes, keep, seed = case
+    rng = np.random.default_rng(seed)
+    tables = [rng.random(tuple(cards[v] for v in s)) for s in scopes]
+    tables = [np.where(t < 0.2, 0.0, t) for t in tables]
+    got = contract(plan_contraction(scopes, keep, rank, cards), tables,
+                   np.maximum)
+    axes = {v: i for i, v in enumerate(names)}
+    product = np.ones(tuple(cards[v] for v in names))
+    for s, t in zip(scopes, tables):
+        order = sorted(range(len(s)), key=lambda i: axes[s[i]])
+        shape = [1] * len(names)
+        for v in s:
+            shape[axes[v]] = cards[v]
+        product = product * t.transpose(order).reshape(shape)
+    hidden = tuple(axes[v] for v in names if v not in keep)
+    want = product.max(axis=hidden) if hidden else product
+    kept = [v for v in names if v in keep]
+    want = want.transpose([kept.index(v) for v in keep])
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+
+def test_plan_largest_is_the_widest_product_a_step_forms():
+    # In a triangle of pairwise factors the first elimination (C, whose
+    # neighbours span the fewest cells) multiplies over all three variables,
+    # 2 * 3 * 4 cells, before C is summed out; nothing later is wider.
+    rank, cards = {"A": 0, "B": 1, "C": 2}, {"A": 2, "B": 3, "C": 4}
+    plan = plan_contraction([("A", "B"), ("A", "C"), ("B", "C")], (), rank,
+                            cards)
+    assert plan.order[0] == "C"
+    assert plan.largest == 24
+    # A plan that multiplies nothing forms no product.
+    assert plan_contraction([("A",)], ("A",), rank, cards).largest == 1
+
+
 def test_marginal_of_root_ignores_descendant_tables(diamond_net):
     # The root's marginal is planned on its own table alone, so replacing
     # every non-ancestor table must not move it.

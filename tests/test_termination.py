@@ -12,7 +12,7 @@ problem, so the rows must not move.
 The non-binary rows (8 variables, 4 constraints, 3 or 4 states each) are
 pinned for the topological declaration only: there the children-first
 re-solve moves some of them (at 4 states, seed 2's d-ipfp takes 8 cycles
-instead of 5, and e-ipfp 478 maps instead of 460).  Their e-ipfp
+instead of 5, and e-ipfp 445 maps instead of 478).  Their e-ipfp
 oscillations, on sets a network on the same DAG meets, are stops on a
 crawl the oscillation window cannot tell from an orbit, not proof that the
 constraints contradict each other.
@@ -75,11 +75,11 @@ NON_BINARY = {
     4: {
         0: ((CONVERGED, 3), (CONVERGED, 93), (CONVERGED, 5)),
         1: ((CONVERGED, 3), (CONVERGED, 99), (CONVERGED, 9)),
-        2: ((CONVERGED, 5), (CONVERGED, 460), (CONVERGED, 5)),
-        3: ((CONVERGED, 3), (CONVERGED, 200), (CONVERGED, 8)),
+        2: ((CONVERGED, 5), (CONVERGED, 478), (CONVERGED, 5)),
+        3: ((CONVERGED, 3), (CONVERGED, 218), (CONVERGED, 8)),
         4: ((OSCILLATING, 39), (OSCILLATING, 223), (CONVERGED, 2)),
         5: ((CONVERGED, 3), (CONVERGED, 101), (CONVERGED, 5)),
-        6: ((CONVERGED, 3), (CONVERGED, 286), (CONVERGED, 7)),
+        6: ((CONVERGED, 3), (CONVERGED, 283), (CONVERGED, 7)),
         7: ((CONVERGED, 3), (CONVERGED, 41), (CONVERGED, 7)),
         8: ((CONVERGED, 14), (OSCILLATING, 120), (CONVERGED, 7)),
     },
