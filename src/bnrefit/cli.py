@@ -18,9 +18,10 @@ Exit codes:
   6  a constraint demands mass where the distribution has none
   7  a constraint's subnet exceeds the size budget
   8  a table too large: a dense joint over the ceiling (for e-ipfp, the
-     joint of the constrained variables and their ancestors, or a table
-     of the max-product over the other variables), or an allocation that
-     failed
+     joint of the constrained variables and their ancestors; for
+     divergence, that of the variables whose families differ and their
+     ancestors), a table of e-ipfp's max-product over the other
+     variables, or an allocation that failed
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .core import (
     ValidationError,
     _max_gap,
     _reextracted_product,
+    _sub_network,
     extract_cpts,
     i_divergence,
     joint_from_network,
@@ -50,7 +52,7 @@ from .core import (
 from .core import extract_cpt
 from .decomposed import SubnetSizeError, run_d_ipfp
 from .dense import RunReport, StopPolicy, Termination, run_e_ipfp, run_ipfp
-from .elimination import marginal
+from .elimination import _ancestral, marginal
 from .fileio import (
     parse_constraints,
     parse_network,
@@ -140,8 +142,9 @@ def build_parser() -> argparse.ArgumentParser:
         "check",
         help="measure a network against constraints",
         description="Print the residual of every constraint and the "
-                    "structural residual of the network's joint; exit 1 if "
-                    "any constraint is off by more than epsilon.",
+                    "structural residual of the joint of the constrained "
+                    "variables and their ancestors; exit 1 if any "
+                    "constraint is off by more than epsilon.",
     )
     check.add_argument("--network", required=True)
     check.add_argument("--constraints", required=True)
@@ -155,7 +158,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="I-divergence between the joints of two networks",
         description="Print the I-divergence (natural log) of the first "
                     "network's joint from the second's. The declarations "
-                    "must match.",
+                    "must match. Only the joint of the variables whose "
+                    "families differ and their ancestors is built: every "
+                    "other family is the same in both networks and cancels.",
     )
     div.add_argument("first", help="network file whose joint is P")
     div.add_argument("second", help="network file whose joint is Q")
@@ -221,14 +226,23 @@ def cmd_check(args: argparse.Namespace) -> int:
         scope = ", ".join(r.scope)
         print(f"constraint {i} over ({scope}): residual {residual:.3e} "
               f"{'ok' if ok else 'VIOLATED'}")
-    try:
-        q = joint_from_network(net)
-    except DenseCeilingError as e:
-        print(f"structural residual: skipped ({e}); a network's own joint "
-              f"factors by construction")
+    kept = _ancestral(net.parents, {n for r in constraints for n in r.scope},
+                      net.rank)
+    if not kept:
+        print("structural residual: skipped (no constraint names a variable)")
     else:
-        gap = _max_gap(_reextracted_product(q, net), q.probs)
-        print(f"structural residual: {gap:.3e}")
+        sub = _sub_network(net, kept)
+        try:
+            q = joint_from_network(sub)
+        except DenseCeilingError as e:
+            print(f"structural residual: skipped ({e}; check reads it off "
+                  f"the joint of the constrained variables and their "
+                  f"ancestors, {len(kept)} of the {len(net.names)} "
+                  f"variables); a network's own joint factors by "
+                  f"construction")
+        else:
+            gap = _max_gap(_reextracted_product(q, sub), q.probs)
+            print(f"structural residual: {gap:.3e}")
     if violations:
         print(f"result: {violations} of {len(constraints)} constraints "
               f"violated at epsilon {args.epsilon:g}")
@@ -246,7 +260,26 @@ def cmd_divergence(args: argparse.Namespace) -> int:
             "the two networks declare different variables; divergence needs "
             "identical declarations"
         )
-    value = i_divergence(joint_from_network(first), joint_from_network(second))
+    # Every family outside the ancestral closure of the differing ones is
+    # the same in both networks, so it cancels from log P/Q.  What is left
+    # is the divergence of the two marginals over the closure, and each
+    # marginal is the product of the closure's own CPTs.
+    differ = [n for n in first.names
+              if first.parents[n] != second.parents[n]
+              or not np.array_equal(first.cpts[n].table, second.cpts[n].table)]
+    kept = _ancestral({n: first.parents[n] + second.parents[n]
+                       for n in first.names}, differ, first.rank)
+    value = 0.0
+    if kept:
+        try:
+            p = joint_from_network(_sub_network(first, kept))
+            q = joint_from_network(_sub_network(second, kept))
+        except DenseCeilingError as e:
+            raise DenseCeilingError(
+                f"divergence compares the joints of the variables whose "
+                f"families differ and their ancestors, {len(kept)} of the "
+                f"{len(first.names)} variables: {e}") from None
+        value = i_divergence(p, q)
     print(format(value, ".17g"))
     return EXIT_OK
 

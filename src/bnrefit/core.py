@@ -19,7 +19,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Container, Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -456,6 +456,18 @@ class NetworkSpec:
 
     def cardinality(self, name: str) -> int:
         return self.decl(name).cardinality
+
+
+def _sub_network(net: NetworkSpec, kept: Container[str]) -> NetworkSpec:
+    """``net``'s families of the variables in ``kept``, in declaration order.
+
+    ``kept`` must hold every parent of each variable it holds, and at least
+    one variable; the ``Cpt`` objects are ``net``'s own.
+    """
+    names = [n for n in net.names if n in kept]
+    return NetworkSpec(tuple(net.decl(n) for n in names),
+                       {n: net.parents[n] for n in names},
+                       {n: net.cpts[n] for n in names})
 
 
 _BLOCK = 256

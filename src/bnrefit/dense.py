@@ -118,6 +118,7 @@ from .core import (
     _ratio,
     _reextracted_product,
     _squarem,
+    _sub_network,
     constraint_residual,
     i_divergence,
     joint_from_network,
@@ -508,17 +509,14 @@ def run_e_ipfp(net: NetworkSpec, constraints: Sequence[Constraint],
         return net, RunReport("e-ipfp", 0, time.perf_counter() - t0, 0.0, (),
                               None, Termination.CONVERGED)
     kept = _ancestral(net.parents, _union(net, constraints), net.rank)
-    names = [n for n in net.names if n in kept]
-    sub = NetworkSpec(tuple(v for v in net.variables if v.name in kept),
-                      {n: net.parents[n] for n in names},
-                      {n: net.cpts[n] for n in names})
+    sub = _sub_network(net, kept)
     try:
         q, report = _run_dense(sub, constraints, stop or StopPolicy(),
                                structural=True, full=net)
     except DenseCeilingError as e:
         raise DenseCeilingError(
             f"e-ipfp fits the joint of the constrained variables and their "
-            f"ancestors, {len(names)} of the {len(net.names)} variables: "
+            f"ancestors, {len(kept)} of the {len(net.names)} variables: "
             f"{e}") from None
     report.wall_time = time.perf_counter() - t0
     return NetworkSpec(net.variables, net.parents, {

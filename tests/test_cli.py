@@ -18,16 +18,21 @@ from hypothesis import strategies as st
 
 import nets
 from bnrefit import (
+    TAU_NORM,
     Cpt,
     NetworkSpec,
     VariableDecl,
     generate_instance,
+    i_divergence,
     joint_from_network,
     parse_network,
+    run_d_ipfp,
+    run_e_ipfp,
     serialize_constraints,
     serialize_network,
 )
 from bnrefit import cli, decomposed
+from bnrefit.elimination import _ancestral
 
 
 def write_net(tmp_path, net, name="net.json"):
@@ -104,6 +109,50 @@ def test_check_reports_violations(tmp_path, capsys, chain_net):
     out = capsys.readouterr().out
     assert "VIOLATED" in out
     assert "1 of 1 constraints violated" in out
+
+
+def test_check_with_no_constraints_exits_0(tmp_path, capsys, monkeypatch):
+    # No variable is constrained, so there is no joint to read a
+    # structural residual off, and none is built.
+    def refuse(net):
+        raise AssertionError("built a joint")
+
+    monkeypatch.setattr(cli, "joint_from_network", refuse)
+    net_path = write_net(tmp_path, nets.many_state_net())
+    assert cli.main(["check", "--network", net_path, "--constraints",
+                     write_cons(tmp_path, [])]) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert "structural residual: skipped (no constraint names a variable)" \
+        in out
+    assert "result: all 0 constraints met" in out
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_check_reads_the_structural_residual_off_the_ancestral_joint(
+        tmp_path, capsys, monkeypatch, seed):
+    # The criterion-1 instances, fitted by e-ipfp and d-ipfp: the joint
+    # check builds holds exactly the constrained variables and their
+    # ancestors, and factors over their families within TAU_NORM.
+    net, constraints = generate_instance(seed, 10 + seed % 6, 4 + seed % 3)
+    want = _ancestral(net.parents, [v for r in constraints for v in r.scope],
+                      net.rank)
+    built = []
+
+    def spy(sub):
+        built.append(sub.names)
+        return joint_from_network(sub)
+
+    monkeypatch.setattr(cli, "joint_from_network", spy)
+    cons_path = write_cons(tmp_path, constraints)
+    for solve in (run_e_ipfp, run_d_ipfp):
+        out_path = write_net(tmp_path, solve(net, constraints)[0], "out.json")
+        capsys.readouterr()
+        assert cli.main(["check", "--network", out_path,
+                         "--constraints", cons_path]) == cli.EXIT_OK
+        gap = float(re.search(r"^structural residual: (\S+)$",
+                              capsys.readouterr().out, re.M).group(1))
+        assert gap <= TAU_NORM
+    assert built == [tuple(n for n in net.names if n in want)] * 2
 
 
 def test_run_empty_constraints_writes_canonical_input(tmp_path, chain_net):
@@ -249,10 +298,20 @@ def test_exit_dense_ceiling_run(tmp_path):
     assert code == cli.EXIT_DENSE_CEILING
 
 
+def with_tables(net, names, table):
+    """``net`` with the CPTs of ``names`` replaced by ``table(name)``."""
+    return NetworkSpec(net.variables, net.parents, dict(net.cpts, **{
+        n: Cpt(n, net.parents[n], table(n)) for n in names}))
+
+
 def test_exit_dense_ceiling_divergence(tmp_path):
-    net_path = write_net(tmp_path, long_chain(26))
-    assert cli.main(["divergence", net_path, net_path]) \
-        == cli.EXIT_DENSE_CEILING
+    # The twin differs in the chain's last CPT, whose ancestors are every
+    # variable, so divergence must compare the full 2^26-cell joints.
+    net = long_chain(26)
+    twin = with_tables(net, net.names[-1:],
+                       lambda n: np.array([[0.6, 0.4], [0.1, 0.9]]))
+    assert cli.main(["divergence", write_net(tmp_path, twin, "twin.json"),
+                     write_net(tmp_path, net)]) == cli.EXIT_DENSE_CEILING
 
 
 def test_d_ipfp_clears_the_ceiling(tmp_path, capsys):
@@ -282,8 +341,9 @@ def test_dense_ceiling_counts_cells(tmp_path, capsys, command, expected):
     # Twelve 64-state variables are few, but their joint has 64^12 cells:
     # every dense gate must refuse it by cell count, before allocating.
     # The count prints as a power of two, never as a long integer.  Each
-    # variable carries a constraint, so e-ipfp's joint of the constrained
-    # variables and their ancestors is the full joint too.
+    # variable carries a constraint, so the joint of the constrained
+    # variables and their ancestors, which e-ipfp and check build, is the
+    # full joint too.
     net = nets.many_state_net()
     net_path = write_net(tmp_path, net)
     cons_path = write_cons(tmp_path, [
@@ -294,7 +354,11 @@ def test_dense_ceiling_counts_cells(tmp_path, capsys, command, expected):
     if command == "check":
         argv = ["check", "--network", net_path, "--constraints", cons_path]
     elif command == "divergence":
-        argv = ["divergence", net_path, net_path]
+        # The twin differs in every CPT, so the joints compared are the
+        # full ones.
+        twin = with_tables(net, net.names, lambda n: net.cpts[n].table[::-1])
+        argv = ["divergence", write_net(tmp_path, twin, "twin.json"),
+                net_path]
     else:
         argv = ["run", "--network", net_path, "--constraints", cons_path,
                 "--algorithm", command, "--out", str(tmp_path / "out.json"),
@@ -306,6 +370,12 @@ def test_dense_ceiling_counts_cells(tmp_path, capsys, command, expected):
     if command == "check":
         assert "structural residual: skipped (the dense joint of 2^72 cells" \
             in captured.out
+        assert ("check reads it off the joint of the constrained variables "
+                "and their ancestors, 12 of the 12 variables)") in captured.out
+    elif command == "divergence":
+        assert ("divergence compares the joints of the variables whose "
+                "families differ and their ancestors, 12 of the 12 "
+                "variables: the dense joint of 2^72 cells") in captured.err
     elif command == "e-ipfp":
         assert ("the joint of the constrained variables and their ancestors, "
                 "12 of the 12 variables: the dense joint of 2^72 cells") \
@@ -521,6 +591,105 @@ def test_divergence_matches_report(tmp_path, capsys, diamond_net, diamond_r3):
     printed = float(capsys.readouterr().out.strip())
     reported = json.loads(report_path.read_text())["final_divergence"]
     assert abs(printed - reported) <= 1e-12
+
+
+@pytest.mark.parametrize("make", [lambda: long_chain(26), nets.many_state_net],
+                         ids=["chain", "many-state"])
+def test_divergence_of_identical_networks_over_the_ceiling(tmp_path, capsys,
+                                                           make):
+    # No family differs, so no variable enters the compared joints: the
+    # answer is 0 with no joint built, however large the full one.
+    net_path = write_net(tmp_path, make())
+    tracemalloc.start()
+    try:
+        code = cli.main(["divergence", net_path, net_path])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == cli.EXIT_OK
+    assert capsys.readouterr().out == "0\n"
+    assert peak < 2 ** 20
+
+
+@st.composite
+def dag_pairs(draw) -> tuple[NetworkSpec, NetworkSpec]:
+    """Two networks over the same declarations with different DAGs.
+
+    2 to 12 variables of 2 to 4 states, at most 2^14 joint cells.  Each
+    variable of the second network keeps the first's family with odds of
+    one half, where that family fits its own topological order.  In half
+    the draws about a fifth of the CPT entries are zero, so infinite
+    divergences occur; the other half are finite.  Odd seeds declare the
+    variables children first in the first network's order.
+    """
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 13))
+    cards = [int(c) for c in rng.integers(2, 5, n)]
+    while math.prod(cards) > 2 ** 14:
+        cards[int(np.argmax(cards))] -= 1
+    names = [f"V{i}" for i in range(n)]
+    zeros = 0.2 if seed & 2 else 0.0
+
+    def table(child, parents):
+        shape = tuple(cards[p] for p in parents) + (cards[child],)
+        t = rng.random(shape) * (rng.random(shape) >= zeros)
+        rows = t.reshape(-1, shape[-1])
+        dead = rows.sum(axis=1) == 0.0
+        rows[dead, rng.integers(0, shape[-1], int(dead.sum()))] = 1.0
+        return t / t.sum(axis=-1, keepdims=True)
+
+    def network(order, families):
+        decls = [VariableDecl(names[i], cards[i]) for i in order]
+        if seed % 2:
+            decls.reverse()
+        return NetworkSpec(tuple(decls), {
+            names[i]: tuple(names[p] for p in ps)
+            for i, (ps, _) in families.items()}, {
+            names[i]: Cpt(names[i], tuple(names[p] for p in ps), t)
+            for i, (ps, t) in families.items()})
+
+    def families(order, keep=None):
+        out = {}
+        for k, i in enumerate(order):
+            if keep is not None and rng.random() < 0.5 and set(
+                    keep[i][0]) <= set(order[:k]):
+                out[i] = keep[i]
+                continue
+            earlier = order[:k]
+            ps = tuple(int(p) for p in rng.permutation(earlier)[
+                :int(rng.integers(0, min(3, k) + 1))])
+            out[i] = (ps, table(i, ps))
+        return out
+
+    order_p = [int(i) for i in rng.permutation(n)]
+    order_q = [int(i) for i in rng.permutation(n)]
+    fam_p = families(order_p)
+    first = network(order_p, fam_p)
+    second = network(order_p, families(order_q, fam_p))
+    return first, second
+
+
+@settings(max_examples=80, deadline=None)
+@given(dag_pairs())
+def test_divergence_matches_the_full_joints(pair):
+    # Outside the differing families and their ancestors every family is
+    # shared, so it cancels from log P/Q: the value on the smaller joints
+    # is the full joints' divergence, infinite exactly where that is.
+    first, second = pair
+    want = i_divergence(joint_from_network(first), joint_from_network(second))
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [str(Path(tmp, name)) for name in ("p.json", "q.json")]
+        for path, net in zip(paths, pair):
+            Path(path).write_bytes(serialize_network(net))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["divergence", *paths]) == cli.EXIT_OK
+    got = float(out.getvalue())
+    if math.isinf(want):
+        assert got == want
+    else:
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_divergence_requires_matching_declarations(tmp_path, chain_net,

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import hashlib
 import inspect
 import tracemalloc
 
@@ -33,6 +34,7 @@ from bnrefit import (
     run_d_ipfp,
     run_e_ipfp,
     run_ipfp,
+    serialize_network,
     structural_projection,
 )
 from bnrefit import core, dense
@@ -809,6 +811,26 @@ def test_weighted_step_is_the_full_joint_step(monkeypatch, case):
     # the loop never saw it.
     for name in barren:
         assert out.cpts[name] is net.cpts[name]
+
+
+# sha256 of the serialized e-ipfp output, as written before the loop's
+# sub-network was built by ``core._sub_network``: moving it there must not
+# change a bit.
+E_IPFP_OUTPUT_SHA256 = {
+    "dense-fit":
+        "342f1c44c2612fd14524aa51ec543ba95ccd9aa680dba8166d2efced0fd75d33",
+    "criterion-1-seed-13":
+        "26fe5fa02dc7533086c4cda13e19ebf5089f2401a49538777a1cae638e52b2b7",
+    "every-cpt-seed-1-children-first":
+        "eea7ba7b99547af8442c09442720806a9483a4bf281790ae7b2df20d43fb36f6",
+}
+
+
+@pytest.mark.parametrize("case", list(WEIGHTED_STEP_CASES))
+def test_run_e_ipfp_output_is_pinned(case):
+    out, _ = run_e_ipfp(*WEIGHTED_STEP_CASES[case]())
+    assert hashlib.sha256(serialize_network(out)).hexdigest() \
+        == E_IPFP_OUTPUT_SHA256[case]
 
 
 def test_run_e_ipfp_empty_constraints_builds_no_joint(monkeypatch):
