@@ -665,12 +665,27 @@ def marginalize(q: JointTable, target: Sequence[str]) -> JointTable:
     return _computed(tuple(q.scope[names.index(t)] for t in target), probs)
 
 
+def _divided(values: np.ndarray, sums: np.ndarray,
+             fallback: np.ndarray | float) -> np.ndarray:
+    """``values / sums``, broadcast, with ``fallback`` wherever a sum is zero.
+
+    The zero-mass rule of every proportional step and every conditional
+    read off a table: a row without mass carries no information, so it
+    takes ``fallback`` (a scalar, or an array broadcastable to ``values``'
+    shape) instead of a ratio.  ``sums`` must not be negative.  One
+    ``np.count_nonzero`` decides: with no zero sum this is one plain
+    divide, and otherwise a masked divide onto a copy of ``fallback``,
+    which costs a few µs more and gives the same bits wherever both apply.
+    """
+    if np.count_nonzero(sums) == sums.size:
+        return values / sums
+    return np.divide(values, sums, out=np.full(values.shape, fallback),
+                     where=sums > 0.0)
+
+
 def _conditional(m: np.ndarray) -> np.ndarray:
     """Rows of ``m`` (last axis) normalized; zero-mass rows become uniform."""
-    denom = m.sum(axis=-1, keepdims=True)
-    safe = np.where(denom > 0.0, denom, 1.0)
-    uniform = 1.0 / m.shape[-1]
-    return np.where(denom > 0.0, m / safe, uniform)
+    return _divided(m, m.sum(axis=-1, keepdims=True), 1.0 / m.shape[-1])
 
 
 def extract_cpt(q: JointTable, child: str, parents: Sequence[str]) -> Cpt:
@@ -784,16 +799,20 @@ def _ratio(target: np.ndarray, current: np.ndarray,
            names: tuple[str, ...]) -> np.ndarray:
     """Cellwise ``target / current``, the factor of a proportional step.
 
-    Cells where both are zero get ratio zero.  A target that is positive
-    where ``current`` is zero cannot be reached by rescaling and raises
-    ``DominanceError`` naming the cell, with axes named by ``names``.
+    Every solver's step runs through here.  When ``current`` has no zero
+    cell this is one plain divide.  Otherwise cells where both are zero
+    get ratio zero (``_divided``'s masked path), and a target that is
+    positive where ``current`` is zero cannot be reached by rescaling and
+    raises ``DominanceError`` naming the first such cell in C order, with
+    axes named by ``names``.
     """
+    if np.count_nonzero(current) == current.size:
+        return target / current
     blocked = (current == 0.0) & (target > 0.0)
     if np.any(blocked):
         idx = tuple(int(v) for v in np.argwhere(blocked)[0])
         raise _dominance_error(names, target[idx], idx)
-    return np.divide(target, current, out=np.zeros_like(target),
-                     where=current > 0.0)
+    return _divided(target, current, 0.0)
 
 
 @dataclass(frozen=True, eq=False)

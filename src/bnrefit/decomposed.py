@@ -83,7 +83,7 @@ from .core import (
     _Layout,
     _conditional,
     _cpt_product,
-    _dominance_error,
+    _divided,
     _outside_parents,
     _placed,
     _power_of_two,
@@ -272,9 +272,8 @@ def nonlocal_update(sub: LocalSubnet, r: Constraint,
     ratio = _ratio(target, qy, sub.y)
     scaled = sub.cond_table * _placed(ratio, list(y_axes), len(shape))
     # Rows left with zero mass carry no information; they keep their values.
-    alpha = scaled.sum(axis=y_axes, keepdims=True)
-    return LocalSubnet(sub.y, sub.s, np.divide(
-        scaled, alpha, out=sub.cond_table.copy(), where=alpha > 0.0))
+    return LocalSubnet(sub.y, sub.s, _divided(
+        scaled, scaled.sum(axis=y_axes, keepdims=True), sub.cond_table))
 
 
 def _outside_plan(net: NetworkSpec, y: tuple[str, ...], s: tuple[str, ...]
@@ -344,10 +343,9 @@ class _SubnetPlan:
       ``scope_shape``; a non-local constraint's is ``y``) and over ``s``;
     - ``family``: one row per member, in ``y`` order, holding each cell's
       entry in the member-CPT vector that ``layout`` (a ``core._Layout``
-      over ``y``) lays out;
-    - ``positive`` and ``target``: the raveled ``scope`` cells where the
-      constraint is positive, and its whole table over ``scope``, zero
-      cells included.
+      over ``y``) lays out.
+
+    ``target`` is the constraint's table over ``scope``, raveled.
 
     ``outside`` names the CPTs the context weight contracts, and
     ``weight`` is that contraction's plan (``_outside_plan``).
@@ -365,7 +363,6 @@ class _SubnetPlan:
     scope_cell: np.ndarray
     s_cell: np.ndarray
     family: np.ndarray
-    positive: np.ndarray
     target: np.ndarray
 
     @staticmethod
@@ -394,8 +391,6 @@ class _SubnetPlan:
                          + [strides(scope), strides(s)], dtype=np.intp
                          ) @ np.unravel_index(np.arange(size), shape)
         entries = np.cumsum([0] + [math.prod(t) for t in layout.shapes[:-1]])
-        target = _aligned_target(r, scope).ravel()
-        positive = np.flatnonzero(target > 0.0)
         outside, weight = _outside_plan(net, y, s)
         return _SubnetPlan(
             y=y,
@@ -407,8 +402,7 @@ class _SubnetPlan:
             scope_cell=index[-2],
             s_cell=index[-1],
             family=index[:-2] + entries[:, None],
-            positive=positive,
-            target=target,
+            target=_aligned_target(r, scope).ravel(),
         )
 
 
@@ -419,63 +413,49 @@ def _plain_map(plan: _SubnetPlan, w: np.ndarray
 
     ``F`` maps a member-CPT vector (``plan.layout``) to the next, and
     returns the largest change it made to the subnet conditional: a
-    proportional step on the conditional, whose rows left without mass
-    keep their values, then re-extraction of the member CPTs, whose rows
-    without mass fill uniformly.  Each map is a gather through ``family``
-    and a few ``bincount`` sums through the plan's other indices.
+    proportional step on the conditional (``core._ratio`` of the target
+    over the scope marginal), whose rows left without mass keep their
+    values, then re-extraction of the member CPTs, whose rows without mass
+    fill uniformly; both normalizations are ``core._divided``.  Each map
+    is a gather through ``family`` and a few ``bincount`` sums through the
+    plan's other indices.
 
     Cost model: a subnet holds 16 to a few hundred cells, so each numpy
     call costs its fixed dispatch overhead (about 1 µs), not its
     arithmetic, and a map costs its number of calls.  Hence the ufunc
     reductions are called directly (``np.multiply.reduce`` and friends
     skip the ``ndarray.prod``/``sum``/``max`` wrappers, which cost 1.4 to
-    2 µs each), tests for a zero go through ``np.count_nonzero`` (about
-    0.3 µs, against about 2 µs for ``ndarray.all``), and each normalization
-    is a plain divide once one check finds that every row has mass; the
-    masked divide that keeps zero-mass rows costs about 3 µs and runs only
-    when some row has none.  Every path computes the same values, bit for
-    bit.
+    2 µs each), and the ratio and each normalization are one
+    ``np.count_nonzero`` (about 0.3 µs, against about 2 µs for
+    ``ndarray.all``) and a plain divide when nothing is zero; the masked
+    paths, the dominance test and the divide that keeps zero-mass rows,
+    cost a few µs more and run only when some cell or row has no mass.
+    Every path computes the same values, bit for bit.
     """
     family = plan.family.ravel()
-    scope_cell, s_cell, positive = plan.scope_cell, plan.s_cell, plan.positive
+    scope_cell, s_cell = plan.scope_cell, plan.s_cell
     row, uniform = plan.layout.row, plan.layout.uniform
-    target = plan.target[positive]
+    target = plan.target.reshape(plan.scope_shape)
+    # The scope marginal, normalized into ``qy``, a raveled view of
+    # ``current``, which has the scope's shape.
+    current = np.empty(plan.scope_shape)
+    qy = current.reshape(-1)
     refit = np.empty(plan.family.shape)
-    ratio = np.zeros(math.prod(plan.scope_shape))
 
     def plain_map(theta: np.ndarray) -> tuple[np.ndarray, float]:
         cond = np.multiply.reduce(theta[plan.family])
-        qy = np.bincount(scope_cell, cond * w)
-        total = np.add.reduce(qy)
-        if total > 0.0:
-            qy /= total
-        current = qy[positive]
-        if np.count_nonzero(current) < current.size:
-            i = int(np.flatnonzero(current == 0.0)[0])
-            raise _dominance_error(
-                plan.scope, target[i],
-                np.unravel_index(int(positive[i]), plan.scope_shape))
-        ratio[positive] = target / current
-        scaled = cond * ratio[scope_cell]
-        newcond = _row_normalized(scaled, np.bincount(s_cell, scaled),
-                                  s_cell, cond)
+        mass = np.bincount(scope_cell, cond * w)
+        total = np.add.reduce(mass)
+        # Divided by its total, unless it has no mass at all.
+        np.divide(mass, total if total > 0.0 else 1.0, out=qy)
+        scaled = cond * _ratio(target, current, plan.scope).ravel()[scope_cell]
+        newcond = _divided(scaled, np.bincount(s_cell, scaled)[s_cell], cond)
         np.multiply(newcond, w, out=refit)
         m = np.bincount(family, refit.ravel())
-        return (_row_normalized(m, np.bincount(row, m), row, uniform),
+        return (_divided(m, np.bincount(row, m)[row], uniform),
                 float(np.maximum.reduce(np.abs(newcond - cond))))
 
     return plain_map
-
-
-def _row_normalized(values: np.ndarray, sums: np.ndarray, rows: np.ndarray,
-                    fallback: np.ndarray) -> np.ndarray:
-    """``values`` divided by their row's entry of ``sums``, where ``rows``
-    numbers each value's row; a row without mass takes ``fallback``'s
-    values instead."""
-    if np.count_nonzero(sums) == sums.size:
-        return values / sums[rows]
-    sums = sums[rows]
-    return np.divide(values, sums, out=fallback.copy(), where=sums > 0.0)
 
 
 def _marginal(plan: _SubnetPlan, theta: np.ndarray,

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import logging
 import math
 import re
 import subprocess
@@ -557,6 +558,20 @@ def test_usage_error_exits_2(capsys, argv, fragment):
     assert err.value.code == 2
     stderr = capsys.readouterr().err
     assert fragment in stderr and "Traceback" not in stderr
+
+
+@pytest.mark.parametrize("name, level", [
+    ("debug", logging.DEBUG), ("INFO", logging.INFO),
+    ("verbose", logging.WARNING), ("basic_format", logging.WARNING)])
+def test_log_level_from_the_environment(monkeypatch, name, level):
+    # BNREFIT_LOG names a logging level in any case; a name that is no
+    # level, such as a logging attribute that is not a number, falls back
+    # to warnings instead of failing.
+    seen = []
+    monkeypatch.setenv("BNREFIT_LOG", name)
+    monkeypatch.setattr(logging, "basicConfig", lambda **kw: seen.append(kw))
+    cli._configure_logging()
+    assert [kw["level"] for kw in seen] == [level]
 
 
 def test_out_into_missing_directory(tmp_path, chain_net):

@@ -16,6 +16,7 @@ from bnrefit import (
     Constraint,
     Cpt,
     CycleError,
+    DominanceError,
     JointTable,
     Local,
     NetworkSpec,
@@ -34,8 +35,8 @@ from bnrefit import (
     marginalize,
     validate_constraint,
 )
-from bnrefit.core import (_block_shape, _blocked, _cpt_product, _max_gap,
-                          _placed, _squarem)
+from bnrefit.core import (_block_shape, _blocked, _cpt_product, _divided,
+                          _max_gap, _placed, _ratio, _squarem)
 from bnrefit.generate import random_network
 
 
@@ -812,3 +813,89 @@ def test_joint_properties_randomized(seed, n, card):
     name = net.names[seed % n]
     m = marginalize(q, (name,))
     assert abs(float(m.probs.sum()) - 1.0) <= 1e-12
+
+
+# the proportional-step rule every solver shares
+
+
+table_shapes = st.lists(st.integers(1, 4), min_size=1, max_size=4).map(tuple)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), shape=table_shapes,
+       per_row=st.booleans(),
+       fallback_kind=st.sampled_from(["scalar", "row", "full"]),
+       zero_sum=st.booleans())
+def test_divided_is_the_masked_divide(seed, shape, per_row, fallback_kind,
+                                      zero_sum):
+    # Sums per row (a length-one last axis) or per cell, with or without a
+    # zero sum, and a scalar, row-broadcast or full fallback: the result
+    # has the bits of the spelled-out masked divide onto the fallback, and
+    # the fallback itself is left as it was.
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(0.1, 1.0, shape)
+    values[rng.random(shape) < 0.3] = 0.0
+    sums = (values.sum(axis=-1, keepdims=True) if per_row
+            else rng.uniform(0.1, 1.0, shape))
+    sums[sums < 0.1] = 0.1
+    if zero_sum:
+        sums.flat[rng.integers(sums.size)] = 0.0
+    fallback = {"scalar": float(rng.random()),
+                "row": rng.random(shape[-1:]),
+                "full": rng.random(shape)}[fallback_kind]
+    kept = np.copy(fallback)
+    want = np.divide(values, sums,
+                     out=np.broadcast_to(fallback, shape).copy(),
+                     where=sums > 0.0)
+    got = _divided(values, sums, fallback)
+    assert got.shape == shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(fallback, kept)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), shape=table_shapes)
+def test_ratio_paths_agree_to_the_bit(seed, shape):
+    # Cells where target and current are both zero send the ratio down the
+    # masked path; setting those cells of current to one instead sends the
+    # same tables down the plain divide.  Both give every cell the same
+    # bits: the plain quotient where current has mass, zero elsewhere.
+    rng = np.random.default_rng(seed)
+    target = rng.uniform(0.1, 1.0, shape)
+    current = rng.uniform(0.1, 1.0, shape)
+    empty = rng.random(shape) < 0.3
+    empty.flat[rng.integers(empty.size)] = True
+    target[empty] = 0.0
+    names = tuple(f"V{i}" for i in range(len(shape)))
+    masked = _ratio(target, np.where(empty, 0.0, current), names)
+    plain = _ratio(target, np.where(empty, 1.0, current), names)
+    assert masked.tobytes() == plain.tobytes()
+    assert plain.tobytes() == (target / np.where(empty, 1.0, current)).tobytes()
+    assert masked.tobytes() == np.divide(
+        target, np.where(empty, 0.0, current), out=np.zeros(shape),
+        where=~empty).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       shape=st.lists(st.integers(1, 4), min_size=2, max_size=4).map(tuple))
+def test_ratio_names_the_first_blocked_cell_in_c_order(seed, shape):
+    # Over several axes, the error names the first cell in C order where
+    # the target has mass and current has none, in the text every solver
+    # prints.
+    rng = np.random.default_rng(seed)
+    target = rng.uniform(0.1, 1.0, shape)
+    target[rng.random(shape) < 0.3] = 0.0
+    current = rng.uniform(0.1, 1.0, shape)
+    current[rng.random(shape) < 0.3] = 0.0
+    cell = tuple(int(rng.integers(n)) for n in shape)
+    target[cell], current[cell] = 0.25, 0.0
+    names = ("W", "X", "Y", "Z")[:len(shape)]
+    first = next(idx for idx in np.ndindex(*shape)
+                 if current[idx] == 0.0 and target[idx] > 0.0)
+    where = ", ".join(f"{n}={i}" for n, i in zip(names, first))
+    with pytest.raises(DominanceError) as err:
+        _ratio(target, current, names)
+    assert str(err.value) == (
+        f"constraint over {names} requires mass {target[first]:.17g} at "
+        f"({where}) where the current distribution has none")

@@ -736,7 +736,8 @@ def reference_plain_map(plan, w):
     their per-call overhead, must match bit for bit."""
     family = plan.family.ravel()
     row, uniform = plan.layout.row, plan.layout.uniform
-    target = plan.target[plan.positive]
+    positive = np.flatnonzero(plan.target > 0.0)
+    target = plan.target[positive]
     refit = np.empty(plan.family.shape)
     ratio = np.zeros(int(np.prod(plan.scope_shape)))
 
@@ -746,9 +747,9 @@ def reference_plain_map(plan, w):
         total = qy.sum()
         if total > 0.0:
             qy /= total
-        current = qy[plan.positive]
+        current = qy[positive]
         assert current.all()
-        ratio[plan.positive] = target / current
+        ratio[positive] = target / current
         scaled = cond * ratio[plan.scope_cell]
         alpha = np.bincount(plan.s_cell, scaled)[plan.s_cell]
         newcond = np.divide(scaled, alpha, out=cond.copy(), where=alpha > 0.0)
@@ -812,20 +813,28 @@ def zero_mass_cases(name):
                                   "zero-mass-parent-row-nonlocal"])
 def test_plain_map_fallback_matches_reference(monkeypatch, name):
     # The kernel divides plainly when every row has mass and falls back to
-    # the masked divide otherwise; each case must reach its fallback.
+    # the masked divide otherwise; each case must reach its fallback: the
+    # conditional for an s row, the uniform rows for a member's row.
     net, r, kind = zero_mass_cases(name)
     reached = []
-    normalized = decomposed._row_normalized
+    divided = decomposed._divided
 
-    def spy(values, sums, rows, fallback):
+    def spy(values, sums, fallback):
         if np.count_nonzero(sums) < sums.size:
-            reached.append(rows)
-        return normalized(values, sums, rows, fallback)
+            reached.append(fallback)
+        return divided(values, sums, fallback)
 
-    monkeypatch.setattr(decomposed, "_row_normalized", spy)
+    monkeypatch.setattr(decomposed, "_divided", spy)
     plan = assert_maps_match_reference(net, r)
-    rows = plan.s_cell if kind == "s" else plan.layout.row
-    assert reached and all(got is rows for got in reached)
+    assert reached
+    for fallback in reached:
+        if kind == "s":
+            # The conditional: one entry per cell, a distribution per s row.
+            assert fallback is not plan.layout.uniform
+            assert fallback.shape == plan.s_cell.shape
+            assert np.allclose(np.bincount(plan.s_cell, fallback), 1.0)
+        else:
+            assert fallback is plan.layout.uniform
 
 
 def test_nonlocal_visit_stops_when_the_map_is_fixed(monkeypatch, caplog):

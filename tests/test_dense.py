@@ -187,6 +187,45 @@ def blocked_step(q, r):
     return (q.probs.reshape(_block_shape(shape)) * factor).reshape(shape)
 
 
+# Table shapes of 2^4 to 2^12 cells, some with 3-state variables, and the
+# axes a ratio spans, none of them next to each other, not all in order.
+RESCALE_CASES = {
+    "16-cells": ((2, 2, 2, 2), (2, 0)),
+    "36-cells": ((3, 2, 3, 2), (1, 3)),
+    "144-cells": ((2, 3, 2, 2, 3, 2), (4, 1)),
+    "256-cells": ((2,) * 8, (0, 7)),
+    "432-cells": ((3, 2, 2, 3, 2, 2, 3), (0, 3, 6)),
+    "1024-cells": ((2,) * 10, (8, 2, 5)),
+    "2187-cells": ((3,) * 7, (6, 0, 3)),
+    "4096-cells": ((2,) * 12, (1, 10)),
+}
+
+
+@pytest.mark.parametrize("core_block", [4, 256])
+@pytest.mark.parametrize("case", RESCALE_CASES)
+def test_rescaled_paths_agree_to_the_bit(monkeypatch, case, core_block):
+    # _rescaled broadcasts the ratio onto a table of at most dense._BLOCK
+    # cells and multiplies a larger one by a _blocked factor over its
+    # block view.  Each path, forced on every table, with blocks of 4 and
+    # of 256 cells, gives the bits of the plain broadcast product.
+    shape, axes = RESCALE_CASES[case]
+    rng = np.random.default_rng(len(shape))
+    probs = rng.random(shape)
+    probs /= probs.sum()
+    scope = tuple(VariableDecl(f"V{i}", n) for i, n in enumerate(shape))
+    q = _computed(scope, probs)
+    ratio = rng.uniform(0.0, 2.0, [shape[a] for a in axes])
+    ratio.flat[0] = 0.0
+    names = [scope[a].name for a in axes]
+    want = (probs * core._placed(ratio, axes, len(shape))).tobytes()
+    monkeypatch.setattr(core, "_BLOCK", core_block)
+    got = {}
+    for path, block in (("broadcast", probs.size), ("blocked", 0)):
+        monkeypatch.setattr(dense, "_BLOCK", block)
+        got[path] = dense._rescaled(q, ratio, names).probs.tobytes()
+    assert got == {"broadcast": want, "blocked": want}
+
+
 @pytest.mark.parametrize("table", ["union-marginal", "joint"])
 def test_step_and_residual_are_bit_identical_to_the_blocked_step(table):
     # The dense-fit instance: its union marginal has 128 cells, one block,

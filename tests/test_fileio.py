@@ -261,6 +261,24 @@ def test_float_list_writer_matches_generic_path(values):
         assert "Infinity" in got or "NaN" in got
 
 
+def test_writer_spells_an_empty_object_as_json_does():
+    # An empty object is written on one line, also when nested, and reads
+    # back as what was written.
+    assert _canon({}, 0) == "{}"
+    got = _canon({"a": {}, "b": [1, {}]}, 0)
+    assert got == '{\n  "a": {},\n  "b": [\n    1,\n    {}\n  ]\n}'
+    assert json.loads(got) == {"a": {}, "b": [1, {}]}
+
+
+@pytest.mark.parametrize("value", [object(), {1, 2}, 1j, {"a": [b"x"]}])
+def test_writer_refuses_a_value_it_cannot_serialize(value):
+    # A value with no JSON spelling, however deep, raises TypeError naming
+    # its type instead of writing something that does not read back.
+    name = "bytes" if isinstance(value, dict) else type(value).__name__
+    with pytest.raises(TypeError, match=f"^cannot serialize {name}$"):
+        _canon(value, 0)
+
+
 def test_parse_serialize_parse_is_identity(diamond_net):
     blob = serialize_network(diamond_net)
     again = serialize_network(parse_network(blob))
