@@ -893,12 +893,38 @@ def _squarem(theta: np.ndarray, t1: np.ndarray, t2: np.ndarray,
     return candidate, reached
 
 
+def _kl(weight: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+    """``sum(weight * log(a / b))`` over the cells where ``weight > 0``.
+
+    The zero-mass rule of every I-divergence: a cell without weight
+    contributes nothing, even where ``b`` is zero, and the sum is infinite
+    where a cell with weight has ``b == 0``.  All three arrays share one
+    shape, are non-negative, and ``a > 0`` wherever ``weight > 0``: for
+    two joints ``_kl(p, p, q)``, for one family's chain-rule term the
+    family mass ``P(pa) * a`` and the two CPTs.  When neither ``weight``
+    nor ``b`` has a zero cell this is one plain divide; otherwise a masked
+    divide over the whole array, which gives the same terms wherever both
+    apply.
+    """
+    if weight.min() > 0.0 and b.min() > 0.0:
+        terms = a / b
+    else:
+        mask = weight > 0.0
+        if np.any(mask & (b <= 0.0)):
+            return math.inf
+        terms = np.divide(a, b, out=np.ones(a.shape), where=mask)
+    np.log(terms, out=terms)
+    terms *= weight
+    return float(terms.sum())
+
+
 def i_divergence(p: JointTable, q: JointTable) -> float:
     """I-divergence (Kullback-Leibler, natural log) of ``p`` from ``q``.
 
     Infinite when ``p`` puts mass where ``q`` has none; zero-probability
     cells of ``p`` contribute nothing.  Scopes must match exactly, order
-    included.
+    included.  The sum is ``_kl(p, p, q)``, the kernel d-ipfp's report and
+    ``elimination.network_divergence`` also run.
     """
     if p.names != q.names or tuple(v.cardinality for v in p.scope) != tuple(
         v.cardinality for v in q.scope
@@ -906,18 +932,7 @@ def i_divergence(p: JointTable, q: JointTable) -> float:
         raise ScopeError(
             f"divergence needs identical scopes, got {p.names} and {q.names}"
         )
-    if p.probs.min() > 0.0 and q.probs.min() > 0.0:
-        # No zero cell: the masked divide would give this same array.
-        terms = p.probs / q.probs
-    else:
-        mask = p.probs > 0.0
-        if np.any(mask & (q.probs <= 0.0)):
-            return float("inf")
-        terms = np.divide(p.probs, q.probs, out=np.ones(p.probs.shape),
-                          where=mask)
-    np.log(terms, out=terms)
-    terms *= p.probs
-    return float(terms.sum())
+    return _kl(p.probs, p.probs, q.probs)
 
 
 def validate_constraint(net: NetworkSpec, r: Constraint) -> None:

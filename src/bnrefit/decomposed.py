@@ -84,6 +84,7 @@ from .core import (
     _conditional,
     _cpt_product,
     _divided,
+    _kl,
     _outside_parents,
     _placed,
     _power_of_two,
@@ -97,8 +98,7 @@ from .core import (
 from .core import _reextracted_product, i_divergence, joint_from_network
 from .dense import (OSCILLATION_WINDOW, RunReport, StopPolicy, Termination,
                     _prepared)
-from .elimination import (Contraction, _family_divergence, contract,
-                          plan_cpt_contraction)
+from .elimination import Contraction, contract, plan_cpt_contraction
 
 logger = logging.getLogger("bnrefit")
 
@@ -266,10 +266,7 @@ def nonlocal_update(sub: LocalSubnet, r: Constraint,
             )
     joint = sub.cond_table * w
     qy = joint.sum(axis=s_axes) if s_axes else joint
-    total = float(qy.sum())
-    if total > 0.0:
-        qy = qy / total
-    ratio = _ratio(target, qy, sub.y)
+    ratio = _ratio(target, _divided(qy, qy.sum(), 0.0), sub.y)
     scaled = sub.cond_table * _placed(ratio, list(y_axes), len(shape))
     # Rows left with zero mass carry no information; they keep their values.
     return LocalSubnet(sub.y, sub.s, _divided(
@@ -602,7 +599,9 @@ def _divergence(net: NetworkSpec, work: Mapping[str, np.ndarray],
     changed families in declaration order, with each family's mass read off
     the subnet of the last plan that has it as a member; ``weights`` are
     the plans' raveled context weights at ``work``.  Only a plan's members
-    change, so every changed family has one.
+    change, so every changed family has one.  Each family's term is
+    ``core._kl(mass, a, b)``, the kernel of ``i_divergence`` and
+    ``network_divergence``.
     """
     owner = {name: (plan, w) for plan, w in zip(plans, weights)
              for name in plan.y}
@@ -615,7 +614,7 @@ def _divergence(net: NetworkSpec, work: Mapping[str, np.ndarray],
         if name not in mass:
             plan, w = owner[name]
             mass.update(_family_mass(plan, plan.layout.pack(work), w))
-        total += _family_divergence(mass[name], a, b)
+        total += _kl(mass[name], a, b)
     return total
 
 

@@ -44,7 +44,7 @@ from typing import Container, Mapping, Sequence
 
 import numpy as np
 
-from .core import NetworkSpec, ScopeError, _apply, _placement, _Placement
+from .core import NetworkSpec, ScopeError, _apply, _kl, _placement, _Placement
 
 
 def _view(scope: tuple[str, ...], layout: tuple[str, ...],
@@ -255,22 +255,6 @@ def marginal(net: NetworkSpec, targets: Sequence[str]) -> np.ndarray:
     return contract(plan, [net.cpts[n].table for n in names])
 
 
-def _family_divergence(mass: np.ndarray, a: np.ndarray,
-                       b: np.ndarray) -> float:
-    """One family's chain-rule term of the I-divergence of a network ``P``
-    from a network ``Q`` with the same parents.
-
-    ``a`` and ``b`` are the family's CPTs in ``P`` and ``Q``, and ``mass``
-    is ``P``'s ``P(pa, v) = P(pa) * a``, all of one shape.  Cells without
-    mass contribute nothing; the term is infinite where a cell with mass
-    has ``b == 0``.
-    """
-    mask = mass > 0.0
-    if np.any(b[mask] == 0.0):
-        return float("inf")
-    return float((mass[mask] * np.log(a[mask] / b[mask])).sum())
-
-
 def network_divergence(p: NetworkSpec, q: NetworkSpec) -> float:
     """I-divergence (natural log) of ``p``'s joint from ``q``'s, factored.
 
@@ -281,8 +265,10 @@ def network_divergence(p: NetworkSpec, q: NetworkSpec) -> float:
     and executed once.  Cells where ``P(pa) * p(v|pa)`` is zero contribute
     nothing, even when ``q``'s entry is zero there; the result is infinite
     only where ``p`` has mass that ``q`` lacks, exactly as for the dense
-    joints.  Each family's term is ``_family_divergence``, which d-ipfp's
-    report also sums, with each mass read off a constraint's subnet.
+    joints.  Each family's term is ``core._kl(mass, a, b)``, the kernel
+    of ``i_divergence``, with ``a`` and ``b`` the family's CPTs in ``p``
+    and ``q`` and ``mass`` its ``P(pa) * a``; d-ipfp's report sums the same
+    terms, with each mass read off a constraint's subnet.
     """
     if p.variables != q.variables or p.parents != q.parents:
         raise ScopeError(
@@ -295,6 +281,6 @@ def network_divergence(p: NetworkSpec, q: NetworkSpec) -> float:
         if a is b or np.array_equal(a, b):
             continue
         parents = p.parents[name]
-        total += _family_divergence(
-            marginal(p, parents)[..., None] * a if parents else a, a, b)
+        total += _kl(marginal(p, parents)[..., None] * a if parents else a,
+                     a, b)
     return total

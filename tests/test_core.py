@@ -4,6 +4,7 @@ import graphlib
 import itertools
 import math
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from bnrefit import (
     validate_constraint,
 )
 from bnrefit.core import (_block_shape, _blocked, _cpt_product, _divided,
-                          _max_gap, _placed, _ratio, _squarem)
+                          _kl, _max_gap, _placed, _ratio, _squarem)
 from bnrefit.generate import random_network
 
 
@@ -506,9 +507,59 @@ def divergence_pair(p_zeros, q_zeros):
     return tables
 
 
-@pytest.mark.parametrize("p_zeros, q_zeros", [((), ()), ((3, 700), ()),
-                                              ((5, 9), (5, 9))])
+@dataclass(frozen=True)
+class ParentRows:
+    """A family-shaped case's ``p_zeros``: the flat parent rows that
+    ``P(pa)`` leaves without mass."""
+
+    rows: tuple[int, ...] = ()
+
+
+def family_divergence_inputs(p_zeros: ParentRows, b_zeros):
+    """``(weight, a, b)`` of one family whose parents have 3, 4 and 5
+    states and whose child has 3: ``a`` and ``b`` are random CPTs and
+    ``weight`` is the family mass ``P(pa) * a``, as in a chain-rule term.
+    ``b_zeros`` names flat cells of ``b`` to empty before its rows are
+    renormalized."""
+    rng = np.random.default_rng(7)
+    a, b = (rng.uniform(0.05, 1.0, (3, 4, 5, 3)) for _ in range(2))
+    b.reshape(-1)[list(b_zeros)] = 0.0
+    a /= a.sum(axis=-1, keepdims=True)
+    b /= b.sum(axis=-1, keepdims=True)
+    pa = rng.uniform(0.05, 1.0, (3, 4, 5))
+    pa.reshape(-1)[list(p_zeros.rows)] = 0.0
+    return (pa / pa.sum())[..., None] * a, a, b
+
+
+def gathered_divergence(weight, a, b):
+    """The family term gathered onto the cells with weight."""
+    m = weight > 0.0
+    if np.any(b[m] == 0.0):
+        return math.inf
+    return float((weight[m] * np.log(a[m] / b[m])).sum())
+
+
+@pytest.mark.parametrize("p_zeros, q_zeros", [
+    ((), ()), ((3, 700), ()), ((5, 9), (5, 9)),
+    # Family-shaped: parent rows 1 and 6 hold cells 3 to 5 and 18 to 20.
+    pytest.param(ParentRows(), (), id="family"),
+    pytest.param(ParentRows((1, 6)), (), id="family-zero-mass-rows"),
+    pytest.param(ParentRows((1, 6)), (4, 18, 20),
+                 id="family-b-zero-without-mass"),
+    pytest.param(ParentRows(), (4,), id="family-b-zero-under-mass"),
+])
 def test_divergence_matches_masked_reference(p_zeros, q_zeros):
+    if isinstance(p_zeros, ParentRows):
+        weight, a, b = family_divergence_inputs(p_zeros, q_zeros)
+        got = _kl(weight, a, b)
+        want = gathered_divergence(weight, a, b)
+        # Only a zero of ``b`` under mass makes the term infinite.
+        assert math.isinf(want) == (p_zeros.rows == () and q_zeros != ())
+        if weight.min() > 0.0 and b.min() > 0.0:
+            assert got == want
+        else:
+            assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+        return
     p, q = divergence_pair(p_zeros, q_zeros)
     got = i_divergence(p, q)
     assert math.isfinite(got)
