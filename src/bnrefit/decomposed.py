@@ -62,7 +62,6 @@ from __future__ import annotations
 import logging
 import math
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -96,8 +95,7 @@ from .core import (
 )
 # Unused here; perfbench/tracer.py wraps these names in this module.
 from .core import _reextracted_product, i_divergence, joint_from_network
-from .dense import (OSCILLATION_WINDOW, RunReport, StopPolicy, Termination,
-                    _prepared)
+from .dense import RunReport, StopPolicy, _iterate, _prepared
 from .elimination import Contraction, contract, plan_cpt_contraction
 
 logger = logging.getLogger("bnrefit")
@@ -649,77 +647,45 @@ def run_d_ipfp(net: NetworkSpec, constraints: Sequence[Constraint],
              for r in constraints]
     work = {name: cpt.table for name, cpt in net.cpts.items()}
 
-    def measure() -> tuple[list[np.ndarray], tuple[float, ...]]:
-        """Each plan's raveled context weight at the current tables, and
-        each constraint's residual: the largest distance of its marginal
-        from its target, over every cell of its scope."""
-        weights = [contract(plan.weight, [work[name] for name in plan.outside]
-                            ).ravel() for plan in plans]
-        return weights, tuple(
-            float(np.max(np.abs(
-                _marginal(plan, plan.layout.pack(work), w) - plan.target)))
-            for plan, w in zip(plans, weights))
-
-    eps = stop.epsilon
-    deltas: deque[float] = deque(maxlen=OSCILLATION_WINDOW)
-    worsts: deque[float] = deque(maxlen=OSCILLATION_WINDOW)
-    termination = Termination.MAX_CYCLES if constraints else Termination.CONVERGED
-    cycles = stop.max_cycles if constraints else 0
     weights: list[np.ndarray] = []
-    residuals: tuple[float, ...] | None = None
 
-    for cycle in range(1, cycles + 1):
+    def cycle(left: int) -> tuple[float, int]:
+        """One visit to every constraint; returns the largest change it
+        made to a CPT entry, and one cycle."""
         snapshot = dict(work)
         for plan in plans:
             # Only a local constraint's subnet has a single member.
             if len(plan.y) == 1:
                 _local_visit(plan, work)
             else:
-                _nonlocal_visit(plan, work, eps,
+                _nonlocal_visit(plan, work, stop.epsilon,
                                 inner_cap=INNER_MAX_ITERATIONS)
-
         delta = 0.0
         for name, table in work.items():
             before = snapshot[name]
             if table is not before:
                 delta = max(delta, float(np.max(np.abs(table - before))))
+        return delta, 1
 
-        # Residuals come from variable elimination, which costs more than a
-        # whole cycle of CPT updates; verify them only when the cheap delta
-        # signal says the run may be done, or has stalled.
-        residuals = None
-        if delta <= eps:
-            weights, residuals = measure()
-            if max(residuals) <= eps:
-                termination = Termination.CONVERGED
-                cycles = cycle
-                break
+    def measure() -> tuple[float, ...]:
+        """Each constraint's residual, the largest distance of its
+        marginal from its target over every cell of its scope; keeps each
+        plan's raveled context weight at the current tables for the
+        report's divergence.  Residuals come from variable elimination,
+        which costs more than a whole cycle of CPT updates, so the loop
+        asks for them only when it reads them."""
+        weights[:] = [contract(plan.weight, [work[name] for name in plan.outside]
+                               ).ravel() for plan in plans]
+        return tuple(
+            float(np.max(np.abs(
+                _marginal(plan, plan.layout.pack(work), w) - plan.target)))
+            for plan, w in zip(plans, weights))
 
-        deltas.append(delta)
-        # A delta at or below epsilon is rounding noise once the CPTs sit
-        # at a fixed point, so it counts as a plateau whatever its ratio.
-        if len(deltas) == deltas.maxlen and (
-                delta <= eps or delta >= 0.9 * deltas[0]):
-            if residuals is None:
-                weights, residuals = measure()
-            worsts.append(max(residuals))
-            if (len(worsts) == worsts.maxlen
-                    and worsts[-1] >= 0.99 * worsts[0]):
-                logger.warning(
-                    "cycle %d: CPT deltas plateaued near %.3e and max "
-                    "residual stuck near %.3e; constraints look "
-                    "contradictory, or out of reach of the CPTs they name; "
-                    "stopping as oscillating",
-                    cycle, delta, worsts[-1],
-                )
-                termination = Termination.OSCILLATING
-                cycles = cycle
-                break
-        else:
-            worsts.clear()
-
-    if residuals is None:
-        weights, residuals = measure()
+    cycles, residuals, termination = _iterate(
+        stop, constraints, cycle, measure,
+        "cycle %d: CPT deltas plateaued near %.3e and max residual stuck "
+        "near %.3e; constraints look contradictory, or out of reach of the "
+        "CPTs they name; stopping as oscillating")
 
     # Each changed family is validated once, here; the rest keep their Cpt.
     result = net if not cycles else NetworkSpec(net.variables, net.parents, {

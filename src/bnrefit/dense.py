@@ -90,7 +90,7 @@ import operator
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -374,6 +374,66 @@ def _barren_weight(full: NetworkSpec,
     return _placed(m, [kept.index(n) for n in keep], len(kept))
 
 
+def _iterate(stop: StopPolicy, constraints: Sequence[Constraint],
+             cycle: Callable[[int], tuple[float, int]],
+             measure: Callable[[], tuple[float, ...]], warning: str,
+             dense_rule: bool = False
+             ) -> tuple[int, tuple[float, ...], Termination]:
+    """The outer loop every solver runs: returns the cycles charged, the
+    final residuals and how the run ended.
+
+    ``cycle(left)`` advances the solver's state once, with ``left`` of the
+    budget unspent, and returns the step it made and the cycles to charge
+    for it.  ``measure()`` returns the residuals of the current state; it
+    is called only when the stop test or the plateau rule reads them, and
+    once at the end if the last cycle did not.  The run converges when
+    the step and then the worst residual are within epsilon.  A cycle is
+    flat once ``OSCILLATION_WINDOW`` steps have been seen and its step is
+    within epsilon or at least 0.9 times the oldest of them; the worst
+    residuals of consecutive flat cycles are kept, and a full window of
+    them that improved by less than one percent stops the run as
+    oscillating, logging ``warning`` with the cycle count, the step and
+    the worst residual.  An empty constraint list converges after no
+    cycle.
+    """
+    if not constraints:
+        return 0, (), Termination.CONVERGED
+    eps = stop.epsilon
+    deltas: deque[float] = deque(maxlen=OSCILLATION_WINDOW)
+    worsts: deque[float] = deque(maxlen=OSCILLATION_WINDOW)
+    termination = Termination.MAX_CYCLES
+    residuals: tuple[float, ...] | None = None
+    cycles = 0
+    while cycles < stop.max_cycles:
+        delta, maps = cycle(stop.max_cycles - cycles)
+        cycles += maps
+        residuals = measure() if dense_rule or delta <= eps else None
+        if delta <= eps and max(residuals) <= eps:
+            return cycles, residuals, Termination.CONVERGED
+        deltas.append(delta)
+        if dense_rule:
+            worsts.append(max(residuals))
+            flat = (len(deltas) == deltas.maxlen
+                    and delta >= 0.9 * deltas[0])
+        elif len(deltas) == deltas.maxlen and (
+                delta <= eps or delta >= 0.9 * deltas[0]):
+            if residuals is None:
+                residuals = measure()
+            worsts.append(max(residuals))
+            flat = True
+        else:
+            worsts.clear()
+            flat = False
+        if (flat and len(worsts) == worsts.maxlen
+                and worsts[-1] >= 0.99 * worsts[0]):
+            logger.warning(warning, cycles, delta, worsts[-1])
+            termination = Termination.OSCILLATING
+            break
+    if residuals is None:
+        residuals = measure()
+    return cycles, residuals, termination
+
+
 def _run_dense(net: NetworkSpec, constraints: list[Constraint],
                stop: StopPolicy, structural: bool,
                full: NetworkSpec | None = None
@@ -395,28 +455,25 @@ def _run_dense(net: NetworkSpec, constraints: list[Constraint],
         return _Projected.of(net.variables, _cpt_product(
             net.variables, tables, net.parents), tables)
 
-    eps = stop.epsilon
-    deltas: deque[float] = deque(maxlen=OSCILLATION_WINDOW)
-    worsts: deque[float] = deque(maxlen=OSCILLATION_WINDOW)
-    termination = Termination.MAX_CYCLES if constraints else Termination.CONVERGED
-    budget = stop.max_cycles if constraints else 0
-    residuals: tuple[float, ...] = ()
-    cycles = 0
-    gate_open = False
     union = _union(net, constraints)
     current = None
+    gate_open = False
 
-    while cycles < budget:
+    def cycle(left: int) -> tuple[float, int]:
+        """One plain map of ``q``, or an extrapolation when the gate is
+        open and its three maps fit in the ``left`` of the budget."""
+        nonlocal q, current, gate_open
         # An extrapolation maps q twice, packing the CPTs each projected
         # joint carries before dropping it, then maps the product of the
         # candidate.  The gate opens only after a map, so q is projected.
-        extrapolate = gate_open and cycles + 3 <= budget
+        extrapolate = gate_open and left >= 3
         if extrapolate:
             theta0 = layout.pack(q.tables)
             q = _plain_map(q, constraints, net, True, current)
             theta1 = layout.pack(q.tables)
             current = None
         previous, q = q, _plain_map(q, constraints, net, structural, current)
+        current = None
         delta, maps = _step(q, previous, weight), 2 if extrapolate else 1
         del previous
         if extrapolate:
@@ -432,28 +489,21 @@ def _run_dense(net: NetworkSpec, constraints: list[Constraint],
                 else:
                     delta, maps = _step(q, previous, weight), 3
                     del previous
-        cycles += maps
-
-        current = marginalize(q, union)
-        residuals = tuple(constraint_residual(current, r) for r in constraints)
-        worst = max(residuals)
-        if worst <= eps and delta <= eps:
-            termination = Termination.CONVERGED
-            break
-        deltas.append(delta)
-        worsts.append(worst)
-        if (len(deltas) == deltas.maxlen
-                and deltas[-1] >= 0.9 * deltas[0]
-                and worsts[-1] >= 0.99 * worsts[0]):
-            logger.warning(
-                "cycle %d: deltas plateaued near %.3e and max residual stuck "
-                "near %.3e; constraints look contradictory, stopping as "
-                "oscillating",
-                cycles, delta, worst,
-            )
-            termination = Termination.OSCILLATING
-            break
         gate_open = structural and delta <= SQUAREM_JOINT_GATE
+        return delta, maps
+
+    def measure() -> tuple[float, ...]:
+        """The residuals of ``q``, read off its union marginal, which the
+        next map then starts from."""
+        nonlocal current
+        current = marginalize(q, union)
+        return tuple(constraint_residual(current, r) for r in constraints)
+
+    cycles, residuals, termination = _iterate(
+        stop, constraints, cycle, measure,
+        "cycle %d: deltas plateaued near %.3e and max residual stuck "
+        "near %.3e; constraints look contradictory, stopping as "
+        "oscillating", dense_rule=True)
 
     report = RunReport(
         algorithm="e-ipfp" if structural else "ipfp",
