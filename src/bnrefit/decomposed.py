@@ -626,7 +626,8 @@ def run_d_ipfp(net: NetworkSpec, constraints: Sequence[Constraint],
     (``_nonlocal_visit``).  Convergence is judged on CPT entries (the state
     the solver actually moves) together with the true marginal residuals,
     each summed from its constraint's subnet (``_marginal``) under the
-    context weight its plan contracts at the current tables.  The report's
+    context weight its plan contracts at the current tables, in the outer
+    loop every solver runs (``dense._iterate``).  The report's
     divergence (``_divergence``) comes from the edited families alone, by
     the chain rule of ``network_divergence``, at any network size, with
     each family's mass ``P(pa, v)`` read off a subnet it belongs to.

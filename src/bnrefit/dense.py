@@ -35,10 +35,11 @@ some constraint names, so the steps run on the joint's marginal over the
 union of the constraint scopes (in declaration order), and the joint is
 then rescaled once, by the fitted marginal over the one it started from
 (Jirousek & Preucil 1995, Comput. Stat. Data Anal. 19).  A map thus sums
-the joint down to the union once and multiplies it once, and the
-residuals after it are read off that union marginal of its result, which
-the next map starts from.  When the union is every variable the fitted
-table is the joint itself and no rescale is needed.
+the joint down to the union once and multiplies it once.  When the loop
+reads the residuals after a map, it reads them off that union marginal of
+its result, and the next map starts from it instead of summing it again.
+When the union is every variable the fitted table is the joint itself and
+no rescale is needed.
 
 For e-ipfp the CPTs are the state the loop carries.  Every projected
 joint is a ``_Projected`` table that also holds the conditional tables it
@@ -57,28 +58,35 @@ one plain map on that product to stabilize it.  A candidate with a
 negative entry or a row without mass is rejected; the step then ends on
 the second plain map's joint.  So does one whose stabilizing map raises
 ``DominanceError``, by multiplying out the second map's tables again.
-The gate stays open once the step is at or below epsilon, because the
-residuals lag behind it.  The map's fixed points form a continuum, and
-long steps taken early land elsewhere on it, so the gate is narrow:
-extrapolation only does the final approach.  ``ipfp`` never
+The gate is open after every step at or below ``SQUAREM_JOINT_GATE``,
+whatever the epsilon.  At the default epsilon that includes the steps
+already within epsilon while the residuals still lag behind.  An epsilon
+above the gate does not widen it: a step within that epsilon but above
+the gate is followed by a plain map.  The map's fixed points form a
+continuum, and long steps taken early land elsewhere on it, so the gate
+is narrow: extrapolation only does the final approach.  ``ipfp`` never
 extrapolates.
 
 Every run's ``cycles`` counts plain maps, an extrapolation's two or three
 included, so ``max_cycles`` bounds the work; an extrapolation starts only
 when all three of its maps fit in what is left of the budget.  The stop
-test and the oscillation window read the step of the last plain map only,
+test and the plateau rule read the step of the last plain map only,
 never the jump of an extrapolation, and run before any extrapolation, so
 a set that the input already meets ends after one cycle.
 
-Both solvers detect three outcomes: convergence (all residuals and the
-cycle-to-cycle change within epsilon), a cycle budget running out, and
-oscillation.  Contradictory constraints make the table orbit instead of
-settle; the oscillation heuristic watches a window of recent cycle deltas
-and worst residuals and fires only when both have stopped improving while
-the residuals are still above epsilon.  A plateau in the deltas alone is
-not enough: slowly converging runs can crawl for stretches, but their
-residuals keep shrinking, whereas a genuine orbit's residuals do not.
-The event is logged, never silent.
+ipfp, e-ipfp and d-ipfp run one outer loop, ``_iterate``, with one stop
+test and one plateau rule, and each has three outcomes: convergence (the
+cycle's step, then every residual, within epsilon), a cycle budget
+running out, and oscillation.  Contradictory constraints make the state
+orbit instead of settle.  A cycle is flat once a window of
+``OSCILLATION_WINDOW`` steps has been seen and its step is within epsilon
+or has fallen by less than a tenth against the window's oldest; the run
+is called oscillating when its worst residual has improved by less than
+one percent over that many consecutive flat cycles.  A plateau in the
+steps alone is not enough: slowly converging runs can crawl for
+stretches, but their residuals keep shrinking, whereas a genuine orbit's
+residuals do not.  Residuals are read only when the stop test or a flat
+cycle needs them.  The event is logged, never silent.
 """
 
 from __future__ import annotations
@@ -141,11 +149,12 @@ class Termination(enum.Enum):
 
 
 OSCILLATION_WINDOW = 20
-"""How many recent cycles the plateau detectors look at; a run is declared
-oscillating only when, over a full window, the newest delta fails to fall
-below 0.9 times the oldest and the worst residual has also improved by
-less than one percent.  d-ipfp also counts a delta at or below epsilon as
-a plateau."""
+"""How many cycles the plateau rule of ``_iterate`` looks at, for every
+solver.  A cycle is flat once this many steps have been seen and its step
+is within epsilon or has fallen by less than a tenth against the oldest
+of them; a run is declared oscillating when its worst residual has
+improved by less than one percent over this many consecutive flat
+cycles, so at the earliest after 39 cycles."""
 
 
 @dataclass(frozen=True)
@@ -376,24 +385,23 @@ def _barren_weight(full: NetworkSpec,
 
 def _iterate(stop: StopPolicy, constraints: Sequence[Constraint],
              cycle: Callable[[int], tuple[float, int]],
-             measure: Callable[[], tuple[float, ...]], warning: str,
-             dense_rule: bool = False
+             measure: Callable[[], tuple[float, ...]], warning: str
              ) -> tuple[int, tuple[float, ...], Termination]:
-    """The outer loop every solver runs: returns the cycles charged, the
+    """The outer loop of every solver: returns the cycles charged, the
     final residuals and how the run ended.
 
     ``cycle(left)`` advances the solver's state once, with ``left`` of the
     budget unspent, and returns the step it made and the cycles to charge
-    for it.  ``measure()`` returns the residuals of the current state; it
-    is called only when the stop test or the plateau rule reads them, and
-    once at the end if the last cycle did not.  The run converges when
+    for it.  ``measure()`` returns the residuals of the current state; the
+    loop calls it only when the stop test or the plateau rule reads them,
+    and once at the end if the last cycle did not.  The run converges when
     the step and then the worst residual are within epsilon.  A cycle is
     flat once ``OSCILLATION_WINDOW`` steps have been seen and its step is
-    within epsilon or at least 0.9 times the oldest of them; the worst
-    residuals of consecutive flat cycles are kept, and a full window of
-    them that improved by less than one percent stops the run as
-    oscillating, logging ``warning`` with the cycle count, the step and
-    the worst residual.  An empty constraint list converges after no
+    within epsilon or has fallen by less than a tenth against the oldest
+    of them.  The worst residuals of consecutive flat cycles are kept, and
+    a full window of them that improved by less than one percent stops
+    the run as oscillating, logging ``warning`` with the cycles, the step
+    and the worst residual.  An empty constraint list converges after no
     cycle.
     """
     if not constraints:
@@ -401,37 +409,26 @@ def _iterate(stop: StopPolicy, constraints: Sequence[Constraint],
     eps = stop.epsilon
     deltas: deque[float] = deque(maxlen=OSCILLATION_WINDOW)
     worsts: deque[float] = deque(maxlen=OSCILLATION_WINDOW)
-    termination = Termination.MAX_CYCLES
     residuals: tuple[float, ...] | None = None
     cycles = 0
     while cycles < stop.max_cycles:
         delta, maps = cycle(stop.max_cycles - cycles)
         cycles += maps
-        residuals = measure() if dense_rule or delta <= eps else None
-        if delta <= eps and max(residuals) <= eps:
+        residuals = measure() if delta <= eps else None
+        if residuals is not None and max(residuals) <= eps:
             return cycles, residuals, Termination.CONVERGED
         deltas.append(delta)
-        if dense_rule:
-            worsts.append(max(residuals))
-            flat = (len(deltas) == deltas.maxlen
-                    and delta >= 0.9 * deltas[0])
-        elif len(deltas) == deltas.maxlen and (
-                delta <= eps or delta >= 0.9 * deltas[0]):
-            if residuals is None:
-                residuals = measure()
-            worsts.append(max(residuals))
-            flat = True
-        else:
+        # A step at or below epsilon is rounding noise once the state sits
+        # at a fixed point, so its cycle is flat whatever its ratio.
+        if len(deltas) < deltas.maxlen or eps < delta < 0.9 * deltas[0]:
             worsts.clear()
-            flat = False
-        if (flat and len(worsts) == worsts.maxlen
-                and worsts[-1] >= 0.99 * worsts[0]):
+            continue
+        residuals = residuals or measure()
+        worsts.append(max(residuals))
+        if len(worsts) == worsts.maxlen and worsts[-1] >= 0.99 * worsts[0]:
             logger.warning(warning, cycles, delta, worsts[-1])
-            termination = Termination.OSCILLATING
-            break
-    if residuals is None:
-        residuals = measure()
-    return cycles, residuals, termination
+            return cycles, residuals, Termination.OSCILLATING
+    return cycles, residuals or measure(), Termination.MAX_CYCLES
 
 
 def _run_dense(net: NetworkSpec, constraints: list[Constraint],
@@ -469,9 +466,8 @@ def _run_dense(net: NetworkSpec, constraints: list[Constraint],
         extrapolate = gate_open and left >= 3
         if extrapolate:
             theta0 = layout.pack(q.tables)
-            q = _plain_map(q, constraints, net, True, current)
+            q, current = _plain_map(q, constraints, net, True, current), None
             theta1 = layout.pack(q.tables)
-            current = None
         previous, q = q, _plain_map(q, constraints, net, structural, current)
         current = None
         delta, maps = _step(q, previous, weight), 2 if extrapolate else 1
@@ -503,7 +499,7 @@ def _run_dense(net: NetworkSpec, constraints: list[Constraint],
         stop, constraints, cycle, measure,
         "cycle %d: deltas plateaued near %.3e and max residual stuck "
         "near %.3e; constraints look contradictory, stopping as "
-        "oscillating", dense_rule=True)
+        "oscillating")
 
     report = RunReport(
         algorithm="e-ipfp" if structural else "ipfp",

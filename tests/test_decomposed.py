@@ -962,7 +962,7 @@ def test_d_ipfp_stops_on_a_ratio_plateau(caplog, seed, scope):
     # A perturbed copy of a non-local target contradicts the original, so
     # every solver orbits.  d-ipfp's cycle deltas settle above epsilon
     # (8.3e-9 and 7.0e-7 at its stop), so its windows fill through the
-    # ratio test, not the epsilon one; the dense solvers stop on their own
+    # ratio test, not the epsilon one; the dense solvers stop on the same
     # plateau rule.
     net, constraints = generate_instance(seed, n_nodes=12, num_constraints=4)
     contradictory = nets.contradictory_variant(constraints, scope, seed)
