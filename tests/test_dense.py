@@ -75,7 +75,7 @@ def test_stop_policy_holds_only_epsilon_and_max_cycles():
 # _iterate, the outer loop of all three solvers, on synthetic series.
 
 
-def _iterate(deltas, worst, max_cycles=10_000, maps=1):
+def _drive(deltas, worst, max_cycles=10_000, maps=1):
     """Run ``dense._iterate`` on the step series ``deltas(cycle)`` and the
     worst residual ``worst``; returns its result, the ``left`` each cycle
     saw and the cycles after which ``measure`` was called."""
@@ -97,15 +97,15 @@ def _iterate(deltas, worst, max_cycles=10_000, maps=1):
 def test_iterate_measures_only_when_a_test_reads_the_residuals():
     # Halving steps never sit within epsilon or within 0.9 of the window's
     # oldest, so only the final read measures.
-    result, _, measured = _iterate(lambda c: 0.5 ** c, 1e-3, max_cycles=25)
+    result, _, measured = _drive(lambda c: 0.5 ** c, 1e-3, max_cycles=25)
     assert result == (25, (1e-3, 0.0), Termination.MAX_CYCLES)
     assert measured == [25]
     # A step within epsilon is measured for the stop test.
-    result, _, measured = _iterate(lambda c: 1e-10 if c == 3 else 1.0 / c,
-                                   1e-3, max_cycles=5)
+    _, _, measured = _drive(lambda c: 1e-10 if c == 3 else 1.0 / c, 1e-3,
+                            max_cycles=5)
     assert measured == [3, 5]
-    result, _, measured = _iterate(lambda c: 1e-10 if c == 3 else 1.0 / c,
-                                   1e-10, max_cycles=5)
+    result, _, measured = _drive(lambda c: 1e-10 if c == 3 else 1.0 / c,
+                                 1e-10, max_cycles=5)
     assert result == (3, (1e-10, 0.0), Termination.CONVERGED)
     assert measured == [3]
 
@@ -114,7 +114,7 @@ def test_iterate_flat_series_fires_at_cycle_39(caplog):
     # 19 cycles fill the step window, then 20 flat cycles fill the
     # residual window.
     with caplog.at_level("WARNING", logger="bnrefit"):
-        result, _, measured = _iterate(lambda c: 1e-3, 1e-2)
+        result, _, measured = _drive(lambda c: 1e-3, 1e-2)
     assert result == (39, (1e-2, 0.0), Termination.OSCILLATING)
     assert measured == list(range(20, 40))
     assert "cycle 39: step 1.000e-03, worst 1.000e-02" in caplog.text
@@ -123,13 +123,12 @@ def test_iterate_flat_series_fires_at_cycle_39(caplog):
 def test_iterate_non_flat_cycle_clears_the_residual_window():
     # Cycle 30's step falls below 0.9 times the oldest in the window, so
     # the 10 flat cycles before it no longer count.
-    result, _, _ = _iterate(lambda c: 1e-6 if c == 30 else 1e-3, 1e-2)
+    result, _, _ = _drive(lambda c: 1e-6 if c == 30 else 1e-3, 1e-2)
     assert result == (50, (1e-2, 0.0), Termination.OSCILLATING)
 
 
 def test_iterate_charges_the_cycles_a_cycle_returns():
-    result, lefts, _ = _iterate(lambda c: 1.0 / c, 1e-3, max_cycles=9,
-                                maps=3)
+    result, lefts, _ = _drive(lambda c: 1.0 / c, 1e-3, max_cycles=9, maps=3)
     assert lefts == [9, 6, 3]
     assert result == (9, (1e-3, 0.0), Termination.MAX_CYCLES)
 
