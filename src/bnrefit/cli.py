@@ -44,7 +44,6 @@ from .core import (
     _max_gap,
     _reextracted_product,
     _sub_network,
-    extract_cpts,
     i_divergence,
     joint_from_network,
 )
@@ -201,7 +200,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     else:
         q, report = run_ipfp(net, constraints, stop)
         out_net = net if report.cycles == 0 else NetworkSpec(
-            net.variables, net.parents, extract_cpts(q, net))
+            net.variables, net.parents, q.cpts)
 
     write_atomic(args.out, serialize_network(out_net))
     if args.report:
@@ -241,7 +240,7 @@ def cmd_check(args: argparse.Namespace) -> int:
                   f"variables); a network's own joint factors by "
                   f"construction")
         else:
-            gap = _max_gap(_reextracted_product(q, sub), q.probs)
+            gap = _max_gap(_reextracted_product(q, sub)[1], q.probs)
             print(f"structural residual: {gap:.3e}")
     if violations:
         print(f"result: {violations} of {len(constraints)} constraints "

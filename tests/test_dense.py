@@ -448,29 +448,56 @@ MAP_CASES = {
 }
 
 
+def plain_maps(net, constraints, structural, count):
+    """``(maps, joint)`` after each of the first ``count`` cycles from
+    ``net``'s joint.  e-ipfp's are ``_plain_map`` calls, every other one
+    handed the union marginal, as its loop hands it, and the rest summing
+    it themselves.  ipfp's joint after ``k`` maps is the one ``run_ipfp``
+    returns at a budget of ``k`` cycles, which a run that converges
+    sooner does not use up."""
+    if not structural:
+        for budget in range(1, count + 1):
+            q, report = run_ipfp(net, constraints,
+                                 StopPolicy(max_cycles=budget))
+            yield report.cycles, q
+        return
+    union = dense._union(net, constraints)
+    q = joint_from_network(net)
+    for i in range(count):
+        current = marginalize(q, union) if i % 2 else None
+        q = dense._plain_map(q, constraints, net, current)
+        yield i + 1, q
+
+
+def reference_maps(net, constraints, structural, count):
+    """The joint after 0 to ``count`` reference maps from ``net``'s."""
+    joints = [joint_from_network(net)]
+    for _ in range(count):
+        joints.append(reference_plain_map(joints[-1], constraints, net,
+                                          structural))
+    return joints
+
+
 @pytest.mark.parametrize("structural", [False, True])
 @pytest.mark.parametrize("case", sorted(MAP_CASES))
 def test_plain_map_matches_steps_on_the_joint(case, structural):
-    # The map runs its steps on the union marginal and rescales the joint
-    # once; the reference steps the joint itself.  Only the summation order
-    # differs, so ten chained maps agree cell by cell within 1e-13
-    # relative.  Every other map is handed the union marginal, as the
-    # solver loop hands it, and the rest sum it themselves.
+    # e-ipfp's map runs its steps on the union marginal and rescales the
+    # joint once a map; ipfp's loop moves only the union marginal and
+    # rescales the starting joint once a run.  The reference steps the
+    # joint itself.  Only the summation order differs, so the joints after
+    # each of ten maps agree cell by cell within 1e-13 relative.
     net, constraints = MAP_CASES[case]()
     union = dense._union(net, constraints)
     q = joint_from_network(net)
     assert len(union) < len(q.scope)
     if case == "children-first-zero":
         assert np.any(marginalize(q, union).probs == 0.0)
-    got = want = q
-    for i in range(10):
-        current = marginalize(got, union) if i % 2 else None
-        got = dense._plain_map(got, constraints, net, structural, current)
-        want = reference_plain_map(want, constraints, net, structural)
-        assert got.scope == want.scope
-        assert np.array_equal(got.probs == 0.0, want.probs == 0.0)
-        assert np.all(np.abs(got.probs - want.probs)
-                      <= 1e-13 * want.probs), (case, i)
+    want = reference_maps(net, constraints, structural, 10)
+    for maps, got in plain_maps(net, constraints, structural, 10):
+        assert got.scope == want[maps].scope
+        assert np.array_equal(got.probs == 0.0, want[maps].probs == 0.0)
+        assert np.all(np.abs(got.probs - want[maps].probs)
+                      <= 1e-13 * want[maps].probs), (case, maps)
 
 
 @pytest.mark.parametrize("structural", [False, True])
@@ -480,18 +507,15 @@ def test_plain_map_over_every_variable_is_the_reference(
     # nothing is rescaled: the arithmetic is the reference's.
     constraints = reweighted_constraints(
         diamond_net, [("A", "D"), ("B", "C"), ("D",)], seed=2)
-    got = want = joint_from_network(diamond_net)
-    for _ in range(10):
-        got = dense._plain_map(got, constraints, diamond_net, structural,
-                               None)
-        want = reference_plain_map(want, constraints, diamond_net,
-                                   structural)
-        assert np.array_equal(got.probs, want.probs)
+    want = reference_maps(diamond_net, constraints, structural, 10)
+    for maps, got in plain_maps(diamond_net, constraints, structural, 10):
+        assert np.array_equal(got.probs, want[maps].probs)
 
 
 def test_plain_map_unreachable_target_raises_like_the_reference():
     # P(A=1) = 0, so after the step on B the target over (A, D), which
-    # needs mass at A=1, cannot be reached; C is outside the union.
+    # needs mass at A=1, cannot be reached; C is outside the union.  Both
+    # e-ipfp's map and ipfp's loop raise at that step.
     net = nets.diamond_without_a1()
     constraints = [nets.constraint_over(net, ("B",), [0.3, 0.7]),
                    nets.diamond_r3(net)]
@@ -499,15 +523,18 @@ def test_plain_map_unreachable_target_raises_like_the_reference():
     q = joint_from_network(net)
     with pytest.raises(DominanceError) as want:
         reference_plain_map(q, constraints, net, False)
+    assert "constraint over ('A', 'D')" in str(want.value)
     with pytest.raises(DominanceError) as got:
-        dense._plain_map(q, constraints, net, False, None)
+        dense._plain_map(q, constraints, net, None)
     assert str(got.value) == str(want.value)
-    assert "constraint over ('A', 'D')" in str(got.value)
+    with pytest.raises(DominanceError) as got:
+        run_ipfp(net, constraints)
+    assert str(got.value) == str(want.value)
 
 
 def test_plain_map_sums_the_joint_once(monkeypatch):
     # On the dense-fit instance the six steps run on a 128-cell union
-    # marginal, so the only full-table sum is the one that makes it.
+    # marginal, so the only full-table marginal is the one that makes it.
     net, constraints = generate_instance(0, n_nodes=16, num_constraints=6)
     q = joint_from_network(net)
     full = []
@@ -517,7 +544,7 @@ def test_plain_map_sums_the_joint_once(monkeypatch):
         return marginalize(table, target)
 
     monkeypatch.setattr(dense, "marginalize", spy)
-    dense._plain_map(q, constraints, net, False, None)
+    dense._plain_map(q, constraints, net, None)
     assert sum(full) == 1
 
 
@@ -562,6 +589,72 @@ def test_run_ipfp_contradictory_constraints_oscillate(chain_net):
     q, report = run_ipfp(chain_net, rs)
     assert report.termination is Termination.OSCILLATING
     assert report.cycles <= StopPolicy().max_cycles
+
+
+def test_run_ipfp_builds_and_rescales_the_joint_once(monkeypatch):
+    # On the dense-fit instance ipfp's nine cycles move only the 128-cell
+    # union marginal: the 2^16-cell joint is built once and rescaled once,
+    # at the end, by the fitted marginal over the one it started from.
+    net, constraints = generate_instance(0, n_nodes=16, num_constraints=6)
+    build, rescale = dense.joint_from_network, dense._rescaled
+    built, full = [], []
+
+    def joint(n):
+        built.append(build(n))
+        return built[-1]
+
+    def rescaled(q, ratio, names):
+        if q.probs.size == 2 ** 16:
+            full.append(q)
+        return rescale(q, ratio, names)
+
+    monkeypatch.setattr(dense, "joint_from_network", joint)
+    monkeypatch.setattr(dense, "_rescaled", rescaled)
+    _, report = run_ipfp(net, constraints)
+    assert report.cycles == 9
+    assert len(built) == 1
+    assert len(full) == 1 and full[0] is built[0]
+
+
+def criterion_1_instance(seed):
+    return generate_instance(seed, n_nodes=10 + seed % 6,
+                             num_constraints=4 + seed % 3)
+
+
+def diamond_without_a1_fit():
+    """``nets.diamond_without_a1`` with targets that keep A=1 empty, so
+    the union marginal over (A, B, D) has cells without mass."""
+    net = nets.diamond_without_a1()
+    return net, [nets.constraint_over(net, ("A", "B"), [[0.3, 0.7], [0, 0]]),
+                 nets.constraint_over(net, ("D",), [0.6, 0.4])]
+
+
+IPFP_REPORT_CASES = {
+    **{f"criterion-1-seed-{seed}": functools.partial(criterion_1_instance,
+                                                     seed)
+       for seed in range(20)},
+    "dense-fit": lambda: generate_instance(0, n_nodes=16, num_constraints=6),
+    "diamond-without-a1": diamond_without_a1_fit,
+}
+
+
+@pytest.mark.parametrize("case", list(IPFP_REPORT_CASES))
+def test_run_ipfp_report_describes_the_joint_it_returns(case):
+    # The loop reads its residuals and divergence off the union marginal;
+    # read off the returned joint they agree within rounding.  The CPTs
+    # the joint carries, the ones `run` writes, are extract_cpts' own.
+    net, constraints = IPFP_REPORT_CASES[case]()
+    q, report = run_ipfp(net, constraints)
+    assert report.termination is Termination.CONVERGED
+    assert report.final_divergence == pytest.approx(
+        i_divergence(q, joint_from_network(net)), rel=1e-12, abs=0.0)
+    for got, r in zip(report.per_constraint_residuals, constraints,
+                      strict=True):
+        assert abs(got - constraint_residual(q, r)) <= 1e-15
+    read = extract_cpts(q, net)
+    assert list(q.cpts) == list(read)
+    for name, cpt in read.items():
+        assert np.array_equal(q.cpts[name].table, cpt.table), name
 
 
 def test_run_e_ipfp_hits_cycle_budget(diamond_net, diamond_r3):
@@ -874,6 +967,24 @@ def test_barren_weight_is_the_dense_max_of_the_barren_product(seed):
                                    rtol=1e-14, atol=0.0)
         checked += 1
     assert checked
+
+
+@pytest.mark.parametrize("case", sorted(MAP_CASES))
+def test_union_weight_is_the_dense_max_of_the_ratio(case):
+    # ipfp's M(u) is the largest q0(x) / m0(u) over the cells x that
+    # extend u, and 0 where m0(u) is: the divide is monotone, so taking
+    # the max over q0 first gives the same bits.
+    net, constraints = MAP_CASES[case]()
+    q0 = joint_from_network(net)
+    m0 = marginalize(q0, dense._union(net, constraints))
+    axes = [net.names.index(n) for n in m0.names]
+    placed = m0.probs.reshape([size if i in axes else 1
+                               for i, size in enumerate(q0.probs.shape)])
+    ratio = np.divide(q0.probs, placed, out=np.zeros(q0.probs.shape),
+                      where=placed > 0.0)
+    other = tuple(i for i in range(q0.probs.ndim) if i not in axes)
+    assert np.array_equal(dense._union_weight(q0, m0),
+                          ratio.max(axis=other))
 
 
 def every_cpt_children_first(seed):
